@@ -6,7 +6,7 @@ identical parameters, gradients, and state produce bit-identical results.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping
+from typing import Dict, Mapping, Tuple
 
 import numpy as np
 
@@ -18,6 +18,9 @@ class Adam:
 
     Keeps per-parameter first/second moment accumulators keyed by
     parameter name; accumulators always match their parameter's shape.
+    The update runs in place through two scratch arrays per parameter, in
+    the operation order of Kingma & Ba (2015), Algorithm 1; another order
+    changes the low bits of trained weights.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
@@ -29,6 +32,7 @@ class Adam:
         self.step_count = 0
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
+        self._scratch: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
         self.step_count += 1
@@ -45,16 +49,28 @@ class Adam:
             if m is None:
                 m = self.m[name] = np.zeros_like(p.data)
                 self.v[name] = np.zeros_like(p.data)
+                self._scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
             v = self.v[name]
+            s, u = self._scratch[name]
             m *= self.beta1
-            m += (1.0 - self.beta1) * g
+            np.multiply(g, 1.0 - self.beta1, out=s)
+            m += s
             v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+            np.multiply(g, 1.0 - self.beta2, out=s)
+            s *= g
+            v += s
+            # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+            np.divide(v, bc2, out=s)
+            np.sqrt(s, out=s)
+            s += self.eps
+            np.divide(m, bc1, out=u)
+            u *= self.lr
+            u /= s
+            p.data -= u
 
 
 class SGD:
-    """Plain gradient descent; kept around for gradient-check simplicity."""
+    """Plain gradient descent; the REINFORCE policy update."""
 
     def __init__(self, lr: float = 1e-2):
         self.lr = lr

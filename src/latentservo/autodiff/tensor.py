@@ -40,12 +40,11 @@ def _coerce(data, dtype=None) -> np.ndarray:
 class Tensor:
     """Dense tensor: row-major float data plus a gradient-tracking flag."""
 
-    __slots__ = ("data", "requires_grad", "grad")
+    __slots__ = ("data", "requires_grad")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         self.data = _coerce(data, dtype)
         self.requires_grad = bool(requires_grad)
-        self.grad: Optional[np.ndarray] = None
 
     @property
     def shape(self) -> tuple:
@@ -59,9 +58,6 @@ class Tensor:
         if self.data.size != 1:
             raise GraphError(f"item() needs a scalar, got shape {self.shape}")
         return float(self.data.reshape(()))
-
-    def zero_grad(self) -> None:
-        self.grad = None
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
@@ -108,8 +104,7 @@ class Tape:
     def backward(self, loss: Tensor) -> dict:
         """Accumulate d(loss)/d(tensor) for every tensor on the tape.
 
-        Returns a map keyed by ``id(tensor)``; also sets ``.grad`` on every
-        leaf tensor with ``requires_grad``.  Each node is visited exactly
+        Returns a map keyed by ``id(tensor)``.  Each node is visited exactly
         once.  Tensors with no path to the loss simply never appear in the
         map (their total derivative is zero).
         """
@@ -135,20 +130,6 @@ class Tape:
                     grads[key] = grads[key] + g
                 else:
                     grads[key] = g
-        produced = {id(n.output) for n in self.nodes}
-        seen = set()
-        for node in self.nodes:
-            for inp in node.inputs:
-                if not isinstance(inp, Tensor) or not inp.requires_grad:
-                    continue
-                key = id(inp)
-                if key in produced or key in seen:
-                    continue
-                seen.add(key)
-                g = grads.get(key)
-                if g is not None:
-                    contrib = g.astype(inp.data.dtype, copy=False)
-                    inp.grad = contrib if inp.grad is None else inp.grad + contrib
         return grads
 
 
@@ -165,18 +146,16 @@ def _record(output: Tensor, inputs: tuple, backward, name: str) -> Tensor:
     return output
 
 
-def backward(loss: Tensor, params: Optional[dict] = None) -> Optional[dict]:
+def backward(loss: Tensor, params: dict) -> dict:
     """Run the active tape's backward pass from ``loss``.
 
-    With ``params`` (name -> Tensor), returns name -> gradient with zeros
+    Returns name -> gradient for ``params`` (name -> Tensor), with zeros
     for parameters that did not influence the loss.
     """
     tape = active_tape()
     if tape is None:
         raise GraphError("backward called with no active Tape")
     grads = tape.backward(loss)
-    if params is None:
-        return None
     out = {}
     for name, p in params.items():
         g = grads.get(id(p))

@@ -9,11 +9,10 @@ from __future__ import annotations
 
 import json
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .. import autodiff as ad
 from ..analysis import (
     alpha_score,
     build_field_map,
@@ -329,12 +328,6 @@ def _policy_to_json(policy: Policy) -> dict:
             "params": {k: v.data.tolist() for k, v in policy.params.items()}}
 
 
-def policy_from_json(data: dict) -> Policy:
-    params = {k: ad.parameter(np.asarray(v, dtype=np.float32))
-              for k, v in data["params"].items()}
-    return Policy(params=params, k=int(data["k"]), dof=int(data["dof"]))
-
-
 def stage_reinforce(cfg: ExperimentConfig) -> List[str]:
     out_dir = cfg.out_dir / "control"
     out_dir.mkdir(parents=True, exist_ok=True)
@@ -403,10 +396,6 @@ def stage_evaluate(cfg: ExperimentConfig) -> List[str]:
 
 # -------------------------------------------------------------------- report
 
-STAGE_ORDER = ["demo-gen", "train", "taskmap", "factors", "alpha-sweep",
-               "fieldmap", "embodiment", "servo", "reinforce", "evaluate"]
-
-
 def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
     out_dir = Path(out_dir)
     lines = ["# latentservo run report", ""]
@@ -417,7 +406,8 @@ def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
     lines.append("")
     lines.append("| stage | status | outputs |")
     lines.append("|---|---|---|")
-    for stage in STAGE_ORDER:
+    partial = sorted(set(manifest.stages) - set(STAGE_TABLE) - {"report"})
+    for stage in list(STAGE_TABLE) + partial:
         entry = manifest.stages.get(stage)
         if entry is None:
             lines.append(f"| {stage} | SKIPPED | |")
@@ -499,37 +489,27 @@ def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
 
 # ---------------------------------------------------------------- dispatcher
 
-STAGE_DEPS = {
-    "demo-gen": [],
-    "train": ["demo-gen"],
-    "taskmap": ["train"],
-    "factors": ["train"],
-    "alpha-sweep": ["demo-gen"],
-    "fieldmap": ["factors"],
-    "embodiment": ["train"],
-    "servo": ["factors"],
-    "reinforce": ["factors"],
-    "evaluate": ["servo", "reinforce"],
-}
-
-STAGE_RUNNERS = {
-    "demo-gen": stage_demo_gen,
-    "train": stage_train,
-    "taskmap": stage_taskmap,
-    "factors": stage_factors,
-    "alpha-sweep": stage_alpha_sweep,
-    "fieldmap": stage_fieldmap,
-    "embodiment": stage_embodiment,
-    "servo": stage_servo,
-    "reinforce": stage_reinforce,
-    "evaluate": stage_evaluate,
+# Every cached stage in pipeline order: stage -> (runner, dependencies).
+STAGE_TABLE: Dict[str, Tuple[Callable[..., List[str]], Tuple[str, ...]]] = {
+    "demo-gen": (stage_demo_gen, ()),
+    "train": (stage_train, ("demo-gen",)),
+    "taskmap": (stage_taskmap, ("train",)),
+    "factors": (stage_factors, ("train",)),
+    "alpha-sweep": (stage_alpha_sweep, ("demo-gen",)),
+    "fieldmap": (stage_fieldmap, ("factors",)),
+    "embodiment": (stage_embodiment, ("train",)),
+    "servo": (stage_servo, ("factors",)),
+    "reinforce": (stage_reinforce, ("factors",)),
+    "evaluate": (stage_evaluate, ("servo", "reinforce")),
 }
 
 
 def ensure_stage(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
                  force: bool = False, log=print, **kwargs) -> List[str]:
-    for dep in STAGE_DEPS[stage]:
+    runner, deps = STAGE_TABLE[stage]
+    for dep in deps:
         ensure_stage(cfg, manifest, dep, force=False, log=log)
-    runner = STAGE_RUNNERS[stage]
-    return run_stage(manifest, stage, force,
-                     lambda: runner(cfg, **kwargs), log=log)
+    # A partial run (train --method / --latent-dim) is cached under its own
+    # key, so it never stands in for the whole stage.
+    key = stage + "".join(f"[{k}={v}]" for k, v in sorted(kwargs.items()) if v)
+    return run_stage(manifest, key, force, lambda: runner(cfg, **kwargs), log=log)

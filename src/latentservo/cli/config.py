@@ -115,7 +115,6 @@ def _canonical(cfg: ExperimentConfig) -> dict:
             "eps_explore": cfg.uvs.eps_explore,
             "gain": cfg.uvs.gain,
             "damping": cfg.uvs.damping,
-            "max_steps": cfg.uvs.max_steps,
         },
         "reinforce": {
             "gamma": cfg.reinforce.gamma,
@@ -339,7 +338,6 @@ def load_config(path, seed_override: Optional[int] = None,
         eps_explore=get("uvs", "eps_explore", "float", task.a_max),
         gain=get("uvs", "gain", "float", 0.5),
         damping=get("uvs", "damping", "float", 1e-3),
-        max_steps=control.max_steps,
     )
     if uvs.eps_explore > task.a_max:
         raise ConfigError("uvs.eps_explore cannot exceed task.a_max")

@@ -14,7 +14,7 @@ import sys
 from pathlib import Path
 
 from ..representations import ConfigError, WeightFormatError
-from .commands import STAGE_RUNNERS, StageFailure, ensure_stage, stage_report
+from .commands import STAGE_TABLE, StageFailure, ensure_stage, stage_report
 from .config import load_config
 from .manifest import ManifestError, RunManifest, run_stage
 
@@ -23,7 +23,7 @@ EXIT_CONFIG = 2
 EXIT_STAGE = 3
 EXIT_IO = 4
 
-STAGES = list(STAGE_RUNNERS) + ["report"]
+STAGES = list(STAGE_TABLE) + ["report"]
 
 
 def build_parser() -> argparse.ArgumentParser:

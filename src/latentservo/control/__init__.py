@@ -3,7 +3,6 @@ from .sensors import (
     calibrate_goal_tolerance,
     model_sensor,
     oracle_sensor,
-    scaled_oracle_sensor,
     target_factors,
 )
 from .uvs import (
@@ -36,6 +35,6 @@ __all__ = [
     "UVSController", "broyden_update", "calibrate_goal_tolerance", "clip_action",
     "control_loop", "discounted_returns", "episode_trace_csv", "evaluate_success",
     "guidance_action", "model_sensor", "oracle_sensor", "reinforce_update",
-    "reward", "rollout", "sample_action", "scaled_oracle_sensor",
-    "target_factors", "train_policy", "uvs_init_jacobian", "uvs_step",
+    "reward", "rollout", "sample_action", "target_factors", "train_policy",
+    "uvs_init_jacobian", "uvs_step",
 ]

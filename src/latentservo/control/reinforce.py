@@ -206,8 +206,7 @@ def reinforce_update(episodes: Sequence[TrainEpisode], policy: Policy,
                                         Tensor(np.float32(0.5 * LOG_2PI))))
         surrogate = ad.neg(ad.tsum(ad.mul(log_probs, Tensor(adv))))
         grads = ad.backward(surrogate, policy.params)
-    for name, p in policy.params.items():
-        p.data -= config.learning_rate * grads[name]
+    ad.SGD(config.learning_rate).step(policy.params, grads)
     return baseline
 
 

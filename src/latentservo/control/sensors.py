@@ -37,11 +37,6 @@ def oracle_sensor(spec: TaskSpec) -> Sensor:
     return sense
 
 
-def scaled_oracle_sensor(spec: TaskSpec, gain: float) -> Sensor:
-    base = oracle_sensor(spec)
-    return lambda state: gain * base(state)
-
-
 def target_factors(sensor: Sensor, spec: TaskSpec) -> np.ndarray:
     """The sensor's reading at the task target: z*."""
     return sensor(WorldState(position=np.asarray(spec.target, dtype=np.float64)))

@@ -24,14 +24,10 @@ class UVSConfig:
     eps_explore: float = 0.05     # exploratory action magnitude per axis
     gain: float = 0.5             # servo gain (lambda)
     damping: float = 1e-3         # damped least-squares regularizer
-    max_steps: int = 80
-    goal_tol: Optional[float] = None  # latent units; None -> calibrated per model
 
     def __post_init__(self):
         if self.eps_explore <= 0 or self.gain <= 0 or self.damping <= 0:
             raise ValueError("eps_explore, gain, damping must be positive")
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
 
 
 @dataclass

@@ -8,10 +8,10 @@ from .task import (
     to_pixels,
 )
 from .demos import DemoSequence, Pattern, generate_demo, load_demo, save_demo
-from .sampling import grid_positions, sample_task_space
+from .sampling import grid_positions
 
 __all__ = [
     "DemoSequence", "Pattern", "SpriteKind", "TaskSpec", "WorldState",
     "generate_demo", "grid_positions", "load_demo", "random_start", "render",
-    "sample_task_space", "save_demo", "step", "to_pixels",
+    "save_demo", "step", "to_pixels",
 ]

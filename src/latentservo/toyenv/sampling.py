@@ -2,11 +2,7 @@
 
 from __future__ import annotations
 
-from typing import Iterator, Tuple
-
 import numpy as np
-
-from .task import TaskSpec, WorldState, render
 
 
 def grid_positions(grid_n: int) -> np.ndarray:
@@ -16,9 +12,3 @@ def grid_positions(grid_n: int) -> np.ndarray:
     axis = np.linspace(0.0, 1.0, grid_n)
     xs, ys = np.meshgrid(axis, axis)
     return np.stack([xs.ravel(), ys.ravel()], axis=1)
-
-
-def sample_task_space(spec: TaskSpec, grid_n: int) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
-    """Stream (position, rendered image) over the uniform grid."""
-    for pos in grid_positions(grid_n):
-        yield pos, render(WorldState(position=pos), spec)

@@ -122,25 +122,25 @@ class TestGaussianKL:
 class TestBackward:
     def test_square_at_three(self):
         x = t(3.0, grad=True)
-        with ad.Tape() as tape:
+        with ad.Tape():
             loss = ad.mul(x, x)
-            tape.backward(loss)
-        assert x.grad == pytest.approx(6.0)
+            grads = ad.backward(loss, {"x": x})
+        assert grads["x"] == pytest.approx(6.0)
 
     def test_mse_at_minimum(self):
         w = t(1.0, grad=True)
-        with ad.Tape() as tape:
+        with ad.Tape():
             pred = ad.mul(w, t(2.0))
             loss = ad.mse(pred, t(2.0))
-            tape.backward(loss)
-        assert w.grad == pytest.approx(0.0)
+            grads = ad.backward(loss, {"w": w})
+        assert grads["w"] == pytest.approx(0.0)
 
     def test_relu_sum_piecewise(self):
         x = t([-1.0, 2.0], grad=True)
-        with ad.Tape() as tape:
+        with ad.Tape():
             loss = ad.tsum(ad.relu(x))
-            tape.backward(loss)
-        np.testing.assert_array_equal(x.grad, [0.0, 1.0])
+            grads = ad.backward(loss, {"x": x})
+        np.testing.assert_array_equal(grads["x"], [0.0, 1.0])
 
     def test_no_path_parameter_gets_zero(self):
         x = t(2.0, grad=True)
@@ -161,15 +161,15 @@ class TestBackward:
     def test_shared_parameter_accumulates_once_per_use(self):
         # y = w*a + w*b => dy/dw = a + b
         w = t(2.0, grad=True)
-        with ad.Tape() as tape:
+        with ad.Tape():
             loss = ad.add(ad.mul(w, t(3.0)), ad.mul(w, t(4.0)))
-            tape.backward(loss)
-        assert w.grad == pytest.approx(7.0)
+            grads = ad.backward(loss, {"w": w})
+        assert grads["w"] == pytest.approx(7.0)
 
     def test_backward_outside_tape_fails(self):
         x = t(1.0, grad=True)
         with pytest.raises(ad.GraphError, match="no active Tape"):
-            ad.backward(ad.mul(x, x))
+            ad.backward(ad.mul(x, x), {"x": x})
 
     def test_forward_determinism(self):
         rng = np.random.default_rng(11)

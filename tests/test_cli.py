@@ -172,6 +172,14 @@ class TestPipeline:
         text = (out / "report.md").read_text()
         assert "SKIPPED" in text
 
+    def test_partial_train_does_not_satisfy_train(self, tmp_path):
+        out = tmp_path / "partial"
+        assert main(["train", "--config", str(TINY), "--out", str(out),
+                     "--method", "sae"]) == EXIT_OK
+        assert not (out / "models" / "bvae.lsrv").exists()
+        assert main(["factors", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+        assert (out / "models" / "bvae.lsrv").exists()
+
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK
 

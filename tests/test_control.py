@@ -25,7 +25,6 @@ from latentservo.control import (
     reward,
     rollout,
     sample_action,
-    scaled_oracle_sensor,
     target_factors,
     uvs_init_jacobian,
     uvs_step,
@@ -47,7 +46,7 @@ class TestJacobian:
         assert not jac.ill_conditioned
 
     def test_scaled_oracle_doubles(self, spec):
-        sensor = scaled_oracle_sensor(spec, 2.0)
+        sensor = lambda s: 2.0 * oracle_sensor(spec)(s)
         state = WorldState(position=np.array([0.5, 0.5]))
         jac = uvs_init_jacobian(state, spec, sensor, eps_explore=0.02)
         np.testing.assert_allclose(jac.matrix, 2.0 * np.eye(2), atol=1e-9)
@@ -247,6 +246,27 @@ class TestReinforceUpdate:
             reinforce_update([ep], policy, ReinforceConfig(learning_rate=0.01))
             return {k: v.data.tobytes() for k, v in policy.params.items()}
         assert run() == run()
+
+    def test_gradient_shape_mismatch_rejected(self, monkeypatch):
+        # the update is applied by SGD.step, which checks each gradient's
+        # shape against its parameter
+        import latentservo.autodiff as ad
+        backward = ad.backward
+
+        def misshapen(loss, params):
+            grads = backward(loss, params)
+            grads["log_std"] = grads["log_std"][None]
+            return grads
+
+        monkeypatch.setattr(ad, "backward", misshapen)
+        policy = Policy.create(k=2, dof=2, seed=3)
+        rng = np.random.default_rng(4)
+        ep = TrainEpisode(zs=rng.standard_normal((6, 2)),
+                          guidance=rng.standard_normal((6, 2)) * 0.01,
+                          raw_actions=rng.standard_normal((6, 2)) * 0.05,
+                          rewards=rng.uniform(-1, 0, 6), reached_goal=False)
+        with pytest.raises(ad.ShapeError, match="log_std"):
+            reinforce_update([ep], policy, ReinforceConfig(learning_rate=0.01))
 
 
 class TestControlLoop:

@@ -13,7 +13,6 @@ from latentservo.toyenv import (
     load_demo,
     random_start,
     render,
-    sample_task_space,
     save_demo,
     step,
     to_pixels,
@@ -200,13 +199,9 @@ class TestSampling:
         expected = {(0.0, 0.0), (1.0, 0.0), (0.0, 1.0), (1.0, 1.0)}
         assert {tuple(p) for p in pos} == expected
 
-    def test_stream_matches_render(self, spec):
-        for pos, img in sample_task_space(spec, 3):
-            assert img.tobytes() == render(WorldState(position=pos), spec).tobytes()
-
-    def test_grid_too_small(self, spec):
+    def test_grid_too_small(self):
         with pytest.raises(ValueError, match="grid_n"):
-            list(sample_task_space(spec, 1))
+            grid_positions(1)
 
 
 def test_random_start_clears_target():
