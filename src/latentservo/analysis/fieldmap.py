@@ -11,19 +11,14 @@ from __future__ import annotations
 
 import io
 import math
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
-from typing import Callable, Dict, Optional, Union
+from typing import Callable, Dict
 
 import numpy as np
 from scipy import stats
 
-from ..representations import ModelWeights, encode_batch
-from ..toyenv import TaskSpec, WorldState, grid_positions, render
-from .factors import FactorSet, project
-
-BatchEncoder = Callable[[np.ndarray, np.ndarray], np.ndarray]
+from ..toyenv import grid_positions
+from .factors import FactorSet
 
 
 @dataclass
@@ -53,44 +48,20 @@ class LatentFieldMap:
         return self.values.reshape(self.grid_n, self.grid_n, self.k)
 
 
-def _worker_count(workers: Optional[int]) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("LATENTSERVO_THREADS")
-    return max(1, int(env)) if env else 1
+# The grid is read in this many chunks. A chunk bounds the frames held in
+# memory at once, and the split is part of the result: a BVAE frame encoded
+# in another batch can differ in its last bits (by up to about 2e-7).
+FIELD_MAP_CHUNKS = 4
 
 
-def build_field_map(encoder: Union[ModelWeights, BatchEncoder], factors: FactorSet,
-                    grid_n: int, spec: TaskSpec,
-                    workers: Optional[int] = None) -> LatentFieldMap:
-    """Render + encode + project every grid cell.
-
-    ``encoder`` is either trained weights or a batch callable
-    (positions, frames) -> latents; the callable form admits the
-    ground-truth oracle that reads positions directly.
-    """
+def build_field_map(sensor: Callable[[np.ndarray], np.ndarray], factors: FactorSet,
+                    grid_n: int) -> LatentFieldMap:
+    """Read every grid cell through a sensor onto ``factors``: (N, 2) -> (N, k)."""
     if len(factors) == 0:
         raise ValueError("field map needs a non-empty factor set")
     positions = grid_positions(grid_n)
-
-    if isinstance(encoder, ModelWeights):
-        def encode_fn(pos, frames):
-            return encode_batch(encoder, frames)[0]
-    else:
-        encode_fn = encoder
-
-    def run_chunk(chunk: np.ndarray) -> np.ndarray:
-        frames = np.stack([render(WorldState(position=p), spec) for p in chunk])
-        return project(encode_fn(chunk, frames), factors)
-
-    n_workers = _worker_count(workers)
-    chunks = np.array_split(positions, max(1, min(len(positions), n_workers * 4)))
-    if n_workers == 1:
-        parts = [run_chunk(c) for c in chunks]
-    else:
-        with ThreadPoolExecutor(max_workers=n_workers) as pool:
-            parts = list(pool.map(run_chunk, chunks))  # merged in chunk order
-    values = np.concatenate(parts, axis=0)
+    values = np.concatenate(
+        [sensor(chunk) for chunk in np.array_split(positions, FIELD_MAP_CHUNKS)])
     return LatentFieldMap(grid_n=grid_n, positions=positions, values=values,
                           factors=factors)
 

@@ -6,11 +6,27 @@ identical parameters, gradients, and state produce bit-identical results.
 
 from __future__ import annotations
 
-from typing import Dict, Mapping, Tuple
+from typing import Dict, List, Mapping, Tuple
 
 import numpy as np
 
 from .tensor import ShapeError, Tensor
+
+
+def _checked_grads(params: Mapping[str, Tensor],
+                   grads: Mapping[str, np.ndarray]) -> List[np.ndarray]:
+    """Each parameter's gradient, all checked before any parameter or state moves."""
+    out = []
+    for name, p in params.items():
+        if name not in grads:
+            raise ShapeError(f"optimizer: no gradient for parameter '{name}'")
+        g = np.asarray(grads[name], dtype=p.data.dtype)
+        if g.shape != p.data.shape:
+            raise ShapeError(
+                f"optimizer: gradient shape {g.shape} != parameter "
+                f"'{name}' shape {p.data.shape}")
+        out.append(g)
+    return out
 
 
 class Adam:
@@ -35,16 +51,12 @@ class Adam:
         self._scratch: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
+        checked = _checked_grads(params, grads)
         self.step_count += 1
         t = self.step_count
         bc1 = 1.0 - self.beta1 ** t
         bc2 = 1.0 - self.beta2 ** t
-        for name, p in params.items():
-            g = np.asarray(grads[name], dtype=p.data.dtype)
-            if g.shape != p.data.shape:
-                raise ShapeError(
-                    f"optimizer: gradient shape {g.shape} != parameter "
-                    f"'{name}' shape {p.data.shape}")
+        for (name, p), g in zip(params.items(), checked):
             m = self.m.get(name)
             if m is None:
                 m = self.m[name] = np.zeros_like(p.data)
@@ -74,14 +86,7 @@ class SGD:
 
     def __init__(self, lr: float = 1e-2):
         self.lr = lr
-        self.step_count = 0
 
     def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
-        self.step_count += 1
-        for name, p in params.items():
-            g = np.asarray(grads[name], dtype=p.data.dtype)
-            if g.shape != p.data.shape:
-                raise ShapeError(
-                    f"optimizer: gradient shape {g.shape} != parameter "
-                    f"'{name}' shape {p.data.shape}")
+        for p, g in zip(params.values(), _checked_grads(params, grads)):
             p.data -= self.lr * g

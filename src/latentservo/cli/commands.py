@@ -243,7 +243,8 @@ def stage_fieldmap(cfg: ExperimentConfig) -> List[str]:
         model = load_model(cfg, name)
         sets = load_factors(cfg, name)
         factors = sets.get("control") or sets["all"]
-        fm = build_field_map(model, factors, cfg.analysis.grid_n, cfg.task)
+        fm = build_field_map(model_sensor(model, factors, cfg.task), factors,
+                             cfg.analysis.grid_n)
         csv_path = out_dir / f"fieldmap_{name}.csv"
         csv_path.write_text(field_map_csv(fm))
         outputs.append(str(csv_path))

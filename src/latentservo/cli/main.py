@@ -49,6 +49,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _train_args(args, cfg) -> dict:
+    """``train``'s --method and --latent-dim, checked before any stage runs."""
+    if args.method is not None and args.method not in cfg.methods:
+        raise ConfigError(f"--method {args.method} is not in [methods] train")
+    try:
+        dims = None if args.latent_dim is None else [
+            int(d) for d in args.latent_dim.split(",")]
+    except ValueError:
+        raise ConfigError("--latent-dim expects comma-separated integers, "
+                          f"got {args.latent_dim!r}") from None
+    return {"only_method": args.method, "latent_dims": dims}
+
+
 def _report_only(out_dir: Path) -> int:
     manifest_path = out_dir / "manifest.json"
     if not manifest_path.exists():
@@ -99,12 +112,8 @@ def main(argv=None) -> int:
             run_stage(manifest, "report", True,
                       lambda: stage_report(cfg.out_dir, manifest))
         elif args.stage == "train":
-            dims = None
-            if getattr(args, "latent_dim", None):
-                dims = [int(d) for d in str(args.latent_dim).split(",") if d]
             ensure_stage(cfg, manifest, "train", force=args.force,
-                         only_method=getattr(args, "method", None),
-                         latent_dims=dims)
+                         **_train_args(args, cfg))
         else:
             ensure_stage(cfg, manifest, args.stage, force=args.force)
     except ConfigError as exc:

@@ -9,7 +9,7 @@ in the controller's ``begin`` and are not counted against the budget.
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List
 
 import numpy as np
@@ -26,8 +26,9 @@ class EpisodeResult:
     latent_errors: List[float]       # error before each step, then final
     rewards: List[float]             # post-action rewards
     final_task_error: float          # oracle diagnostic, workspace units
+    zs: np.ndarray                   # (steps, k) post-action factor readings
+    actions: np.ndarray              # (steps, m) executed actions
     aborted: bool = False            # controller emitted a non-finite action
-    trace: List[dict] = field(default_factory=list)
 
 
 def control_loop(controller, start: WorldState, spec: TaskSpec, sensor: Sensor,
@@ -37,45 +38,41 @@ def control_loop(controller, start: WorldState, spec: TaskSpec, sensor: Sensor,
         raise ValueError("max_steps must be >= 1")
     z_star = np.asarray(z_star, dtype=np.float64)
     state = start
-    z = sensor(state)
+    z = sensor(state.position[None])[0]
     err = float(np.linalg.norm(z - z_star))
     errors = [err]
     rewards: List[float] = []
-    trace: List[dict] = []
+    zs: List[np.ndarray] = []
+    actions: List[np.ndarray] = []
 
-    def task_err() -> float:
-        return float(np.linalg.norm(state.position - np.asarray(spec.target)))
+    def result(success: bool, aborted: bool = False) -> EpisodeResult:
+        task_err = float(np.linalg.norm(state.position - np.asarray(spec.target)))
+        return EpisodeResult(
+            success=success, steps=len(rewards), latent_errors=errors,
+            rewards=rewards, final_task_error=task_err,
+            zs=np.reshape(zs, (-1, len(z_star))),
+            actions=np.reshape(actions, (-1, spec.dof)), aborted=aborted)
 
     if err < eps_goal:
-        return EpisodeResult(success=True, steps=0, latent_errors=errors,
-                             rewards=rewards, final_task_error=task_err())
+        return result(success=True)
 
     controller.begin(state, sensor)
-    steps = 0
-    success = False
     for _ in range(max_steps):
         action = np.asarray(controller.act(z, z_star), dtype=np.float64)
         if not np.all(np.isfinite(action)):
-            return EpisodeResult(success=False, steps=steps, latent_errors=errors,
-                                 rewards=rewards, final_task_error=task_err(),
-                                 aborted=True, trace=trace)
+            return result(success=False, aborted=True)
         state = step(state, action, spec)
-        z_new = sensor(state)
+        z_new = sensor(state.position[None])[0]
         controller.observe(z, action, z_new)
-        r = reward(z_new, z_star, eps_goal, r_goal)
-        steps += 1
-        trace.append({"step": steps, "z": z_new.tolist(),
-                      "action": action.tolist(), "reward": r})
-        rewards.append(r)
+        rewards.append(reward(z_new, z_star, eps_goal, r_goal))
+        zs.append(z_new)
+        actions.append(action)
         z = z_new
         err = float(np.linalg.norm(z - z_star))
         errors.append(err)
         if err < eps_goal:
-            success = True
-            break
-    return EpisodeResult(success=success, steps=steps, latent_errors=errors,
-                         rewards=rewards, final_task_error=task_err(),
-                         trace=trace)
+            return result(success=True)
+    return result(success=False)
 
 
 @dataclass
@@ -122,17 +119,15 @@ def evaluate_success(controller_factory: Callable[[], object], spec: TaskSpec,
 
 def episode_trace_csv(episode: EpisodeResult) -> str:
     buf = io.StringIO()
-    if not episode.trace:
+    if not episode.steps:
         buf.write("step\n")
         return buf.getvalue()
-    k = len(episode.trace[0]["z"])
-    m = len(episode.trace[0]["action"])
-    zcols = ",".join(f"z{i}" for i in range(k))
-    acols = ",".join(f"a{i}" for i in range(m))
+    zcols = ",".join(f"z{i}" for i in range(episode.zs.shape[1]))
+    acols = ",".join(f"a{i}" for i in range(episode.actions.shape[1]))
     buf.write(f"step,{zcols},{acols},reward\n")
-    for row in episode.trace:
-        buf.write(f"{row['step']},"
-                  + ",".join(f"{v:.6g}" for v in row["z"]) + ","
-                  + ",".join(f"{v:.6g}" for v in row["action"])
-                  + f",{row['reward']:.6g}\n")
+    for i, (z, a, r) in enumerate(zip(episode.zs, episode.actions, episode.rewards), 1):
+        buf.write(f"{i},"
+                  + ",".join(f"{v:.6g}" for v in z) + ","
+                  + ",".join(f"{v:.6g}" for v in a)
+                  + f",{r:.6g}\n")
     return buf.getvalue()

@@ -142,7 +142,7 @@ def rollout(policy: Policy, spec: TaskSpec, sensor: Sensor, z_star: np.ndarray,
     state = WorldState(position=np.asarray(start, dtype=np.float64))
     obs, guides, raws, rewards = [], [], [], []
     reached = False
-    z = sensor(state)
+    z = sensor(state.position[None])[0]
     for _ in range(config.horizon):
         if np.linalg.norm(z - z_star) < eps_goal:
             reached = True
@@ -153,7 +153,7 @@ def rollout(policy: Policy, spec: TaskSpec, sensor: Sensor, z_star: np.ndarray,
         guides.append(a_hat)
         raws.append(raw)
         state = step(state, action, spec)
-        z = sensor(state)
+        z = sensor(state.position[None])[0]
         rewards.append(reward(z, z_star, eps_goal, config.r_goal))
     if not obs:  # started inside the goal region
         return TrainEpisode(zs=np.zeros((0, policy.k)),

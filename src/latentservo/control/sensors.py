@@ -1,8 +1,10 @@
-"""State -> time-varying-factor sensors for the control loop.
+"""Position -> time-varying-factor sensors, shared by control and analysis.
 
-A sensor closes over render + encode + factor projection; the oracle
-variant reads the simulator's ground-truth position instead, bounding
-what the control harness itself can achieve.
+A sensor maps an (N, 2) stack of workspace positions to (N, k) float64
+factor rows. The model sensor closes over render + encode + factor
+projection; the oracle variant reads the ground-truth position instead,
+bounding what the control harness itself can achieve. Controllers sense
+one state at a time as a one-row stack: ``sensor(state.position[None])[0]``.
 """
 
 from __future__ import annotations
@@ -12,16 +14,16 @@ from typing import Callable
 import numpy as np
 
 from ..analysis import FactorSet, project
-from ..representations import ModelWeights, encode
-from ..toyenv import TaskSpec, WorldState, render
+from ..representations import ModelWeights, encode_batch
+from ..toyenv import TaskSpec, as_positions, render
 
-Sensor = Callable[[WorldState], np.ndarray]
+Sensor = Callable[[np.ndarray], np.ndarray]
 
 
 def model_sensor(model: ModelWeights, factors: FactorSet, spec: TaskSpec) -> Sensor:
-    def sense(state: WorldState) -> np.ndarray:
-        latent = encode(model, render(state, spec)).values
-        return project(latent, factors).astype(np.float64)
+    def sense(positions: np.ndarray) -> np.ndarray:
+        latents = encode_batch(model, render(positions, spec))[0]
+        return project(latents, factors).astype(np.float64)
 
     return sense
 
@@ -29,17 +31,15 @@ def model_sensor(model: ModelWeights, factors: FactorSet, spec: TaskSpec) -> Sen
 def oracle_sensor(spec: TaskSpec) -> Sensor:
     """Ground-truth effector coordinates in place of a learned encoder."""
 
-    def sense(state: WorldState) -> np.ndarray:
-        if spec.dof == 1:
-            return np.array([state.position[0]])
-        return state.position.copy()
+    def sense(positions: np.ndarray) -> np.ndarray:
+        return as_positions(positions)[:, :spec.dof].copy()
 
     return sense
 
 
 def target_factors(sensor: Sensor, spec: TaskSpec) -> np.ndarray:
     """The sensor's reading at the task target: z*."""
-    return sensor(WorldState(position=np.asarray(spec.target, dtype=np.float64)))
+    return sensor(np.asarray([spec.target], dtype=np.float64))[0]
 
 
 def calibrate_goal_tolerance(sensor: Sensor, spec: TaskSpec,
@@ -51,13 +51,13 @@ def calibrate_goal_tolerance(sensor: Sensor, spec: TaskSpec,
     to exactly workspace_tol.
     """
     target = np.asarray(spec.target, dtype=np.float64)
-    z0 = sensor(WorldState(position=target))
+    z0 = sensor(target[None])[0]
     deltas = []
     for axis in range(spec.dof):
         for sign in (1.0, -1.0):
             probe = target.copy()
             probe[axis] = np.clip(probe[axis] + sign * workspace_tol, 0.0, 1.0)
-            deltas.append(np.linalg.norm(sensor(WorldState(position=probe)) - z0))
+            deltas.append(np.linalg.norm(sensor(probe[None])[0] - z0))
     tol = float(np.mean(deltas))
     if tol <= 0.0:
         raise ValueError("sensor is locally constant at the target; "

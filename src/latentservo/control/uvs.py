@@ -67,8 +67,8 @@ def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
     for axis in range(m):
         probe = np.zeros(m)
         probe[axis] = eps_explore
-        z_plus = sensor(step(state, probe, spec))
-        z_minus = sensor(step(state, -probe, spec))
+        z_plus = sensor(step(state, probe, spec).position[None])[0]
+        z_minus = sensor(step(state, -probe, spec).position[None])[0]
         col = (z_plus - z_minus) / (2.0 * eps_explore)
         if np.linalg.norm(col) < DEGENERATE_COLUMN:
             ill = True

@@ -2,6 +2,7 @@ from .task import (
     SpriteKind,
     TaskSpec,
     WorldState,
+    as_positions,
     random_start,
     render,
     step,
@@ -12,6 +13,6 @@ from .sampling import grid_positions
 
 __all__ = [
     "DemoSequence", "Pattern", "SpriteKind", "TaskSpec", "WorldState",
-    "generate_demo", "grid_positions", "load_demo", "random_start", "render",
-    "save_demo", "step", "to_pixels",
+    "as_positions", "generate_demo", "grid_positions", "load_demo",
+    "random_start", "render", "save_demo", "step", "to_pixels",
 ]

@@ -16,7 +16,7 @@ from typing import List
 
 import numpy as np
 
-from .task import TaskSpec, WorldState, render
+from .task import TaskSpec, render
 
 MANIFEST_SCHEMA = 1
 
@@ -92,7 +92,7 @@ def generate_demo(spec: TaskSpec, pattern: Pattern, start, steps: int,
         side = 1.0 if np.random.default_rng(seed).integers(0, 2) == 0 else -1.0
         positions = _arc_positions(start, target, steps, arc_bulge, side)
 
-    frames = np.stack([render(WorldState(position=p), spec) for p in positions])
+    frames = render(positions, spec)
     return DemoSequence(frames=frames, positions=positions, spec=spec, pattern=pattern)
 
 

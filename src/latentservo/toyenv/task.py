@@ -99,10 +99,11 @@ class WorldState:
 
 
 def to_pixels(position, spec: TaskSpec) -> tuple:
-    """Workspace (x, y) -> fractional pixel (col, row)."""
+    """Workspace (x, y) -> fractional pixel (col, row), also row-wise on (N, 2)."""
     m = spec.pixel_margin
     span = spec.image_size - 1 - 2 * m
-    return m + float(position[0]) * span, m + float(position[1]) * span
+    pixels = m + np.asarray(position, dtype=np.float64) * span
+    return pixels[..., 0], pixels[..., 1]
 
 
 def _disc_coverage(cols, rows, cx, cy, radius):
@@ -133,10 +134,24 @@ def _target_layer(spec: TaskSpec) -> np.ndarray:
     return layer
 
 
-def render(state: WorldState, spec: TaskSpec) -> np.ndarray:
-    """Render the observation frame; float32 (H, W) with values k/255."""
+def as_positions(positions) -> np.ndarray:
+    """A float64 (N, 2) position stack; a ``WorldState`` is one row; others raise."""
+    if isinstance(positions, WorldState):
+        return positions.position[None]
+    pos = np.asarray(positions, dtype=np.float64)
+    if pos.ndim != 2 or pos.shape[1] != 2:
+        raise ValueError(f"positions must have shape (N, 2), got {pos.shape}")
+    return pos
+
+
+def render(positions, spec: TaskSpec) -> np.ndarray:
+    """One observation frame per position: (N, 2) -> float32 (N, H, W), values k/255.
+
+    Clipped as ``WorldState`` clips, by min/max: ``np.clip`` costs more on one row.
+    """
+    pos = np.minimum(np.maximum(as_positions(positions), WORKSPACE_LO), WORKSPACE_HI)
     cols, rows = _grids(spec.image_size)
-    cx, cy = to_pixels(state.position, spec)
+    cx, cy = to_pixels(pos[:, None, None, :], spec)  # (N, 1, 1) sprite centres
     if spec.sprite is SpriteKind.TEACHER:
         sprite = _disc_coverage(cols, rows, cx, cy, spec.sprite_radius)
     else:

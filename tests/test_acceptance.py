@@ -322,11 +322,11 @@ def test_criterion_5_fig2_factor_counts(bvae_model, teacher_demos):
 
 # --------------------------------------------------------------- criterion 6
 
-def test_criterion_6_fig5_fieldmap(sae_model, bvae_model, sae_control, bvae_control):
-    _, _, _, sae_factors = sae_control
-    _, _, _, bvae_factors = bvae_control
-    fm_sae = build_field_map(sae_model, sae_factors, 64, TASK)
-    fm_bvae = build_field_map(bvae_model, bvae_factors, 64, TASK)
+def test_criterion_6_fig5_fieldmap(sae_control, bvae_control):
+    sae_sensor, _, _, sae_factors = sae_control
+    bvae_sensor, _, _, bvae_factors = bvae_control
+    fm_sae = build_field_map(sae_sensor, sae_factors, 64)
+    fm_bvae = build_field_map(bvae_sensor, bvae_factors, 64)
 
     mono = monotonicity_metric(fm_sae)
     assert mono.x > 0.9 and mono.y > 0.9, f"SAE monotonicity {mono.x}, {mono.y}"
@@ -439,7 +439,7 @@ def test_trained_sae_tracks_center(sae_model, sae_control):
     # effector at the workspace center projects to the image center, so the
     # tracking pair should read near (0, 0)
     _, _, _, factors = sae_control
-    img = render(WorldState(position=np.array([0.5, 0.5])), TASK)
+    img = render(np.array([[0.5, 0.5]]), TASK)[0]
     pair = project(encode(sae_model, img).values, factors)
     assert float(np.linalg.norm(pair)) < 0.15, f"pair at center: {pair}"
 

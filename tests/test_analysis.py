@@ -25,6 +25,7 @@ from latentservo.analysis import (
     variance_smoothness,
 )
 from latentservo.analysis.taskmap import TaskMap
+from latentservo.control import model_sensor, oracle_sensor
 from latentservo.representations import (
     EncoderSpec,
     Method,
@@ -180,23 +181,18 @@ def oracle_factors():
     return FactorSet(indices=(0, 1), tau=0.2, spreads=np.ones(2))
 
 
-def oracle_encoder(positions, frames):
-    return positions.astype(np.float32)
-
-
 class TestFieldMap:
     def test_oracle_identity_equals_grid(self):
-        task = TaskSpec()
-        fm = build_field_map(oracle_encoder, oracle_factors(), 8, task)
-        np.testing.assert_array_equal(fm.values, fm.positions.astype(np.float32))
+        fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 8)
+        np.testing.assert_array_equal(fm.values, fm.positions)
 
     def test_monotonicity_of_identity_is_exactly_one(self):
-        fm = build_field_map(oracle_encoder, oracle_factors(), 8, TaskSpec())
+        fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 8)
         rep = monotonicity_metric(fm)
         assert rep.x == 1.0 and rep.y == 1.0
 
     def test_injectivity_of_identity_is_exactly_zero(self):
-        fm = build_field_map(oracle_encoder, oracle_factors(), 16, TaskSpec())
+        fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 16)
         assert injectivity_metric(fm, eps=0.02) == 0.0
 
     def test_constant_representation_collapses(self):
@@ -224,29 +220,30 @@ class TestFieldMap:
         rep = monotonicity_metric(fm)
         assert rep.x == 0.0 and rep.y == 0.0
 
-    def test_model_field_map_reproducible_and_thread_invariant(self):
+    def test_model_field_map_rows_equal_one_row_readings(self):
         spec = EncoderSpec(method=Method.SAE, image_size=16, sae_channels=2,
                            sae_conv1_channels=3, sae_decoder_hidden=8, seed=4)
         model = ModelWeights(spec=spec, params=init_params(spec))
         task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
         fs = FactorSet(indices=(0, 1, 2, 3), tau=0.2, spreads=np.ones(4))
-        a = build_field_map(model, fs, 8, task, workers=1)
-        b = build_field_map(model, fs, 8, task, workers=3)
-        assert a.values.tobytes() == b.values.tobytes()
+        sensor = model_sensor(model, fs, task)
+        fm = build_field_map(sensor, fs, 8)
+        for p, row in zip(fm.positions, fm.values):
+            assert row.tobytes() == sensor(p[None])[0].tobytes()
 
     def test_empty_factors_rejected(self):
         fs = FactorSet(indices=(), tau=0.2, spreads=np.zeros(2), all_constant=True)
         with pytest.raises(ValueError, match="non-empty"):
-            build_field_map(oracle_encoder, fs, 4, TaskSpec())
+            build_field_map(oracle_sensor(TaskSpec()), fs, 4)
 
     def test_csv_shape(self):
-        fm = build_field_map(oracle_encoder, oracle_factors(), 4, TaskSpec())
+        fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 4)
         lines = field_map_csv(fm).strip().split("\n")
         assert lines[0] == "x,y,f0,f1"
         assert len(lines) == 17
 
     def test_collision_eps_scales_with_range(self):
-        fm = build_field_map(oracle_encoder, oracle_factors(), 8, TaskSpec())
+        fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 8)
         eps = suggest_collision_eps(fm, fraction=0.02)
         assert eps == pytest.approx(0.02 * np.sqrt(2.0), rel=1e-6)
 
@@ -267,10 +264,10 @@ class TestBuildTaskMap:
 
     def test_constant_demo_gives_identical_rows(self):
         from latentservo.analysis import build_task_map
-        from latentservo.toyenv import DemoSequence, WorldState, render
+        from latentservo.toyenv import DemoSequence, render
         task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
         pos = np.array([0.4, 0.4])
-        frame = render(WorldState(position=pos), task)
+        frame = render(pos[None], task)[0]
         demo = DemoSequence(frames=np.stack([frame] * 5),
                             positions=np.stack([pos] * 5),
                             spec=task, pattern=Pattern.STRAIGHT)

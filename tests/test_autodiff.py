@@ -215,6 +215,36 @@ class TestOptimizers:
         ad.SGD(lr=0.5).step({"p": p}, {"p": np.asarray([2.0, -2.0], dtype=np.float32)})
         np.testing.assert_allclose(p.data, [0.0, 3.0])
 
+    @staticmethod
+    def _two_params():
+        return {"a": ad.parameter([1.0, 2.0]), "b": ad.parameter([3.0])}
+
+    @pytest.mark.parametrize("bad", [{"b": np.ones(2, dtype=np.float32)}, {}])
+    def test_bad_last_gradient_leaves_sgd_params(self, bad):
+        params = self._two_params()
+        grads = {"a": np.ones(2, dtype=np.float32), **bad}
+        with pytest.raises(ad.ShapeError):
+            ad.SGD(0.5).step(params, grads)
+        np.testing.assert_array_equal(params["a"].data, [1.0, 2.0])
+        np.testing.assert_array_equal(params["b"].data, [3.0])
+
+    @pytest.mark.parametrize("bad", [{"b": np.ones(2, dtype=np.float32)}, {}])
+    def test_bad_last_gradient_leaves_adam_params_and_state(self, bad):
+        params = self._two_params()
+        opt = ad.Adam(lr=0.1)
+        opt.step(params, {"a": np.ones(2, dtype=np.float32),
+                          "b": np.ones(1, dtype=np.float32)})
+        before = {n: (params[n].data.copy(), opt.m[n].copy(), opt.v[n].copy())
+                  for n in params}
+        grads = {"a": np.full(2, 5.0, dtype=np.float32), **bad}
+        with pytest.raises(ad.ShapeError):
+            opt.step(params, grads)
+        assert opt.step_count == 1
+        for n, (data, m, v) in before.items():
+            assert params[n].data.tobytes() == data.tobytes()
+            assert opt.m[n].tobytes() == m.tobytes()
+            assert opt.v[n].tobytes() == v.tobytes()
+
 
 class TestFiniteDiffCheck:
     def test_quadratic_is_near_exact(self):

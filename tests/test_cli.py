@@ -264,6 +264,20 @@ class TestExitCodes:
         p = write_config(tmp_path, MINIMAL.format(out=out))
         assert main(["demo-gen", "--config", str(p)]) == EXIT_IO
 
+    def test_train_method_missing_from_config(self, tmp_path):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(TINY), "--out", str(out),
+                     "--method", "ae"]) == EXIT_CONFIG
+        assert not (out / "models").exists()
+        assert not (out / "manifest.json").exists()  # no stage ran or was recorded
+
+    @pytest.mark.parametrize("dims", ["abc", "8,x", ","])
+    def test_latent_dim_not_an_int_list(self, tmp_path, dims):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(TINY), "--out", str(out),
+                     "--latent-dim", dims]) == EXIT_CONFIG
+        assert not (out / "models").exists()
+
     def test_report_without_anything(self):
         assert main(["report"]) == EXIT_CONFIG
 

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from latentservo.analysis import FactorSet
 from latentservo.control import (
     GuidedReinforceController,
     JacobianEstimate,
@@ -20,6 +21,7 @@ from latentservo.control import (
     episode_trace_csv,
     evaluate_success,
     guidance_action,
+    model_sensor,
     oracle_sensor,
     reinforce_update,
     reward,
@@ -29,12 +31,39 @@ from latentservo.control import (
     uvs_init_jacobian,
     uvs_step,
 )
+from latentservo.representations import EncoderSpec, Method, ModelWeights, init_params
 from latentservo.toyenv import TaskSpec, WorldState, random_start
 
 
 @pytest.fixture
 def spec():
     return TaskSpec()
+
+
+class TestSensors:
+    def _model_sensor(self):
+        spec = EncoderSpec(method=Method.SAE, image_size=16, sae_channels=2,
+                           sae_conv1_channels=3, sae_decoder_hidden=8, seed=4)
+        model = ModelWeights(spec=spec, params=init_params(spec))
+        task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
+        return model_sensor(model, FactorSet(indices=(0, 3), tau=0.2,
+                                             spreads=np.ones(4)), task)
+
+    def test_oracle_reads_positions_row_wise(self):
+        positions = np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]])
+        np.testing.assert_array_equal(oracle_sensor(TaskSpec())(positions), positions)
+        np.testing.assert_array_equal(oracle_sensor(TaskSpec(dof=1))(positions),
+                                      positions[:, :1])
+
+    def test_model_sensor_gives_float64_factor_rows(self):
+        z = self._model_sensor()(np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]]))
+        assert z.shape == (3, 2) and z.dtype == np.float64
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 3)])
+    def test_sensors_reject_anything_but_a_position_stack(self, spec, shape):
+        for sensor in (oracle_sensor(spec), self._model_sensor()):
+            with pytest.raises(ValueError, match=r"\(N, 2\)"):
+                sensor(np.full(shape, 0.5))
 
 
 class TestJacobian:
@@ -52,7 +81,7 @@ class TestJacobian:
         np.testing.assert_allclose(jac.matrix, 2.0 * np.eye(2), atol=1e-9)
 
     def test_degenerate_column_flagged(self, spec):
-        sensor = lambda state: np.zeros(2)
+        sensor = lambda positions: np.zeros((len(positions), 2))
         jac = uvs_init_jacobian(WorldState(), spec, sensor, eps_explore=0.02)
         assert jac.ill_conditioned
 
@@ -329,6 +358,17 @@ class TestControlLoop:
                                spec, sensor, z_star, eps_goal=0.02, max_steps=100)
             return episode_trace_csv(res), res.success, res.steps
         assert run() == run()
+
+    def test_trace_columns_hold_one_row_per_step(self, spec):
+        sensor = oracle_sensor(spec)
+        res = control_loop(UVSController(UVSConfig(), spec),
+                           WorldState(position=np.array([0.2, 0.3])), spec, sensor,
+                           target_factors(sensor, spec), eps_goal=0.02, max_steps=100)
+        assert res.zs.shape == (res.steps, 2) and res.actions.shape == (res.steps, 2)
+        rows = episode_trace_csv(res).strip().split("\n")
+        assert rows[0] == "step,z0,z1,a0,a1,reward"
+        assert len(rows) == res.steps + 1
+        assert rows[-1].endswith(f",{res.rewards[-1]:.6g}")
 
 
 class TestEvaluateAndTrain:

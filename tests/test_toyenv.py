@@ -46,7 +46,7 @@ class TestRender:
     def test_centroid_at_image_center(self):
         # target pushed to a corner so the sprite centroid is unpolluted
         spec = TaskSpec(target=(1.0, 1.0))
-        img = render(WorldState(position=np.array([0.5, 0.5])), spec).astype(np.float64)
+        img = render(np.array([[0.5, 0.5]]), spec)[0].astype(np.float64)
         sub = img[:26, :26]  # sprite region only
         cols, rows = np.meshgrid(np.arange(26), np.arange(26))
         cx = (cols * sub).sum() / sub.sum()
@@ -56,17 +56,17 @@ class TestRender:
         assert abs(cy - ey) <= 0.5
 
     def test_bit_identical_rerender(self, spec):
-        s = WorldState(position=np.array([0.31, 0.62]))
-        assert render(s, spec).tobytes() == render(s, spec).tobytes()
+        p = np.array([[0.31, 0.62]])
+        assert render(p, spec).tobytes() == render(p, spec).tobytes()
 
     def test_intensities_in_unit_range(self, spec):
-        img = render(WorldState(position=np.array([0.9, 0.1])), spec)
+        img = render(np.array([[0.9, 0.1]]), spec)[0]
         assert img.min() >= 0.0 and img.max() <= 1.0
 
     def test_sprite_swap_local_to_bounding_box(self, spec):
         pos = np.array([0.3, 0.4])
-        a = render(WorldState(position=pos), spec.with_sprite(SpriteKind.TEACHER))
-        b = render(WorldState(position=pos), spec.with_sprite(SpriteKind.EXECUTOR))
+        a = render(pos[None], spec.with_sprite(SpriteKind.TEACHER))[0]
+        b = render(pos[None], spec.with_sprite(SpriteKind.EXECUTOR))[0]
         cx, cy = to_pixels(pos, spec)
         r = spec.sprite_radius + 1.0
         diff = np.argwhere(a != b)
@@ -76,9 +76,34 @@ class TestRender:
             assert abs(row - cy) <= r + 0.5
 
     def test_quantized_to_8bit_levels(self, spec):
-        img = render(WorldState(position=np.array([0.47, 0.53])), spec)
+        img = render(np.array([[0.47, 0.53]]), spec)[0]
         scaled = img * 255.0
         np.testing.assert_allclose(scaled, np.round(scaled), atol=1e-4)
+
+    @pytest.mark.parametrize("sprite", list(SpriteKind))
+    def test_stack_rows_match_one_row_renders(self, sprite):
+        spec = TaskSpec(sprite=sprite)
+        rng = np.random.default_rng(8)
+        positions = rng.uniform(-0.1, 1.1, size=(40, 2))  # some outside the workspace
+        frames = render(positions, spec)
+        assert frames.shape == (40, 32, 32) and frames.dtype == np.float32
+        for i in range(len(positions)):
+            assert frames[i].tobytes() == render(positions[i:i + 1], spec)[0].tobytes()
+
+    def test_clips_like_world_state(self, spec):
+        outside = np.array([1.3, -0.2])
+        clipped = WorldState(position=outside).position
+        assert (render(outside[None], spec).tobytes()
+                == render(clipped[None], spec).tobytes())
+
+    def test_world_state_is_a_one_row_stack(self, spec):
+        state = WorldState(position=np.array([0.31, 0.62]))
+        assert render(state, spec).tobytes() == render(state.position[None], spec).tobytes()
+
+    @pytest.mark.parametrize("shape", [(2,), (4, 3), (1, 1, 2)])
+    def test_rejects_anything_but_a_position_stack(self, spec, shape):
+        with pytest.raises(ValueError, match=r"\(N, 2\)"):
+            render(np.full(shape, 0.5), spec)
 
 
 class TestStep:
@@ -147,7 +172,7 @@ class TestDemos:
     def test_rerender_reproduces_frames(self, spec):
         demo = generate_demo(spec, Pattern.ARC, (0.15, 0.7), 10, seed=2)
         for pos, frame in zip(demo.positions, demo.frames):
-            again = render(WorldState(position=pos), spec)
+            again = render(pos[None], spec)[0]
             assert again.tobytes() == frame.tobytes()
 
     def test_arc_needs_two_dof(self):
@@ -174,7 +199,7 @@ class TestPersistence:
         save_demo(demo, tmp_path / "d1")
         back = load_demo(tmp_path / "d1")
         for pos, frame in zip(back.positions, back.frames):
-            assert render(WorldState(position=pos), back.spec).tobytes() == frame.tobytes()
+            assert render(pos[None], back.spec)[0].tobytes() == frame.tobytes()
 
     def test_truncated_frame_rejected(self, tmp_path, spec):
         demo = generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4)
