@@ -8,6 +8,7 @@ their dependencies automatically (a cached dependency is a no-op).
 from __future__ import annotations
 
 import json
+from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -40,10 +41,8 @@ from ..control import (
     train_policy,
 )
 from ..representations import (
-    EncoderSpec,
     Method,
     ModelWeights,
-    TrainConfig,
     load as load_weights,
     save as save_weights,
     train as train_model,
@@ -126,12 +125,10 @@ def stage_train(cfg: ExperimentConfig, only_method: Optional[str] = None,
     for name, mc in cfg.methods.items():
         if only_method is not None and name != only_method:
             continue
-        variants: List[Optional[int]] = [None]
-        if latent_dims and name != "sae":
-            variants = list(latent_dims)
-        for dim in variants:
-            spec = mc.spec if dim is None else EncoderSpec.from_dict(
-                {**mc.spec.to_dict(), "latent_dim": dim})
+        if latent_dims and name == "sae":
+            continue  # an SAE's latent width is 2 * channels, not a sweep axis
+        for dim in latent_dims or [None]:
+            spec = mc.spec if dim is None else replace(mc.spec, latent_dim=dim)
             model, curve = train_model(spec, demos, mc.train)
             path = model_path(cfg, name, dim)
             path.parent.mkdir(parents=True, exist_ok=True)
@@ -211,11 +208,8 @@ def stage_alpha_sweep(cfg: ExperimentConfig) -> List[str]:
     base = cfg.methods["bvae"]
     rows = []
     for alpha in cfg.analysis.alpha_sweep:
-        spec = EncoderSpec.from_dict({**base.spec.to_dict(), "alpha": float(alpha)})
-        train_cfg = TrainConfig(epochs=cfg.analysis.alpha_sweep_epochs,
-                                batch_size=base.train.batch_size,
-                                learning_rate=base.train.learning_rate,
-                                seed=base.train.seed)
+        spec = replace(base.spec, alpha=float(alpha))
+        train_cfg = replace(base.train, epochs=cfg.analysis.alpha_sweep_epochs)
         model, _ = train_model(spec, demos, train_cfg)
         score = float(np.mean([alpha_score(model, d) for d in demos]))
         maps = [build_task_map(model, d) for d in demos]

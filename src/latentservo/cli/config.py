@@ -2,15 +2,18 @@
 
 Every key is validated (type, range, allowed names) before any stage
 runs; unknown sections or keys are rejected so sweep provenance stays
-trustworthy. ``schema_version`` pins the layout.
+trustworthy. ``schema_version`` pins the layout. A key absent from the
+INI takes the default of the dataclass field that holds it, or the one
+in ``_DEFAULTS``; every key's value but ``out_dir`` enters the digest.
 """
 
 from __future__ import annotations
 
 import configparser
+import enum
 import hashlib
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields, is_dataclass
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
@@ -20,6 +23,7 @@ from ..representations import ConfigError, EncoderSpec, Method, TrainConfig
 from ..toyenv import Pattern, TaskSpec
 
 SCHEMA_VERSION = 1
+KNOWN_METHODS = ("ae", "vae", "bvae", "sae")
 
 
 @dataclass
@@ -71,7 +75,11 @@ class ExperimentConfig:
     reinforce: ReinforceConfig
 
     def digest(self) -> str:
-        blob = json.dumps(_canonical(self), sort_keys=True)
+        tree = _plain(self)
+        del tree["out_dir"]  # where a run is written, not what it computes
+        # The global seed again; left out so that existing runs keep their digest.
+        del tree["reinforce"]["seed"]
+        blob = json.dumps(tree, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def stage_seed(self, stage: str) -> int:
@@ -79,77 +87,37 @@ class ExperimentConfig:
         return int.from_bytes(h[:4], "little")
 
 
-def _canonical(cfg: ExperimentConfig) -> dict:
-    return {
-        "schema_version": cfg.schema_version,
-        "seed": cfg.seed,
-        "task": cfg.task.to_dict(),
-        "demos": {
-            "count": cfg.demos.count,
-            "pattern": cfg.demos.pattern.value,
-            "steps": cfg.demos.steps,
-            "starts": cfg.demos.starts,
-            "executor": cfg.demos.executor,
-            "arc_bulge": cfg.demos.arc_bulge,
-        },
-        "methods": {
-            name: {"spec": mc.spec.to_dict(), "train": mc.train.to_dict()}
-            for name, mc in sorted(cfg.methods.items())
-        },
-        "analysis": {
-            "tau": cfg.analysis.tau,
-            "grid_n": cfg.analysis.grid_n,
-            "alpha_sweep": list(cfg.analysis.alpha_sweep),
-            "alpha_sweep_epochs": cfg.analysis.alpha_sweep_epochs,
-            "collision_fraction": cfg.analysis.collision_fraction,
-            "fieldmap_methods": list(cfg.analysis.fieldmap_methods),
-        },
-        "control": {
-            "methods": list(cfg.control.methods),
-            "trials": cfg.control.trials,
-            "max_steps": cfg.control.max_steps,
-            "goal_workspace_tol": cfg.control.goal_workspace_tol,
-            "include_oracle": cfg.control.include_oracle,
-        },
-        "uvs": {
-            "eps_explore": cfg.uvs.eps_explore,
-            "gain": cfg.uvs.gain,
-            "damping": cfg.uvs.damping,
-        },
-        "reinforce": {
-            "gamma": cfg.reinforce.gamma,
-            "learning_rate": cfg.reinforce.learning_rate,
-            "episodes": cfg.reinforce.episodes,
-            "horizon": cfg.reinforce.horizon,
-            "batch_episodes": cfg.reinforce.batch_episodes,
-            "r_goal": cfg.reinforce.r_goal,
-            "k_gain": cfg.reinforce.k_gain,
-            "init_log_std": cfg.reinforce.init_log_std,
-            "policy_hidden": cfg.reinforce.policy_hidden,
-        },
-    }
+def _plain(value):
+    """A dataclass tree as JSON data: enums by value, tuples as lists."""
+    if is_dataclass(value):
+        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, dict):
+        return {key: _plain(item) for key, item in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(item) for item in value]
+    return value.value if isinstance(value, enum.Enum) else value
 
 
 _SCHEMA: Dict[str, Dict[str, str]] = {
     "meta": {"schema_version": "int", "seed": "int", "out_dir": "str"},
     "task": {"dof": "int", "image_size": "int", "sprite_radius": "float",
              "target": "point", "a_max": "float"},
-    "demos": {"count": "int", "pattern": "str", "steps": "int",
-              "starts": "str", "executor": "bool", "arc_bulge": "float"},
-    "methods": {"train": "list"},
+    "demos": {"count": "int", "pattern": "pattern", "steps": "int",
+              "starts": "starts", "executor": "bool", "arc_bulge": "float"},
+    "methods": {"train": "names"},
     "method.ae": {"latent_dim": "int", "epochs": "int", "batch_size": "int",
-                  "learning_rate": "float", "hidden": "list"},
+                  "learning_rate": "float", "hidden": "ints"},
     "method.vae": {"latent_dim": "int", "epochs": "int", "batch_size": "int",
-                   "learning_rate": "float", "hidden": "list"},
+                   "learning_rate": "float", "hidden": "ints"},
     "method.bvae": {"latent_dim": "int", "alpha": "float", "epochs": "int",
-                    "batch_size": "int", "learning_rate": "float", "hidden": "list"},
+                    "batch_size": "int", "learning_rate": "float", "hidden": "ints"},
     "method.sae": {"channels": "int", "conv1_channels": "int", "temperature": "float",
                    "decoder_hidden": "int", "epochs": "int", "batch_size": "int",
                    "learning_rate": "float"},
-    "analysis": {"tau": "float", "grid_n": "int", "alpha_sweep": "list",
+    "analysis": {"tau": "float", "grid_n": "int", "alpha_sweep": "floats",
                  "alpha_sweep_epochs": "int", "collision_fraction": "float",
-                 "fieldmap_methods": "list"},
-    "control": {"methods": "list", "trials": "int", "max_steps": "int",
+                 "fieldmap_methods": "names"},
+    "control": {"methods": "names", "trials": "int", "max_steps": "int",
                 "goal_workspace_tol": "float", "include_oracle": "bool"},
     "uvs": {"eps_explore": "float", "gain": "float", "damping": "float"},
     "reinforce": {"gamma": "float", "learning_rate": "float", "episodes": "int",
@@ -157,7 +125,33 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
                   "k_gain": "float", "init_log_std": "float", "policy_hidden": "int"},
 }
 
-KNOWN_METHODS = ("ae", "vae", "bvae", "sae")
+
+def _controllable(built: dict) -> Tuple[str, ...]:
+    return tuple(m for m in ("bvae", "sae") if m in built["methods"])
+
+
+_METHOD_DEFAULTS = {"epochs": 600, "learning_rate": 2e-3}
+
+# The defaults that are not the section dataclass's own: [meta] and
+# [methods] have none, some differ from the library's, and the callables
+# derive theirs from the sections built before them.
+_DEFAULTS: Dict[str, dict] = {
+    "meta": {"seed": 7, "out_dir": "runs/toy"},
+    "methods": {"train": KNOWN_METHODS},
+    "method.ae": _METHOD_DEFAULTS,
+    "method.vae": _METHOD_DEFAULTS,
+    "method.bvae": {**_METHOD_DEFAULTS, "alpha": 0.12},
+    "method.sae": {**_METHOD_DEFAULTS, "temperature": 4.0},
+    "analysis": {"fieldmap_methods": _controllable},
+    "control": {"methods": _controllable},
+    "uvs": {"eps_explore": lambda built: built["task"].a_max},
+    "reinforce": {"horizon": lambda built: built["control"].max_steps},
+}
+
+# [method.sae] keys under their EncoderSpec field names.
+_SAE_FIELDS = {"channels": "sae_channels", "conv1_channels": "sae_conv1_channels",
+               "decoder_hidden": "sae_decoder_hidden"}
+_TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
 def _parse_point(raw: str) -> Tuple[float, float]:
@@ -174,6 +168,13 @@ def _parse_starts(raw: str) -> Optional[List[Tuple[float, float]]]:
     return [_parse_point(chunk) for chunk in raw.split(";") if chunk.strip()]
 
 
+def _parse_pattern(raw: str) -> Pattern:
+    try:
+        return Pattern(raw.strip())
+    except ValueError:
+        raise ConfigError(f"unknown demo pattern {raw.strip()!r}") from None
+
+
 def _parse_bool(raw: str) -> bool:
     lowered = raw.strip().lower()
     if lowered in ("true", "yes", "1", "on"):
@@ -183,18 +184,21 @@ def _parse_bool(raw: str) -> bool:
     raise ConfigError(f"expected a boolean, got {raw!r}")
 
 
-def _validate_keys(parser: configparser.ConfigParser) -> None:
-    for section in parser.sections():
-        if section not in _SCHEMA:
-            raise ConfigError(f"unknown config section [{section}]")
-        for key in parser[section]:
-            if key not in _SCHEMA[section]:
-                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+def _parse_names(raw: str) -> Tuple[str, ...]:
+    return tuple(x.strip() for x in raw.split(",") if x.strip())
 
 
-def load_config(path, seed_override: Optional[int] = None,
-                out_override: Optional[str] = None) -> ExperimentConfig:
-    path = Path(path)
+_KINDS = {
+    "int": int, "float": float, "str": str.strip, "bool": _parse_bool,
+    "point": _parse_point, "starts": _parse_starts, "pattern": _parse_pattern,
+    "names": _parse_names,
+    "ints": lambda raw: tuple(int(x) for x in _parse_names(raw)),
+    "floats": lambda raw: tuple(float(x) for x in _parse_names(raw)),
+}
+
+
+def _read(path: Path) -> Dict[str, dict]:
+    """The keys present in the INI, each checked against and parsed by ``_SCHEMA``."""
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
     parser = configparser.ConfigParser(strict=True, interpolation=None)
@@ -202,117 +206,72 @@ def load_config(path, seed_override: Optional[int] = None,
         parser.read_string(path.read_text())
     except configparser.Error as exc:
         raise ConfigError(f"{path}: {exc}") from exc
-    _validate_keys(parser)
+    present: Dict[str, dict] = {}
+    for section in parser.sections():
+        if section not in _SCHEMA:
+            raise ConfigError(f"unknown config section [{section}]")
+        present[section] = {}
+        for key, raw in parser[section].items():
+            if key not in _SCHEMA[section]:
+                raise ConfigError(f"unknown key '{key}' in section [{section}]")
+            try:
+                present[section][key] = _KINDS[_SCHEMA[section][key]](raw)
+            except ValueError as exc:  # ConfigError included
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+    return present
 
-    def get(section, key, kind, default):
-        if section not in parser or key not in parser[section]:
-            return default
-        raw = parser[section][key]
-        try:
-            if kind == "int":
-                return int(raw)
-            if kind == "float":
-                return float(raw)
-            if kind == "bool":
-                return _parse_bool(raw)
-            if kind == "point":
-                return _parse_point(raw)
-            if kind == "list":
-                return tuple(x.strip() for x in raw.split(",") if x.strip())
-            return raw.strip()
-        except (ValueError, ConfigError) as exc:
-            raise ConfigError(
-                f"[{section}] {key} = {raw!r}: {exc}") from exc
 
-    version = get("meta", "schema_version", "int", None)
+def _library(cls, keys: dict):
+    """A toyenv or control dataclass, whose plain ValueError becomes a ConfigError."""
+    try:
+        return cls(**keys)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
+
+
+def load_config(path, seed_override: Optional[int] = None,
+                out_override: Optional[str] = None) -> ExperimentConfig:
+    present = _read(Path(path))
+    built: dict = {}
+
+    def keys(section: str) -> dict:
+        """The section's defaults from ``_DEFAULTS``, overlaid by its present keys."""
+        defaults = {key: value(built) if callable(value) else value
+                    for key, value in _DEFAULTS.get(section, {}).items()}
+        return {**defaults, **present.get(section, {})}
+
+    meta = keys("meta")
+    version = meta.get("schema_version")
     if version != SCHEMA_VERSION:
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {version}")
-    seed = seed_override if seed_override is not None else get("meta", "seed", "int", 7)
-    out_dir = Path(out_override if out_override is not None
-                   else get("meta", "out_dir", "str", "runs/toy"))
+    seed = seed_override if seed_override is not None else meta["seed"]
+    out_dir = Path(out_override if out_override is not None else meta["out_dir"])
 
-    task = TaskSpec(
-        dof=get("task", "dof", "int", 2),
-        image_size=get("task", "image_size", "int", 32),
-        sprite_radius=get("task", "sprite_radius", "float", 3.0),
-        target=get("task", "target", "point", (0.7, 0.7)),
-        a_max=get("task", "a_max", "float", 0.05),
-    )
-
-    pattern_raw = get("demos", "pattern", "str", "straight")
-    try:
-        pattern = Pattern(pattern_raw)
-    except ValueError:
-        raise ConfigError(f"unknown demo pattern {pattern_raw!r}") from None
-    starts_raw = get("demos", "starts", "str", "auto")
-    demo_cfg = DemoConfig(
-        count=get("demos", "count", "int", 3),
-        pattern=pattern,
-        steps=get("demos", "steps", "int", 16),
-        starts=_parse_starts(starts_raw),
-        executor=get("demos", "executor", "bool", True),
-        arc_bulge=get("demos", "arc_bulge", "float", 0.25),
-    )
-    if demo_cfg.count < 1:
+    task = built["task"] = _library(TaskSpec, keys("task"))
+    demos = DemoConfig(**keys("demos"))
+    if demos.count < 1:
         raise ConfigError("demos.count must be >= 1")
-    if demo_cfg.starts is not None and len(demo_cfg.starts) != demo_cfg.count:
+    if demos.starts is not None and len(demos.starts) != demos.count:
         raise ConfigError(
-            f"demos.starts lists {len(demo_cfg.starts)} points but count is "
-            f"{demo_cfg.count}")
+            f"demos.starts lists {len(demos.starts)} points but count is "
+            f"{demos.count}")
 
-    requested = get("methods", "train", "list", ("ae", "vae", "bvae", "sae"))
+    requested = keys("methods")["train"]
     for name in requested:
         if name not in KNOWN_METHODS:
             raise ConfigError(f"unknown method {name!r} in methods.train")
-
-    def hidden_of(section, default=(256, 64)):
-        raw = get(section, "hidden", "list", None)
-        if raw is None:
-            return default
-        return tuple(int(x) for x in raw)
-
-    methods: Dict[str, MethodConfig] = {}
+    methods = built["methods"] = {}
     for name in requested:
-        section = f"method.{name}"
-        train_cfg = TrainConfig(
-            epochs=get(section, "epochs", "int", 600),
-            batch_size=get(section, "batch_size", "int", 16),
-            learning_rate=get(section, "learning_rate", "float", 2e-3),
-            seed=seed,
-        )
-        if name == "sae":
-            spec = EncoderSpec(
-                method=Method.SAE,
-                image_size=task.image_size,
-                sae_channels=get(section, "channels", "int", 8),
-                sae_conv1_channels=get(section, "conv1_channels", "int", 8),
-                sae_decoder_hidden=get(section, "decoder_hidden", "int", 64),
-                temperature=get(section, "temperature", "float", 4.0),
-                seed=seed,
-            )
-        else:
-            spec = EncoderSpec(
-                method=Method(name),
-                image_size=task.image_size,
-                latent_dim=get(section, "latent_dim", "int", 50),
-                alpha=get(section, "alpha", "float", 0.12) if name == "bvae" else None,
-                hidden=hidden_of(section),
-                seed=seed,
-            )
-        methods[name] = MethodConfig(spec=spec, train=train_cfg)
+        spec_keys = {_SAE_FIELDS.get(key, key): value
+                     for key, value in keys(f"method.{name}").items()}
+        train = TrainConfig(seed=seed, **{key: spec_keys.pop(key) for key in
+                                          _TRAIN_FIELDS & spec_keys.keys()})
+        spec = EncoderSpec(method=Method(name), image_size=task.image_size,
+                           seed=seed, **spec_keys)
+        methods[name] = MethodConfig(spec=spec, train=train)
 
-    default_controllable = tuple(m for m in ("bvae", "sae") if m in methods)
-    analysis = AnalysisConfig(
-        tau=get("analysis", "tau", "float", DEFAULT_TAU),
-        grid_n=get("analysis", "grid_n", "int", 64),
-        alpha_sweep=tuple(float(a) for a in
-                          get("analysis", "alpha_sweep", "list", ("0.1", "1", "10"))),
-        alpha_sweep_epochs=get("analysis", "alpha_sweep_epochs", "int", 800),
-        collision_fraction=get("analysis", "collision_fraction", "float", 0.04),
-        fieldmap_methods=get("analysis", "fieldmap_methods", "list",
-                             default_controllable),
-    )
+    analysis = AnalysisConfig(**keys("analysis"))
     if not 0.0 < analysis.tau <= 1.0:
         raise ConfigError("analysis.tau must be in (0, 1]")
     if analysis.grid_n < 4:
@@ -321,41 +280,19 @@ def load_config(path, seed_override: Optional[int] = None,
         if m not in methods:
             raise ConfigError(f"analysis.fieldmap_methods lists untrained method {m!r}")
 
-    control = ControlConfig(
-        methods=get("control", "methods", "list", default_controllable),
-        trials=get("control", "trials", "int", 10),
-        max_steps=get("control", "max_steps", "int", 80),
-        goal_workspace_tol=get("control", "goal_workspace_tol", "float", 0.02),
-        include_oracle=get("control", "include_oracle", "bool", True),
-    )
+    control = built["control"] = ControlConfig(**keys("control"))
     if control.trials < 1:
         raise ConfigError("control.trials must be >= 1")
     for m in control.methods:
         if m not in methods:
             raise ConfigError(f"control.methods lists untrained method {m!r}")
 
-    uvs = UVSConfig(
-        eps_explore=get("uvs", "eps_explore", "float", task.a_max),
-        gain=get("uvs", "gain", "float", 0.5),
-        damping=get("uvs", "damping", "float", 1e-3),
-    )
+    uvs = _library(UVSConfig, keys("uvs"))
     if uvs.eps_explore > task.a_max:
         raise ConfigError("uvs.eps_explore cannot exceed task.a_max")
-
-    reinforce = ReinforceConfig(
-        gamma=get("reinforce", "gamma", "float", 0.99),
-        learning_rate=get("reinforce", "learning_rate", "float", 1e-4),
-        episodes=get("reinforce", "episodes", "int", 240),
-        horizon=get("reinforce", "horizon", "int", control.max_steps),
-        batch_episodes=get("reinforce", "batch_episodes", "int", 8),
-        r_goal=get("reinforce", "r_goal", "float", 10.0),
-        k_gain=get("reinforce", "k_gain", "float", 0.5),
-        init_log_std=get("reinforce", "init_log_std", "float", -1.5),
-        policy_hidden=get("reinforce", "policy_hidden", "int", 16),
-        seed=seed,
-    )
+    reinforce = _library(ReinforceConfig, {**keys("reinforce"), "seed": seed})
 
     return ExperimentConfig(
         schema_version=version, seed=seed, out_dir=out_dir, task=task,
-        demos=demo_cfg, methods=methods, analysis=analysis, control=control,
+        demos=demos, methods=methods, analysis=analysis, control=control,
         uvs=uvs, reinforce=reinforce)

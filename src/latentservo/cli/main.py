@@ -45,7 +45,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--method", choices=["ae", "vae", "bvae", "sae"],
                            default=None, help="train a single method")
             p.add_argument("--latent-dim", default=None,
-                           help="comma-separated list for a dimension sweep")
+                           help="comma-separated list for a dimension sweep "
+                                "(ae, vae and bvae)")
     return parser
 
 
@@ -59,6 +60,9 @@ def _train_args(args, cfg) -> dict:
     except ValueError:
         raise ConfigError("--latent-dim expects comma-separated integers, "
                           f"got {args.latent_dim!r}") from None
+    if dims is not None and args.method == "sae":
+        raise ConfigError("--latent-dim applies to ae, vae and bvae; an SAE's "
+                          "latent width is 2 * channels")
     return {"only_method": args.method, "latent_dims": dims}
 
 

@@ -2,7 +2,7 @@
 
 The manifest is rewritten atomically (temp file + rename) at every stage
 boundary. A stage whose recorded digest matches the current config digest
-is skipped unless forced.
+and whose recorded outputs all exist is skipped unless forced.
 """
 
 from __future__ import annotations
@@ -45,9 +45,11 @@ class RunManifest:
                            tool_version=__version__, stages={})
 
     def is_current(self, stage: str) -> bool:
+        """Done under this config digest, and every recorded output still exists."""
         entry = self.stages.get(stage)
         return bool(entry and entry.get("status") == "done"
-                    and entry.get("digest") == self.config_digest)
+                    and entry.get("digest") == self.config_digest
+                    and all(Path(o).exists() for o in entry.get("outputs", [])))
 
     def outputs(self, stage: str) -> List[str]:
         entry = self.stages.get(stage) or {}

@@ -34,8 +34,7 @@ class UVSConfig:
 class JacobianEstimate:
     matrix: np.ndarray            # (k factors) x (m action dof)
     damping: float
-    ill_conditioned: bool = False
-    condition_number: float = np.inf
+    degenerate: bool = False      # a degenerate probe column or a failed solve
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
@@ -43,12 +42,16 @@ class JacobianEstimate:
             raise ValueError("Jacobian entries must be finite")
         if self.damping <= 0:
             raise ValueError("damping must be positive")
+
+    @property
+    def condition_number(self) -> float:
+        """Ratio of the extreme singular values, computed when read; inf if singular."""
         sv = np.linalg.svd(self.matrix, compute_uv=False)
-        if sv.size and sv.min() > 0:
-            self.condition_number = float(sv.max() / sv.min())
-        else:
-            self.condition_number = np.inf
-            self.ill_conditioned = True
+        return float(sv.max() / sv.min()) if sv.size and sv.min() > 0 else np.inf
+
+    @property
+    def ill_conditioned(self) -> bool:
+        return self.degenerate or self.condition_number == np.inf
 
 
 def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
@@ -73,9 +76,8 @@ def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
         if np.linalg.norm(col) < DEGENERATE_COLUMN:
             ill = True
         cols.append(col)
-    est = JacobianEstimate(matrix=np.stack(cols, axis=1), damping=damping)
-    est.ill_conditioned = est.ill_conditioned or ill
-    return est
+    return JacobianEstimate(matrix=np.stack(cols, axis=1), damping=damping,
+                            degenerate=ill)
 
 
 def uvs_step(jac: JacobianEstimate, error: np.ndarray, gain: float,
@@ -92,10 +94,10 @@ def uvs_step(jac: JacobianEstimate, error: np.ndarray, gain: float,
     try:
         dq = -gain * np.linalg.solve(J.T @ J + jac.damping * np.eye(m), J.T @ e)
     except np.linalg.LinAlgError:
-        jac.ill_conditioned = True
+        jac.degenerate = True
         return np.zeros(m)
     if not np.all(np.isfinite(dq)):
-        jac.ill_conditioned = True
+        jac.degenerate = True
         return np.zeros(m)
     norm = float(np.linalg.norm(dq))
     if norm > a_max:
@@ -112,8 +114,7 @@ def broyden_update(jac: JacobianEstimate, dq: np.ndarray,
     if denom < MIN_UPDATE_NORM:
         return jac
     J = jac.matrix + np.outer(dz - jac.matrix @ dq, dq) / denom
-    return JacobianEstimate(matrix=J, damping=jac.damping,
-                            ill_conditioned=jac.ill_conditioned)
+    return JacobianEstimate(matrix=J, damping=jac.damping, degenerate=jac.degenerate)
 
 
 class UVSController:

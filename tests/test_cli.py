@@ -1,11 +1,14 @@
 """Config validation, manifest caching, subcommand wiring, exit codes."""
 
+import configparser
+import io
 import json
 from pathlib import Path
 
 import pytest
 
-from latentservo.cli.config import load_config
+from latentservo.cli import config
+from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from latentservo.cli.manifest import ManifestError, RunManifest
 from latentservo.representations import ConfigError
@@ -32,6 +35,127 @@ train = ae
 latent_dim = 12
 epochs = 2
 """
+
+
+# MINIMAL with every other key written out at its default value.
+EVERY_KEY = """\
+[meta]
+schema_version = 1
+seed = 5
+out_dir = {out}
+
+[task]
+dof = 2
+image_size = 32
+sprite_radius = 3.0
+target = 0.7, 0.7
+a_max = 0.05
+
+[demos]
+count = 3
+pattern = straight
+steps = 16
+starts = auto
+executor = true
+arc_bulge = 0.25
+
+[methods]
+train = ae
+
+[method.ae]
+latent_dim = 12
+epochs = 2
+batch_size = 16
+learning_rate = 2e-3
+hidden = 256, 64
+
+[method.vae]
+latent_dim = 50
+epochs = 600
+batch_size = 16
+learning_rate = 2e-3
+hidden = 256, 64
+
+[method.bvae]
+latent_dim = 50
+alpha = 0.12
+epochs = 600
+batch_size = 16
+learning_rate = 2e-3
+hidden = 256, 64
+
+[method.sae]
+channels = 8
+conv1_channels = 8
+temperature = 4.0
+decoder_hidden = 64
+epochs = 600
+batch_size = 16
+learning_rate = 2e-3
+
+[analysis]
+tau = 0.2
+grid_n = 64
+alpha_sweep = 0.1, 1, 10
+alpha_sweep_epochs = 800
+collision_fraction = 0.04
+fieldmap_methods =
+
+[control]
+methods =
+trials = 10
+max_steps = 80
+goal_workspace_tol = 0.02
+include_oracle = true
+
+[uvs]
+eps_explore = 0.05
+gain = 0.5
+damping = 1e-3
+
+[reinforce]
+gamma = 0.99
+learning_rate = 1e-4
+episodes = 240
+horizon = 80
+batch_episodes = 8
+r_goal = 10.0
+k_gain = 0.5
+init_log_std = -1.5
+policy_hidden = 16
+"""
+
+# A valid new value for the keys that the rule in _edit_one_key cannot make.
+KEY_EDITS = {
+    ("meta", "schema_version"): "2",
+    ("task", "dof"): "1",
+    ("task", "target"): "0.3, 0.6",
+    ("task", "a_max"): "0.1",
+    ("demos", "pattern"): "arc",
+    ("demos", "starts"): "0.1, 0.1; 0.85, 0.2; 0.2, 0.8",
+    ("methods", "train"): "vae, bvae, sae",
+    ("analysis", "fieldmap_methods"): "sae",
+    ("control", "methods"): "sae",
+}
+
+
+def _edit_one_key(text, section, key):
+    """``text`` with only ``[section] key`` set to another valid value."""
+    parser = configparser.ConfigParser(interpolation=None)
+    parser.read_string(text)
+    raw, kind = parser[section][key], _SCHEMA[section][key]
+    if (section, key) in KEY_EDITS:
+        parser[section][key] = KEY_EDITS[section, key]
+    elif kind in ("int", "ints"):
+        parser[section][key] = ", ".join(str(int(x) + 1) for x in raw.split(","))
+    elif kind in ("float", "floats"):
+        parser[section][key] = ", ".join(repr(float(x) / 2) for x in raw.split(","))
+    else:
+        assert kind == "bool", f"no edit for [{section}] {key}"
+        parser[section][key] = "false" if _parse_bool(raw) else "true"
+    out = io.StringIO()
+    parser.write(out)
+    return out.getvalue()
 
 
 class TestConfig:
@@ -76,6 +200,20 @@ class TestConfig:
         with pytest.raises(ConfigError, match="starts"):
             load_config(write_config(tmp_path, bad))
 
+    @pytest.mark.parametrize("section, line, message", [
+        ("task", "dof = 3", "dof must be 1 or 2"),
+        ("uvs", "gain = -1", "must be positive"),
+        ("reinforce", "gamma = 2", "gamma must be in"),
+        ("method.vae", "hidden = 64, x", r"\[method.vae\] hidden"),
+        ("analysis", "alpha_sweep = 0.1, x", r"\[analysis\] alpha_sweep"),
+    ])
+    def test_bad_value_is_a_config_error(self, tmp_path, section, line, message):
+        bad = MINIMAL.format(out=tmp_path / "run") + f"\n[{section}]\n{line}\n"
+        p = write_config(tmp_path, bad)
+        with pytest.raises(ConfigError, match=message):
+            load_config(p)
+        assert main(["demo-gen", "--config", str(p)]) == EXIT_CONFIG
+
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL.format(out=tmp_path / "a")),
                           seed_override=42, out_override=str(tmp_path / "b"))
@@ -88,17 +226,59 @@ class TestConfig:
         assert load_config(p).digest() == load_config(p).digest()
         assert load_config(p).digest() != load_config(p, seed_override=9).digest()
 
+    def test_shipped_config_digests_unchanged(self):
+        assert load_config(TINY).digest() == (
+            "586636d48b73901cc9e364f88e0cfd17725998e12418206a64d62733f7726877")
+        assert load_config(TestToyConfig.TOY).digest() == (
+            "0738aeb0d90dd8b331bf41c9d3167f9139f7c3c0bc8dcba03c5be1a1859ce83c")
+
+    def test_written_out_defaults_equal_minimal(self, tmp_path):
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(EVERY_KEY)
+        assert {s: set(parser[s]) for s in parser.sections()} == {
+            s: set(keys) for s, keys in _SCHEMA.items()}
+        out = tmp_path / "run"
+        every_key = load_config(write_config(tmp_path, EVERY_KEY.format(out=out)))
+        minimal = load_config(write_config(tmp_path, MINIMAL.format(out=out)))
+        assert every_key == minimal
+        assert every_key.digest() == minimal.digest()
+
+    @pytest.mark.parametrize("section, key", [
+        (section, key) for section, keys in _SCHEMA.items() for key in keys
+        if (section, key) != ("meta", "out_dir")])
+    def test_every_key_enters_the_digest(self, tmp_path, monkeypatch, section, key):
+        # all four methods trained, so every [method.*] key is in use
+        base = EVERY_KEY.format(out=tmp_path / "run").replace(
+            "train = ae", "train = ae, vae, bvae, sae")
+        before = load_config(write_config(tmp_path, base)).digest()
+        if key == "schema_version":  # only the current version loads
+            monkeypatch.setattr(config, "SCHEMA_VERSION", 2)
+        edited = _edit_one_key(base, section, key)
+        assert load_config(write_config(tmp_path, edited)).digest() != before
+
 
 class TestManifest:
     def test_round_trip_and_caching(self, tmp_path):
+        model = tmp_path / "models" / "x.lsrv"
+        model.parent.mkdir()
+        model.write_bytes(b"weights")
         m = RunManifest.open(tmp_path, "digest-a")
         assert not m.is_current("train")
-        m.record("train", ["models/x.lsrv"], 1.5)
+        m.record("train", [str(model)], 1.5)
         again = RunManifest.open(tmp_path, "digest-a")
         assert again.is_current("train")
-        assert again.outputs("train") == ["models/x.lsrv"]
+        assert again.outputs("train") == [str(model)]
         changed = RunManifest.open(tmp_path, "digest-b")
         assert not changed.is_current("train")
+
+    def test_missing_output_is_not_current(self, tmp_path):
+        kept, lost = tmp_path / "kept.csv", tmp_path / "lost.lsrv"
+        kept.write_text("x")
+        m = RunManifest.open(tmp_path, "d")
+        m.record("train", [str(kept), str(lost)], 1.0)
+        assert not m.is_current("train")
+        lost.write_bytes(b"weights")
+        assert m.is_current("train")
 
     def test_corrupted_manifest_raises(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
@@ -180,6 +360,16 @@ class TestPipeline:
         assert main(["factors", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
         assert (out / "models" / "bvae.lsrv").exists()
 
+    def test_missing_model_reruns_train(self, tmp_path, capsys):
+        out = tmp_path / "lost"
+        assert main(["factors", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+        (out / "models" / "sae.lsrv").unlink()
+        capsys.readouterr()
+        assert main(["servo", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+        assert "[train] running" in capsys.readouterr().out
+        assert (out / "models" / "sae.lsrv").exists()
+        assert (out / "control" / "servo_sae_stats.json").exists()
+
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK
 
@@ -218,6 +408,16 @@ class TestPipeline:
         assert (pipeline_run / "models" / "bvae_d8.lsrv").exists()
         assert (pipeline_run / "models" / "bvae_d12.lsrv").exists()
         assert (pipeline_run / "models" / "bvae_d8_loss.csv").exists()
+
+    def test_sweep_without_method_leaves_the_sae(self, pipeline_run):
+        sae = pipeline_run / "models" / "sae.lsrv"
+        before = sae.stat().st_mtime_ns
+        rc = main(["train", "--config", str(TINY), "--out", str(pipeline_run),
+                   "--latent-dim", "10"])
+        assert rc == EXIT_OK
+        assert (pipeline_run / "models" / "bvae_d10.lsrv").exists()
+        assert not (pipeline_run / "models" / "sae_d10.lsrv").exists()
+        assert sae.stat().st_mtime_ns == before
 
     def test_failed_episode_trace_still_written(self, pipeline_run):
         stats = json.loads(
@@ -277,6 +477,14 @@ class TestExitCodes:
         assert main(["train", "--config", str(TINY), "--out", str(out),
                      "--latent-dim", dims]) == EXIT_CONFIG
         assert not (out / "models").exists()
+
+    def test_latent_dim_rejected_for_sae(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        assert main(["train", "--config", str(TINY), "--out", str(out),
+                     "--method", "sae", "--latent-dim", "8"]) == EXIT_CONFIG
+        assert "2 * channels" in capsys.readouterr().err
+        assert not (out / "models").exists()
+        assert not (out / "manifest.json").exists()
 
     def test_report_without_anything(self):
         assert main(["report"]) == EXIT_CONFIG

@@ -85,6 +85,30 @@ class TestJacobian:
         jac = uvs_init_jacobian(WorldState(), spec, sensor, eps_explore=0.02)
         assert jac.ill_conditioned
 
+    def test_condition_number_read_from_the_current_matrix(self):
+        jac = JacobianEstimate(matrix=np.diag([1.0, 4.0]), damping=1e-3)
+        assert jac.condition_number == pytest.approx(4.0)
+        assert not jac.ill_conditioned
+        jac = broyden_update(jac, np.array([0.0, 1.0]), np.array([0.0, 2.0]))
+        assert jac.condition_number == pytest.approx(2.0)
+
+    def test_singular_matrix_flagged(self):
+        jac = JacobianEstimate(matrix=np.array([[1.0, 0.0], [2.0, 0.0]]), damping=1e-3)
+        assert jac.condition_number == np.inf
+        assert jac.ill_conditioned
+
+    def test_failed_solve_flag_survives_broyden_updates(self):
+        # J^T J overflows, so the damped solve gives no finite step
+        jac = JacobianEstimate(matrix=np.array([[1e200, 1e200], [0.0, 1.0]]),
+                               damping=1e-3)
+        assert not jac.ill_conditioned
+        with np.errstate(all="ignore"):
+            dq = uvs_step(jac, np.ones(2), 1.0, 0.05)
+        np.testing.assert_array_equal(dq, np.zeros(2))
+        assert jac.ill_conditioned
+        jac = broyden_update(jac, np.array([0.0, 0.1]), np.array([0.0, 0.3]))
+        assert jac.ill_conditioned
+
     def test_eps_bounded_by_action_limit(self, spec):
         with pytest.raises(ValueError, match="eps_explore"):
             uvs_init_jacobian(WorldState(), spec, oracle_sensor(spec), eps_explore=0.2)
