@@ -156,11 +156,11 @@ def stage_taskmap(cfg: ExperimentConfig) -> List[str]:
         csv_path.write_text(task_map_csv(tm))
         ts = list(range(len(tm)))
         series = [(f"dim {d}", ts, tm.values[:, d].tolist())
-                  for d in range(tm.latent_dim)]
+                  for d in range(min(tm.latent_dim, 16))]
         svg_path = out_dir / f"taskmap_{name}.svg"
         svg_path.write_text(line_chart(
-            [(lbl, xs, ys) for lbl, xs, ys in series][:16],
-            title=f"task map — {name}", x_label="time step", y_label="latent value"))
+            series, title=f"task map — {name}", x_label="time step",
+            y_label="latent value"))
         outputs += [str(csv_path), str(svg_path)]
     return outputs
 
@@ -507,4 +507,6 @@ def ensure_stage(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
     # A partial run (train --method / --latent-dim) is cached under its own
     # key, so it never stands in for the whole stage.
     key = stage + "".join(f"[{k}={v}]" for k, v in sorted(kwargs.items()) if v)
-    return run_stage(manifest, key, force, lambda: runner(cfg, **kwargs), log=log)
+    # A stage is current only if it finished after each of its dependencies.
+    stale = any(manifest.run_number(dep) > manifest.run_number(key) for dep in deps)
+    return run_stage(manifest, key, force or stale, lambda: runner(cfg, **kwargs), log=log)

@@ -35,6 +35,18 @@ class DemoConfig:
     executor: bool = True
     arc_bulge: float = 0.25
 
+    def __post_init__(self):
+        if self.count < 1:
+            raise ValueError("demos.count must be >= 1")
+        if self.starts is not None and len(self.starts) != self.count:
+            raise ValueError(
+                f"demos.starts lists {len(self.starts)} points but count is "
+                f"{self.count}")
+        if self.steps < 1:
+            raise ValueError("demos.steps must be >= 1")
+        if self.pattern is Pattern.ARC and self.arc_bulge <= 0:
+            raise ValueError("demos.arc_bulge must be positive for the arc pattern")
+
 
 @dataclass
 class MethodConfig:
@@ -51,6 +63,14 @@ class AnalysisConfig:
     collision_fraction: float = 0.04
     fieldmap_methods: Tuple[str, ...] = ("bvae", "sae")
 
+    def __post_init__(self):
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError("analysis.tau must be in (0, 1]")
+        if self.grid_n < 4:
+            raise ValueError("analysis.grid_n must be >= 4")
+        if self.collision_fraction <= 0:
+            raise ValueError("analysis.collision_fraction must be positive")
+
 
 @dataclass
 class ControlConfig:
@@ -59,6 +79,14 @@ class ControlConfig:
     max_steps: int = 80
     goal_workspace_tol: float = 0.02
     include_oracle: bool = True
+
+    def __post_init__(self):
+        if self.trials < 1:
+            raise ValueError("control.trials must be >= 1")
+        if self.max_steps < 1:
+            raise ValueError("control.max_steps must be >= 1")
+        if self.goal_workspace_tol <= 0:
+            raise ValueError("control.goal_workspace_tol must be positive")
 
 
 @dataclass
@@ -222,7 +250,7 @@ def _read(path: Path) -> Dict[str, dict]:
 
 
 def _library(cls, keys: dict):
-    """A toyenv or control dataclass, whose plain ValueError becomes a ConfigError."""
+    """A section's dataclass, whose plain ValueError becomes a ConfigError."""
     try:
         return cls(**keys)
     except ValueError as exc:
@@ -249,13 +277,7 @@ def load_config(path, seed_override: Optional[int] = None,
     out_dir = Path(out_override if out_override is not None else meta["out_dir"])
 
     task = built["task"] = _library(TaskSpec, keys("task"))
-    demos = DemoConfig(**keys("demos"))
-    if demos.count < 1:
-        raise ConfigError("demos.count must be >= 1")
-    if demos.starts is not None and len(demos.starts) != demos.count:
-        raise ConfigError(
-            f"demos.starts lists {len(demos.starts)} points but count is "
-            f"{demos.count}")
+    demos = _library(DemoConfig, keys("demos"))
 
     requested = keys("methods")["train"]
     for name in requested:
@@ -271,18 +293,12 @@ def load_config(path, seed_override: Optional[int] = None,
                            seed=seed, **spec_keys)
         methods[name] = MethodConfig(spec=spec, train=train)
 
-    analysis = AnalysisConfig(**keys("analysis"))
-    if not 0.0 < analysis.tau <= 1.0:
-        raise ConfigError("analysis.tau must be in (0, 1]")
-    if analysis.grid_n < 4:
-        raise ConfigError("analysis.grid_n must be >= 4")
+    analysis = _library(AnalysisConfig, keys("analysis"))
     for m in analysis.fieldmap_methods:
         if m not in methods:
             raise ConfigError(f"analysis.fieldmap_methods lists untrained method {m!r}")
 
-    control = built["control"] = ControlConfig(**keys("control"))
-    if control.trials < 1:
-        raise ConfigError("control.trials must be >= 1")
+    control = built["control"] = _library(ControlConfig, keys("control"))
     for m in control.methods:
         if m not in methods:
             raise ConfigError(f"control.methods lists untrained method {m!r}")

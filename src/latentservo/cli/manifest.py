@@ -51,6 +51,10 @@ class RunManifest:
                     and entry.get("digest") == self.config_digest
                     and all(Path(o).exists() for o in entry.get("outputs", [])))
 
+    def run_number(self, stage: str) -> int:
+        """Order in which ``stage`` last finished, above every earlier one; 0 if never."""
+        return (self.stages.get(stage) or {}).get("run", 0)
+
     def outputs(self, stage: str) -> List[str]:
         entry = self.stages.get(stage) or {}
         return list(entry.get("outputs", []))
@@ -60,6 +64,7 @@ class RunManifest:
             "status": "done",
             "digest": self.config_digest,
             "outputs": sorted(str(o) for o in outputs),
+            "run": 1 + max(map(self.run_number, self.stages), default=0),
             "wall_clock_s": round(wall_clock_s, 3),
         }
         self._write()

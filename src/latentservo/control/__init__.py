@@ -18,22 +18,21 @@ from .reinforce import (
     Policy,
     ReinforceConfig,
     TrainEpisode,
-    clip_action,
     discounted_returns,
     guidance_action,
     reinforce_update,
-    reward,
     rollout,
     sample_action,
     train_policy,
 )
-from .loop import EpisodeResult, SuccessStats, control_loop, episode_trace_csv, evaluate_success
+from .loop import (EpisodeResult, SuccessStats, control_loop, episode_trace_csv,
+                   evaluate_success, reward)
 
 __all__ = [
     "EpisodeResult", "GuidedReinforceController", "JacobianEstimate", "Policy",
     "ReinforceConfig", "Sensor", "SuccessStats", "TrainEpisode", "UVSConfig",
-    "UVSController", "broyden_update", "calibrate_goal_tolerance", "clip_action",
-    "control_loop", "discounted_returns", "episode_trace_csv", "evaluate_success",
+    "UVSController", "broyden_update", "calibrate_goal_tolerance", "control_loop",
+    "discounted_returns", "episode_trace_csv", "evaluate_success",
     "guidance_action", "model_sensor", "oracle_sensor", "reinforce_update",
     "reward", "rollout", "sample_action", "target_factors", "train_policy",
     "uvs_init_jacobian", "uvs_step",

@@ -15,7 +15,6 @@ from typing import Callable, List
 import numpy as np
 
 from ..toyenv import TaskSpec, WorldState, random_start, step
-from .reinforce import reward
 from .sensors import Sensor
 
 
@@ -29,6 +28,17 @@ class EpisodeResult:
     zs: np.ndarray                   # (steps, k) post-action factor readings
     actions: np.ndarray              # (steps, m) executed actions
     aborted: bool = False            # controller emitted a non-finite action
+
+
+def reward(z_v: np.ndarray, z_star: np.ndarray, eps_goal: float,
+           r_goal: float) -> float:
+    """Negative latent distance, plus the goal bonus inside the tolerance."""
+    z_v = np.asarray(z_v, dtype=np.float64)
+    z_star = np.asarray(z_star, dtype=np.float64)
+    if z_v.shape != z_star.shape:
+        raise ValueError(f"factor lengths differ: {z_v.shape} vs {z_star.shape}")
+    err = float(np.linalg.norm(z_v - z_star))
+    return -err + (r_goal if err < eps_goal else 0.0)
 
 
 def control_loop(controller, start: WorldState, spec: TaskSpec, sensor: Sensor,

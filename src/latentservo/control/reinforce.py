@@ -17,7 +17,8 @@ import numpy as np
 
 from .. import autodiff as ad
 from ..autodiff import Tensor
-from ..toyenv import TaskSpec, WorldState, random_start, step
+from ..toyenv import TaskSpec, WorldState, clip_action, random_start
+from .loop import control_loop
 from .sensors import Sensor
 
 LOG_2PI = math.log(2.0 * math.pi)
@@ -40,9 +41,9 @@ class ReinforceConfig:
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
         if min(self.learning_rate, self.episodes, self.horizon,
-               self.batch_episodes, self.k_gain) <= 0:
+               self.batch_episodes, self.k_gain, self.policy_hidden) <= 0:
             raise ValueError("learning_rate, episodes, horizon, batch_episodes, "
-                             "k_gain must be positive")
+                             "k_gain, policy_hidden must be positive")
 
 
 @dataclass
@@ -70,19 +71,13 @@ class Policy:
         h = ad.tanh(ad.linear(z, self.params["mu_w1"], self.params["mu_b1"]))
         return ad.linear(h, self.params["mu_w2"], self.params["mu_b2"])
 
+    def mean_action(self, z: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
+        """Guidance plus the learned correction at one factor reading, float64."""
+        mu = self.mean_correction(Tensor(z[None].astype(np.float32))).data[0]
+        return a_hat + mu.astype(np.float64)
+
     def std(self) -> np.ndarray:
         return np.exp(self.params["log_std"].data.astype(np.float64))
-
-
-def reward(z_v: np.ndarray, z_star: np.ndarray, eps_goal: float,
-           r_goal: float) -> float:
-    """Negative latent distance, plus the goal bonus inside the tolerance."""
-    z_v = np.asarray(z_v, dtype=np.float64)
-    z_star = np.asarray(z_star, dtype=np.float64)
-    if z_v.shape != z_star.shape:
-        raise ValueError(f"factor lengths differ: {z_v.shape} vs {z_star.shape}")
-    err = float(np.linalg.norm(z_v - z_star))
-    return -err + (r_goal if err < eps_goal else 0.0)
 
 
 def guidance_action(z_star: np.ndarray, z_v: np.ndarray, a_max: float,
@@ -92,16 +87,7 @@ def guidance_action(z_star: np.ndarray, z_v: np.ndarray, a_max: float,
     z_v = np.asarray(z_v, dtype=np.float64)
     if z_star.shape != z_v.shape:
         raise ValueError(f"factor lengths differ: {z_star.shape} vs {z_v.shape}")
-    a = k_gain * (z_star - z_v)
-    norm = float(np.linalg.norm(a))
-    if norm > a_max:
-        a *= a_max / norm
-    return a
-
-
-def clip_action(a: np.ndarray, a_max: float) -> np.ndarray:
-    norm = float(np.linalg.norm(a))
-    return a * (a_max / norm) if norm > a_max else a
+    return clip_action(k_gain * (z_star - z_v), a_max)
 
 
 def sample_action(policy: Policy, z_v: np.ndarray, a_hat: np.ndarray,
@@ -110,8 +96,7 @@ def sample_action(policy: Policy, z_v: np.ndarray, a_hat: np.ndarray,
 
     The raw sample is what the gradient's log-probability refers to.
     """
-    mu = policy.mean_correction(Tensor(z_v[None].astype(np.float32))).data[0]
-    mean = a_hat + mu.astype(np.float64)
+    mean = policy.mean_action(z_v, a_hat)
     raw = mean + policy.std() * rng.standard_normal(policy.dof)
     return clip_action(raw, a_max), raw
 
@@ -124,7 +109,6 @@ class TrainEpisode:
     guidance: np.ndarray      # (T, dof) guidance actions
     raw_actions: np.ndarray   # (T, dof) pre-clip samples
     rewards: np.ndarray       # (T,)
-    reached_goal: bool
 
     @property
     def total_reward(self) -> float:
@@ -134,36 +118,21 @@ class TrainEpisode:
 def rollout(policy: Policy, spec: TaskSpec, sensor: Sensor, z_star: np.ndarray,
             start: np.ndarray, config: ReinforceConfig, eps_goal: float,
             rng: np.random.Generator) -> TrainEpisode:
-    """One stochastic training episode from ``start``.
+    """One stochastic training episode from ``start``, run by ``control_loop``.
 
     Observations are the factor readings the actions were sampled at;
     rewards follow each action (post-step reading).
     """
-    state = WorldState(position=np.asarray(start, dtype=np.float64))
-    obs, guides, raws, rewards = [], [], [], []
-    reached = False
-    z = sensor(state.position[None])[0]
-    for _ in range(config.horizon):
-        if np.linalg.norm(z - z_star) < eps_goal:
-            reached = True
-            break
-        a_hat = guidance_action(z_star, z, spec.a_max, config.k_gain)
-        action, raw = sample_action(policy, z, a_hat, rng, spec.a_max)
-        obs.append(np.asarray(z, dtype=np.float64))
-        guides.append(a_hat)
-        raws.append(raw)
-        state = step(state, action, spec)
-        z = sensor(state.position[None])[0]
-        rewards.append(reward(z, z_star, eps_goal, config.r_goal))
-    if not obs:  # started inside the goal region
-        return TrainEpisode(zs=np.zeros((0, policy.k)),
-                            guidance=np.zeros((0, policy.dof)),
-                            raw_actions=np.zeros((0, policy.dof)),
-                            rewards=np.zeros(0), reached_goal=True)
-    return TrainEpisode(zs=np.stack(obs), guidance=np.stack(guides),
-                        raw_actions=np.stack(raws),
-                        rewards=np.asarray(rewards, dtype=np.float64),
-                        reached_goal=reached)
+    controller = GuidedReinforceController(policy, spec, config.k_gain, rng=rng)
+    result = control_loop(controller, WorldState(position=start), spec, sensor,
+                          z_star, eps_goal, max_steps=config.horizon,
+                          r_goal=config.r_goal)
+    if result.aborted:
+        raise ValueError("the policy sampled a non-finite action in a training episode")
+    zs, guides, raws = (np.reshape([row[i] for row in controller.samples], (-1, width))
+                        for i, width in enumerate((policy.k, policy.dof, policy.dof)))
+    return TrainEpisode(zs=zs, guidance=guides, raw_actions=raws,
+                        rewards=np.asarray(result.rewards, dtype=np.float64))
 
 
 def discounted_returns(rewards: np.ndarray, gamma: float) -> np.ndarray:
@@ -218,8 +187,6 @@ def train_policy(spec: TaskSpec, sensor: Sensor, z_star: np.ndarray,
     if policy is None:
         policy = Policy.create(k, spec.dof, hidden=config.policy_hidden,
                                init_log_std=config.init_log_std, seed=config.seed)
-    if policy.dof != spec.dof:
-        raise ValueError(f"policy acts in {policy.dof} dims, task has {spec.dof} dof")
     if k != policy.k:
         raise ValueError(f"policy expects {policy.k} factors, target has {k}")
     rng = np.random.default_rng(config.seed)
@@ -251,18 +218,19 @@ class GuidedReinforceController:
         self.spec = spec
         self.k_gain = k_gain
         self.rng = rng  # None -> deterministic mean action
+        # (z, a_hat, raw) of each sampled action: what a REINFORCE update needs
+        self.samples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     def begin(self, state: WorldState, sensor: Sensor) -> None:
         pass
 
     def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
         a_hat = guidance_action(z_star, z, self.spec.a_max, self.k_gain)
-        if self.rng is not None:
-            action, _ = sample_action(self.policy, z, a_hat, self.rng, self.spec.a_max)
-            return action
-        mu = self.policy.mean_correction(
-            Tensor(z[None].astype(np.float32))).data[0]
-        return clip_action(a_hat + mu.astype(np.float64), self.spec.a_max)
+        if self.rng is None:
+            return clip_action(self.policy.mean_action(z, a_hat), self.spec.a_max)
+        action, raw = sample_action(self.policy, z, a_hat, self.rng, self.spec.a_max)
+        self.samples.append((z, a_hat, raw))
+        return action
 
     def observe(self, z_before, action, z_after) -> None:
         pass

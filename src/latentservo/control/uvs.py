@@ -12,7 +12,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..toyenv import TaskSpec, WorldState, step
+from ..toyenv import TaskSpec, WorldState, clip_action, step
 from .sensors import Sensor
 
 DEGENERATE_COLUMN = 1e-9
@@ -99,10 +99,7 @@ def uvs_step(jac: JacobianEstimate, error: np.ndarray, gain: float,
     if not np.all(np.isfinite(dq)):
         jac.degenerate = True
         return np.zeros(m)
-    norm = float(np.linalg.norm(dq))
-    if norm > a_max:
-        dq *= a_max / norm
-    return dq
+    return clip_action(dq, a_max)
 
 
 def broyden_update(jac: JacobianEstimate, dq: np.ndarray,

@@ -48,9 +48,6 @@ class ModelWeights:
     def method(self) -> Method:
         return self.spec.method
 
-    def param_arrays(self) -> Dict[str, np.ndarray]:
-        return {k: v.data for k, v in self.params.items()}
-
 
 def _fc_stack_shapes(spec: EncoderSpec):
     h1, h2 = spec.hidden

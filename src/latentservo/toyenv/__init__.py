@@ -3,6 +3,7 @@ from .task import (
     TaskSpec,
     WorldState,
     as_positions,
+    clip_action,
     random_start,
     render,
     step,
@@ -13,6 +14,6 @@ from .sampling import grid_positions
 
 __all__ = [
     "DemoSequence", "Pattern", "SpriteKind", "TaskSpec", "WorldState",
-    "as_positions", "generate_demo", "grid_positions", "load_demo",
+    "as_positions", "clip_action", "generate_demo", "grid_positions", "load_demo",
     "random_start", "render", "save_demo", "step", "to_pixels",
 ]

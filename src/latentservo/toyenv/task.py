@@ -161,14 +161,18 @@ def render(positions, spec: TaskSpec) -> np.ndarray:
     return (np.round(img * 255.0) / 255.0).astype(np.float32)
 
 
+def clip_action(a: np.ndarray, a_max: float) -> np.ndarray:
+    """``a`` scaled down to Euclidean norm ``a_max`` if longer; else ``a`` itself."""
+    norm = float(np.linalg.norm(a))
+    return a * (a_max / norm) if norm > a_max else a
+
+
 def step(state: WorldState, action, spec: TaskSpec) -> WorldState:
     """Apply a bounded position increment; position is clamped to bounds."""
     a = np.asarray(action, dtype=np.float64).reshape(-1)
     if a.shape != (spec.dof,):
         raise ValueError(f"action must have dim {spec.dof}, got shape {a.shape}")
-    norm = float(np.linalg.norm(a))
-    if norm > spec.a_max:
-        a = a * (spec.a_max / norm)
+    a = clip_action(a, spec.a_max)
     delta = np.array([a[0], 0.0]) if spec.dof == 1 else a
     new_pos = np.clip(state.position + delta, WORKSPACE_LO, WORKSPACE_HI)
     return WorldState(position=new_pos, step_count=state.step_count + 1)

@@ -206,6 +206,12 @@ class TestConfig:
         ("reinforce", "gamma = 2", "gamma must be in"),
         ("method.vae", "hidden = 64, x", r"\[method.vae\] hidden"),
         ("analysis", "alpha_sweep = 0.1, x", r"\[analysis\] alpha_sweep"),
+        ("demos", "steps = 0", "demos.steps must be >= 1"),
+        ("demos", "pattern = arc\narc_bulge = 0", "arc_bulge"),
+        ("control", "max_steps = 0", "control.max_steps must be >= 1"),
+        ("control", "goal_workspace_tol = 0", "goal_workspace_tol must be positive"),
+        ("analysis", "collision_fraction = 0", "collision_fraction must be positive"),
+        ("reinforce", "policy_hidden = -1", "policy_hidden must be positive"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, section, line, message):
         bad = MINIMAL.format(out=tmp_path / "run") + f"\n[{section}]\n{line}\n"
@@ -366,9 +372,22 @@ class TestPipeline:
         (out / "models" / "sae.lsrv").unlink()
         capsys.readouterr()
         assert main(["servo", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
-        assert "[train] running" in capsys.readouterr().out
+        log = capsys.readouterr().out
+        for stage in ("train", "factors", "servo"):
+            assert f"[{stage}] running" in log
         assert (out / "models" / "sae.lsrv").exists()
         assert (out / "control" / "servo_sae_stats.json").exists()
+
+    def test_forced_train_reruns_downstream(self, tmp_path, capsys):
+        out = tmp_path / "forced"
+        assert main(["servo", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+        assert main(["train", "--config", str(TINY), "--out", str(out),
+                     "--force"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["servo", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+        log = capsys.readouterr().out
+        assert "[demo-gen] up to date" in log and "[train] up to date" in log
+        assert "[factors] running" in log and "[servo] running" in log
 
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK

@@ -277,7 +277,7 @@ class TestReinforceUpdate:
         from latentservo.autodiff import Tensor
         means = guides + policy.mean_correction(Tensor(zs.astype(np.float32))).data
         ep = TrainEpisode(zs=zs, guidance=guides, raw_actions=means,
-                          rewards=rng.uniform(-1, 0, 5), reached_goal=False)
+                          rewards=rng.uniform(-1, 0, 5))
         before = {k: v.data.copy() for k, v in policy.params.items()}
         reinforce_update([ep], policy, ReinforceConfig(learning_rate=0.1, seed=0))
         for k, v in policy.params.items():
@@ -295,7 +295,7 @@ class TestReinforceUpdate:
             ep = TrainEpisode(zs=rng.standard_normal((6, 2)),
                               guidance=rng.standard_normal((6, 2)) * 0.01,
                               raw_actions=rng.standard_normal((6, 2)) * 0.05,
-                              rewards=rng.uniform(-1, 0, 6), reached_goal=False)
+                              rewards=rng.uniform(-1, 0, 6))
             reinforce_update([ep], policy, ReinforceConfig(learning_rate=0.01))
             return {k: v.data.tobytes() for k, v in policy.params.items()}
         assert run() == run()
@@ -317,7 +317,7 @@ class TestReinforceUpdate:
         ep = TrainEpisode(zs=rng.standard_normal((6, 2)),
                           guidance=rng.standard_normal((6, 2)) * 0.01,
                           raw_actions=rng.standard_normal((6, 2)) * 0.05,
-                          rewards=rng.uniform(-1, 0, 6), reached_goal=False)
+                          rewards=rng.uniform(-1, 0, 6))
         with pytest.raises(ad.ShapeError, match="log_std"):
             reinforce_update([ep], policy, ReinforceConfig(learning_rate=0.01))
 
@@ -417,17 +417,28 @@ class TestEvaluateAndTrain:
         sensor = oracle_sensor(spec)
         assert calibrate_goal_tolerance(sensor, spec, 0.02) == pytest.approx(0.02)
 
-    def test_rollout_records_consistent_shapes(self, spec):
+    @pytest.mark.parametrize("start, steps", [((0.2, 0.2), 15), ((0.7, 0.7), 0)],
+                             ids=["away", "at_target"])
+    def test_rollout_records_consistent_shapes(self, spec, start, steps):
         sensor = oracle_sensor(spec)
         z_star = target_factors(sensor, spec)
         policy = Policy.create(k=2, dof=2, seed=0)
         cfg = ReinforceConfig(horizon=15, seed=2)
-        ep = rollout(policy, spec, sensor, z_star, np.array([0.2, 0.2]),
+        ep = rollout(policy, spec, sensor, z_star, np.array(start),
                      cfg, eps_goal=0.02, rng=np.random.default_rng(2))
-        t = len(ep.rewards)
-        assert ep.zs.shape == (t, 2)
-        assert ep.raw_actions.shape == (t, 2)
-        assert ep.guidance.shape == (t, 2)
+        assert len(ep.rewards) == steps
+        assert ep.zs.shape == (steps, 2)
+        assert ep.raw_actions.shape == (steps, 2)
+        assert ep.guidance.shape == (steps, 2)
+
+    def test_rollout_rejects_a_non_finite_policy(self, spec):
+        sensor = oracle_sensor(spec)
+        policy = Policy.create(k=2, dof=2, seed=0)
+        policy.params["mu_b2"].data[:] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            rollout(policy, spec, sensor, target_factors(sensor, spec),
+                    np.array([0.2, 0.2]), ReinforceConfig(horizon=15, seed=2),
+                    eps_goal=0.02, rng=np.random.default_rng(2))
 
     def test_factor_action_dof_mismatch_rejected(self, spec):
         policy = Policy.create(k=3, dof=3, seed=0)
