@@ -3,11 +3,14 @@
 Each stage reads everything it needs from the run directory, writes its
 artifacts there, and is cached through the run manifest. Stages pull in
 their dependencies automatically (a cached dependency is a no-op).
+``STAGE_TABLE`` is the one place that says what each stage depends on:
+the stages it needs and the config paths it reads.
 """
 
 from __future__ import annotations
 
 import json
+import shutil
 from dataclasses import replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -55,7 +58,7 @@ from ..toyenv import (
     random_start,
     save_demo,
 )
-from .config import ExperimentConfig
+from .config import ExperimentConfig, _plain
 from .manifest import RunManifest, run_stage
 from .svgplot import heatmap, line_chart
 
@@ -88,6 +91,8 @@ def _demo_starts(cfg: ExperimentConfig) -> List[np.ndarray]:
 
 def stage_demo_gen(cfg: ExperimentConfig) -> List[str]:
     starts = _demo_starts(cfg)
+    # load_demo_set globs these directories, so no demo of an earlier run may stay.
+    shutil.rmtree(cfg.out_dir / "demos", ignore_errors=True)
     outputs = []
     sprites = [("teacher", SpriteKind.TEACHER)]
     if cfg.demos.executor:
@@ -413,7 +418,7 @@ def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
     lines.append("")
 
     factors_rows = []
-    for path in sorted((out_dir / "analysis").glob("factors_*.json")):
+    for path in map(Path, manifest.outputs("factors")):
         name = path.stem.replace("factors_", "")
         data = json.loads(path.read_text())
         fs = data["all"]
@@ -484,29 +489,58 @@ def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
 
 # ---------------------------------------------------------------- dispatcher
 
-# Every cached stage in pipeline order: stage -> (runner, dependencies).
-STAGE_TABLE: Dict[str, Tuple[Callable[..., List[str]], Tuple[str, ...]]] = {
-    "demo-gen": (stage_demo_gen, ()),
-    "train": (stage_train, ("demo-gen",)),
-    "taskmap": (stage_taskmap, ("train",)),
-    "factors": (stage_factors, ("train",)),
-    "alpha-sweep": (stage_alpha_sweep, ("demo-gen",)),
-    "fieldmap": (stage_fieldmap, ("factors",)),
-    "embodiment": (stage_embodiment, ("train",)),
-    "servo": (stage_servo, ("factors",)),
-    "reinforce": (stage_reinforce, ("factors",)),
-    "evaluate": (stage_evaluate, ("servo", "reinforce")),
+# Every cached stage in pipeline order: stage -> (runner, dependencies,
+# config reads). A dependency's key covers everything upstream of it, so
+# only the nearest stages are listed. A config path is dotted into
+# ``_plain(cfg)``; a whole section is declared wherever a stage reads more
+# than a key or two of it.
+STAGE_TABLE: Dict[str, Tuple[Callable[..., List[str]], Tuple[str, ...], Tuple[str, ...]]] = {
+    "demo-gen": (stage_demo_gen, (), ("schema_version", "seed", "task", "demos")),
+    "train": (stage_train, ("demo-gen",), ("methods",)),
+    "taskmap": (stage_taskmap, ("train",), ("methods",)),
+    "factors": (stage_factors, ("train",),
+                ("methods", "task.dof", "analysis.tau")),
+    "alpha-sweep": (stage_alpha_sweep, ("demo-gen",),
+                    ("methods.bvae", "analysis.alpha_sweep",
+                     "analysis.alpha_sweep_epochs", "analysis.tau")),
+    "fieldmap": (stage_fieldmap, ("factors",),
+                 ("task", "analysis.fieldmap_methods", "analysis.grid_n",
+                  "analysis.collision_fraction")),
+    "embodiment": (stage_embodiment, ("train",),
+                   ("methods", "demos.executor", "analysis.tau")),
+    "servo": (stage_servo, ("factors",),
+              ("seed", "task", "control", "uvs", "reinforce.r_goal")),
+    "reinforce": (stage_reinforce, ("factors",),
+                  ("seed", "task", "control", "reinforce")),
+    "evaluate": (stage_evaluate, ("servo", "reinforce"),
+                 ("seed", "task", "control", "uvs", "reinforce")),
 }
+
+
+def _lookup(tree, path: str):
+    """The value at a dotted config path; None where a section is absent."""
+    for part in path.split("."):
+        tree = tree.get(part) if isinstance(tree, dict) else None
+    return tree
+
+
+def stage_key(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
+              args: Optional[dict] = None) -> str:
+    """The cache key ``stage`` runs under: its config reads, its arguments
+    and its inputs' recorded keys and output digests."""
+    _, deps, reads = STAGE_TABLE[stage]
+    tree = _plain(cfg)
+    return manifest.key({path: _lookup(tree, path) for path in reads}, args or {}, deps)
 
 
 def ensure_stage(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
                  force: bool = False, log=print, **kwargs) -> List[str]:
-    runner, deps = STAGE_TABLE[stage]
+    runner, deps, _ = STAGE_TABLE[stage]
     for dep in deps:
         ensure_stage(cfg, manifest, dep, force=False, log=log)
     # A partial run (train --method / --latent-dim) is cached under its own
-    # key, so it never stands in for the whole stage.
-    key = stage + "".join(f"[{k}={v}]" for k, v in sorted(kwargs.items()) if v)
-    # A stage is current only if it finished after each of its dependencies.
-    stale = any(manifest.run_number(dep) > manifest.run_number(key) for dep in deps)
-    return run_stage(manifest, key, force or stale, lambda: runner(cfg, **kwargs), log=log)
+    # entry, so it never stands in for the whole stage.
+    args = {k: v for k, v in sorted(kwargs.items()) if v}
+    entry = stage + "".join(f"[{k}={v}]" for k, v in args.items())
+    return run_stage(manifest, entry, stage_key(cfg, manifest, stage, args), force,
+                     lambda: runner(cfg, **kwargs), log=log)

@@ -70,6 +70,10 @@ class AnalysisConfig:
             raise ValueError("analysis.grid_n must be >= 4")
         if self.collision_fraction <= 0:
             raise ValueError("analysis.collision_fraction must be positive")
+        if self.alpha_sweep_epochs < 1:
+            raise ValueError("analysis.alpha_sweep_epochs must be >= 1")
+        if any(alpha <= 0 for alpha in self.alpha_sweep):
+            raise ValueError("analysis.alpha_sweep values must be positive")
 
 
 @dataclass
@@ -103,6 +107,7 @@ class ExperimentConfig:
     reinforce: ReinforceConfig
 
     def digest(self) -> str:
+        """The whole config's provenance line; stage keys decide caching."""
         tree = _plain(self)
         del tree["out_dir"]  # where a run is written, not what it computes
         # The global seed again; left out so that existing runs keep their digest.
@@ -278,6 +283,8 @@ def load_config(path, seed_override: Optional[int] = None,
 
     task = built["task"] = _library(TaskSpec, keys("task"))
     demos = _library(DemoConfig, keys("demos"))
+    if demos.pattern is Pattern.ARC and task.dof < 2:
+        raise ConfigError("demos.pattern = arc needs task.dof = 2")
 
     requested = keys("methods")["train"]
     for name in requested:

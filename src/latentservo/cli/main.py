@@ -113,7 +113,7 @@ def main(argv=None) -> int:
 
     try:
         if args.stage == "report":
-            run_stage(manifest, "report", True,
+            run_stage(manifest, "report", None, True,
                       lambda: stage_report(cfg.out_dir, manifest))
         elif args.stage == "train":
             ensure_stage(cfg, manifest, "train", force=args.force,

@@ -1,18 +1,24 @@
-"""Run manifest: per-stage status, outputs, and content-hash caching.
+"""Run manifest: per-stage status, outputs, and content-addressed caching.
 
 The manifest is rewritten atomically (temp file + rename) at every stage
-boundary. A stage whose recorded digest matches the current config digest
-and whose recorded outputs all exist is skipped unless forced.
+boundary. Each finished stage records a ``key`` (a sha256 over what the
+stage read: its config paths, its arguments, and its inputs' recorded key
+and output digests) and the content digest of every output, by path
+relative to the run directory. A stage is current iff its recorded key
+equals the key it would run under now and every recorded output still has
+its recorded digest; otherwise it runs again.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
+import shutil
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, List
+from typing import Callable, Iterable, List, Optional
 
 from .. import __version__
 
@@ -21,12 +27,29 @@ class ManifestError(RuntimeError):
     """Unreadable or structurally invalid manifest."""
 
 
+def content_digest(path: Path) -> Optional[str]:
+    """sha256 of a file's bytes, or of a directory's files in sorted
+    relative-path order (each path, then its file's digest); None if absent."""
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    if not path.is_dir():
+        return None
+    h = hashlib.sha256()
+    for rel, file in sorted((p.relative_to(path).as_posix(), p)
+                            for p in path.rglob("*") if p.is_file()):
+        h.update(rel.encode() + b"\0" + bytes.fromhex(content_digest(file)))
+    return h.hexdigest()
+
+
 @dataclass
 class RunManifest:
     path: Path
-    config_digest: str
+    config_digest: str  # provenance only; stage keys decide caching
     tool_version: str
     stages: dict
+    # Stages whose outputs were hashed (or written) by this process: each
+    # output is hashed at most once per CLI call.
+    checked: set = field(default_factory=set, repr=False, compare=False)
 
     @staticmethod
     def open(out_dir, config_digest: str) -> "RunManifest":
@@ -44,38 +67,57 @@ class RunManifest:
         return RunManifest(path=path, config_digest=config_digest,
                            tool_version=__version__, stages={})
 
-    def is_current(self, stage: str) -> bool:
-        """Done under this config digest, and every recorded output still exists."""
-        entry = self.stages.get(stage)
-        return bool(entry and entry.get("status") == "done"
-                    and entry.get("digest") == self.config_digest
-                    and all(Path(o).exists() for o in entry.get("outputs", [])))
+    @property
+    def run_dir(self) -> Path:
+        return self.path.parent
 
-    def run_number(self, stage: str) -> int:
-        """Order in which ``stage`` last finished, above every earlier one; 0 if never."""
-        return (self.stages.get(stage) or {}).get("run", 0)
+    def key(self, reads: dict, args: dict, inputs: Iterable[str]) -> str:
+        """sha256 over the config values a stage reads, its arguments, and
+        each input stage's recorded key and output digests."""
+        recorded = {}
+        for stage in inputs:
+            entry = self.stages.get(stage) or {}
+            recorded[stage] = {"key": entry.get("key"), "outputs": entry.get("outputs")}
+        blob = json.dumps({"reads": reads, "args": args, "inputs": recorded},
+                          sort_keys=True)
+        return hashlib.sha256(blob.encode()).hexdigest()
+
+    def is_current(self, stage: str, key: str) -> bool:
+        """Done under ``key``, and every recorded output still has its digest."""
+        entry = self.stages.get(stage) or {}
+        outputs = entry.get("outputs")
+        if entry.get("status") != "done" or entry.get("key") != key \
+                or not isinstance(outputs, dict):
+            return False
+        if stage not in self.checked:
+            if any(content_digest(self.run_dir / rel) != digest
+                   for rel, digest in outputs.items()):
+                return False
+            self.checked.add(stage)
+        return True
 
     def outputs(self, stage: str) -> List[str]:
-        entry = self.stages.get(stage) or {}
-        return list(entry.get("outputs", []))
+        """The stage's recorded output paths, under the run directory."""
+        outputs = (self.stages.get(stage) or {}).get("outputs")
+        if not isinstance(outputs, dict):
+            return []
+        return [str(self.run_dir / rel) for rel in outputs]
 
-    def record(self, stage: str, outputs: List[str], wall_clock_s: float) -> None:
+    def record(self, stage: str, key: Optional[str], outputs: List[str],
+               wall_clock_s: float) -> None:
+        digests = {Path(o).relative_to(self.run_dir).as_posix(): content_digest(Path(o))
+                   for o in outputs}
         self.stages[stage] = {
             "status": "done",
-            "digest": self.config_digest,
-            "outputs": sorted(str(o) for o in outputs),
-            "run": 1 + max(map(self.run_number, self.stages), default=0),
+            "key": key,
+            "outputs": dict(sorted(digests.items())),
             "wall_clock_s": round(wall_clock_s, 3),
         }
+        self.checked.add(stage)
         self._write()
 
     def record_failure(self, stage: str, error: str) -> None:
-        self.stages[stage] = {
-            "status": "failed",
-            "digest": self.config_digest,
-            "error": error,
-            "outputs": [],
-        }
+        self.stages[stage] = {"status": "failed", "error": error}
         self._write()
 
     def _write(self) -> None:
@@ -90,20 +132,33 @@ class RunManifest:
         os.replace(tmp, self.path)
 
 
-def run_stage(manifest: RunManifest, stage: str, force: bool,
+def _remove(path: Path) -> None:
+    if path.is_dir():
+        shutil.rmtree(path)
+    elif path.exists():
+        path.unlink()
+
+
+def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool,
               action: Callable[[], List[str]],
               log: Callable[[str], None] = print) -> List[str]:
-    """Execute one cached stage; returns its output paths."""
-    if not force and manifest.is_current(stage):
+    """Execute one cached stage under ``key``; returns its output paths.
+
+    A stage that runs first removes the outputs it recorded last time, so
+    a file it no longer writes cannot outlive the change that dropped it.
+    """
+    if not force and manifest.is_current(stage, key):
         log(f"[{stage}] up to date, skipping")
         return manifest.outputs(stage)
     log(f"[{stage}] running")
     t0 = time.perf_counter()
     try:
+        for path in manifest.outputs(stage):
+            _remove(Path(path))
         outputs = action()
     except Exception as exc:
         manifest.record_failure(stage, f"{type(exc).__name__}: {exc}")
         raise
-    manifest.record(stage, outputs, time.perf_counter() - t0)
+    manifest.record(stage, key, outputs, time.perf_counter() - t0)
     log(f"[{stage}] done ({time.perf_counter() - t0:.1f}s)")
     return outputs

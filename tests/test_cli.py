@@ -3,23 +3,59 @@
 import configparser
 import io
 import json
+import os
+import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from latentservo.cli import config
-from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
+from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
+from latentservo.cli.config import _SCHEMA, _parse_bool, _plain, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from latentservo.cli.manifest import ManifestError, RunManifest
 from latentservo.representations import ConfigError
 
 TINY = Path(__file__).parent / "data" / "tiny.ini"
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+# The stages of a full tiny run, in the order the determinism test runs them.
+PIPELINE = ("evaluate", "taskmap", "alpha-sweep", "fieldmap", "embodiment", "report")
 
 
 def write_config(tmp_path, text):
     p = tmp_path / "exp.ini"
     p.write_text(text)
     return p
+
+
+def tiny_with(tmp_path, *edits):
+    """tiny.ini with each ``(old, new)`` line edit applied, written under ``tmp_path``."""
+    text = TINY.read_text()
+    for old, new in edits:
+        assert text.count(old) == 1, old
+        text = text.replace(old, new)
+    return write_config(tmp_path, text)
+
+
+def run_stages(ini, out, *stages):
+    for stage in stages:
+        assert main([stage, "--config", str(ini), "--out", str(out)]) == EXIT_OK, stage
+
+
+def ran(log):
+    """The stages a CLI log says ran, in order."""
+    return [line[1:line.index("]")] for line in log.splitlines()
+            if line.endswith("] running")]
+
+
+def artifact_bytes(run_dir):
+    """Every file of a run but its manifest.json, by relative path."""
+    return {p.relative_to(run_dir).as_posix(): p.read_bytes()
+            for p in sorted(run_dir.rglob("*"))
+            if p.is_file() and p != run_dir / "manifest.json"}
 
 
 MINIMAL = """\
@@ -158,6 +194,11 @@ def _edit_one_key(text, section, key):
     return out.getvalue()
 
 
+# Every key whose value enters the computation: all but [meta] out_dir.
+COMPUTED_KEYS = [(section, key) for section, keys in _SCHEMA.items() for key in keys
+                 if (section, key) != ("meta", "out_dir")]
+
+
 class TestConfig:
     def test_tiny_config_loads(self):
         cfg = load_config(TINY)
@@ -212,6 +253,9 @@ class TestConfig:
         ("control", "goal_workspace_tol = 0", "goal_workspace_tol must be positive"),
         ("analysis", "collision_fraction = 0", "collision_fraction must be positive"),
         ("reinforce", "policy_hidden = -1", "policy_hidden must be positive"),
+        ("analysis", "alpha_sweep_epochs = 0", "alpha_sweep_epochs must be >= 1"),
+        ("analysis", "alpha_sweep = 0.1, 0", "alpha_sweep values must be positive"),
+        ("task", "dof = 1\n\n[demos]\npattern = arc", "arc needs task.dof = 2"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, section, line, message):
         bad = MINIMAL.format(out=tmp_path / "run") + f"\n[{section}]\n{line}\n"
@@ -249,9 +293,7 @@ class TestConfig:
         assert every_key == minimal
         assert every_key.digest() == minimal.digest()
 
-    @pytest.mark.parametrize("section, key", [
-        (section, key) for section, keys in _SCHEMA.items() for key in keys
-        if (section, key) != ("meta", "out_dir")])
+    @pytest.mark.parametrize("section, key", COMPUTED_KEYS)
     def test_every_key_enters_the_digest(self, tmp_path, monkeypatch, section, key):
         # all four methods trained, so every [method.*] key is in use
         base = EVERY_KEY.format(out=tmp_path / "run").replace(
@@ -262,6 +304,30 @@ class TestConfig:
         edited = _edit_one_key(base, section, key)
         assert load_config(write_config(tmp_path, edited)).digest() != before
 
+    @pytest.mark.parametrize("section, key", COMPUTED_KEYS)
+    def test_every_key_enters_a_stage_key(self, tmp_path, monkeypatch, section, key):
+        base = EVERY_KEY.format(out=tmp_path / "run").replace(
+            "train = ae", "train = ae, vae, bvae, sae")
+        no_run = RunManifest.open(tmp_path / "no-run", "")
+
+        def keys(text):
+            cfg = load_config(write_config(tmp_path, text))
+            return {stage: stage_key(cfg, no_run, stage) for stage in STAGE_TABLE}
+
+        before = keys(base)
+        if key == "schema_version":
+            monkeypatch.setattr(config, "SCHEMA_VERSION", 2)
+        after = keys(_edit_one_key(base, section, key))
+        assert [s for s in STAGE_TABLE if after[s] != before[s]]
+
+    def test_every_stage_read_names_a_config_value(self, tmp_path):
+        base = EVERY_KEY.format(out=tmp_path / "run").replace(
+            "train = ae", "train = ae, vae, bvae, sae")
+        tree = _plain(load_config(write_config(tmp_path, base)))
+        for stage, (_, _, reads) in STAGE_TABLE.items():
+            for path in reads:
+                assert _lookup(tree, path) is not None, (stage, path)
+
 
 class TestManifest:
     def test_round_trip_and_caching(self, tmp_path):
@@ -269,22 +335,65 @@ class TestManifest:
         model.parent.mkdir()
         model.write_bytes(b"weights")
         m = RunManifest.open(tmp_path, "digest-a")
-        assert not m.is_current("train")
-        m.record("train", [str(model)], 1.5)
+        assert not m.is_current("train", "key-a")
+        m.record("train", "key-a", [str(model)], 1.5)
         again = RunManifest.open(tmp_path, "digest-a")
-        assert again.is_current("train")
+        assert again.is_current("train", "key-a")
         assert again.outputs("train") == [str(model)]
         changed = RunManifest.open(tmp_path, "digest-b")
-        assert not changed.is_current("train")
+        assert not changed.is_current("train", "key-b")
 
     def test_missing_output_is_not_current(self, tmp_path):
         kept, lost = tmp_path / "kept.csv", tmp_path / "lost.lsrv"
         kept.write_text("x")
-        m = RunManifest.open(tmp_path, "d")
-        m.record("train", [str(kept), str(lost)], 1.0)
-        assert not m.is_current("train")
         lost.write_bytes(b"weights")
-        assert m.is_current("train")
+        RunManifest.open(tmp_path, "d").record("train", "k", [str(kept), str(lost)], 1.0)
+        lost.unlink()
+        assert not RunManifest.open(tmp_path, "d").is_current("train", "k")
+        lost.write_bytes(b"weights")
+        assert RunManifest.open(tmp_path, "d").is_current("train", "k")
+
+    def test_changed_output_is_not_current(self, tmp_path):
+        demo = tmp_path / "demos" / "demo_000"
+        demo.mkdir(parents=True)
+        (demo / "frame_0000.pgm").write_bytes(b"P5 frame")
+        model = tmp_path / "model.lsrv"
+        model.write_bytes(b"weights")
+        RunManifest.open(tmp_path, "d").record("s", "k", [str(demo), str(model)], 1.0)
+        assert RunManifest.open(tmp_path, "d").is_current("s", "k")
+        model.write_bytes(b"weightz")
+        assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
+        model.write_bytes(b"weights")
+        (demo / "frame_0001.pgm").write_bytes(b"P5 frame")
+        assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
+
+    def test_key_covers_reads_args_and_inputs(self, tmp_path):
+        m = RunManifest.open(tmp_path, "d")
+        key = m.key({"seed": 1}, {}, ["up"])
+        assert key == RunManifest.open(tmp_path, "other").key({"seed": 1}, {}, ["up"])
+        assert m.key({"seed": 2}, {}, ["up"]) != key
+        assert m.key({"seed": 1}, {"only_method": "sae"}, ["up"]) != key
+        out = tmp_path / "up.csv"
+        out.write_text("a")
+        m.record("up", "k", [str(out)], 1.0)
+        after_up = m.key({"seed": 1}, {}, ["up"])
+        assert after_up != key
+        out.write_text("b")
+        m.record("up", "k", [str(out)], 1.0)
+        assert m.key({"seed": 1}, {}, ["up"]) != after_up
+
+    def test_old_format_entry_is_not_current(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        model = out / "models" / "sae.lsrv"
+        model.parent.mkdir(parents=True)
+        model.write_bytes(b"weights")
+        (out / "manifest.json").write_text(json.dumps({"config_digest": "d", "stages": {
+            stage: {"status": "done", "digest": "d", "outputs": [str(model)], "run": 1}
+            for stage in ("demo-gen", "train")}}))
+        assert not RunManifest.open(out, "d").is_current("train", "k")
+        assert RunManifest.open(out, "d").outputs("train") == []
+        assert main(["demo-gen", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+        assert ran(capsys.readouterr().out) == ["demo-gen"]
 
     def test_corrupted_manifest_raises(self, tmp_path):
         (tmp_path / "manifest.json").write_text("{not json")
@@ -294,18 +403,32 @@ class TestManifest:
     def test_failure_recorded(self, tmp_path):
         m = RunManifest.open(tmp_path, "d")
         m.record_failure("train", "boom")
+        assert not m.is_current("train", None)
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["stages"]["train"]["status"] == "failed"
 
 
 @pytest.fixture(scope="module")
-def pipeline_run(tmp_path_factory):
+def cold_run(tmp_path_factory):
+    """One cold tiny run of every stage; tests change copies of it, never it."""
+    out = tmp_path_factory.mktemp("cold") / "run"
+    run_stages(TINY, out, *PIPELINE)
+    return out
+
+
+@pytest.fixture
+def cold_copy(cold_run, tmp_path):
+    """A copy of the cold run: the manifest holds relative paths, so it is a cache."""
+    out = tmp_path / "copy"
+    shutil.copytree(cold_run, out)
+    return out
+
+
+@pytest.fixture(scope="module")
+def pipeline_run(cold_run, tmp_path_factory):
     """One tiny end-to-end run shared by the CLI assertions."""
-    out = tmp_path_factory.mktemp("run")
-    rc = main(["evaluate", "--config", str(TINY), "--out", str(out)])
-    assert rc == EXIT_OK
-    for stage in ("taskmap", "alpha-sweep", "fieldmap", "embodiment", "report"):
-        assert main([stage, "--config", str(TINY), "--out", str(out)]) == EXIT_OK
+    out = tmp_path_factory.mktemp("run") / "run"
+    shutil.copytree(cold_run, out)
     return out
 
 
@@ -373,8 +496,9 @@ class TestPipeline:
         capsys.readouterr()
         assert main(["servo", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
         log = capsys.readouterr().out
-        for stage in ("train", "factors", "servo"):
-            assert f"[{stage}] running" in log
+        # The re-trained model is byte-identical, so the factors stay valid.
+        assert "[train] running" in log and "[factors] up to date" in log
+        assert "[servo] running" in log  # it had never run in this directory
         assert (out / "models" / "sae.lsrv").exists()
         assert (out / "control" / "servo_sae_stats.json").exists()
 
@@ -387,7 +511,71 @@ class TestPipeline:
         assert main(["servo", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
         log = capsys.readouterr().out
         assert "[demo-gen] up to date" in log and "[train] up to date" in log
-        assert "[factors] running" in log and "[servo] running" in log
+        # The forced re-train rewrote byte-identical models: nothing downstream is lost.
+        assert "[factors] up to date" in log and "[servo] up to date" in log
+
+    def test_reinforce_edit_reruns_only_reinforce_and_evaluate(self, cold_copy, tmp_path,
+                                                                capsys):
+        ini = tiny_with(tmp_path, ("learning_rate = 1e-4", "learning_rate = 2e-4"))
+        capsys.readouterr()
+        run_stages(ini, cold_copy, "evaluate")
+        assert ran(capsys.readouterr().out) == ["reinforce", "evaluate"]
+
+    def test_sae_epochs_edit_reruns_train_factors_servo(self, cold_copy, tmp_path, capsys):
+        ini = tiny_with(tmp_path, ("epochs = 80", "epochs = 81"))
+        capsys.readouterr()
+        run_stages(ini, cold_copy, "servo")
+        assert ran(capsys.readouterr().out) == ["train", "factors", "servo"]
+
+    def test_changed_model_bytes_rerun_train(self, cold_copy, capsys):
+        model = cold_copy / "models" / "sae.lsrv"
+        good = model.read_bytes()
+        model.write_bytes(good[:-1] + bytes([good[-1] ^ 1]))
+        capsys.readouterr()
+        run_stages(TINY, cold_copy, "evaluate")
+        # The re-trained model has its old bytes again, so nothing downstream re-runs.
+        assert ran(capsys.readouterr().out) == ["train"]
+        assert model.read_bytes() == good
+
+    @pytest.mark.parametrize("manifest", ["kept", "lost"])
+    def test_demo_gen_leaves_no_demo_of_a_larger_run(self, cold_copy, tmp_path, manifest):
+        ini = tiny_with(tmp_path, ("count = 2", "count = 1"),
+                        ("starts = 0.1, 0.1; 0.85, 0.2", "starts = 0.1, 0.1"))
+        if manifest == "lost":  # nothing records the old demos
+            (cold_copy / "manifest.json").unlink()
+        run_stages(ini, cold_copy, "demo-gen")
+        for sprite in ("teacher", "executor"):
+            demos = sorted(p.name for p in (cold_copy / "demos" / sprite).iterdir())
+            assert demos == ["demo_000"]
+
+    def test_rerun_removes_the_outputs_it_no_longer_writes(self, cold_copy, tmp_path):
+        ini = tiny_with(tmp_path, ("trials = 3", "trials = 2"))
+        run_stages(ini, cold_copy, "servo")
+        traces = sorted(p.name for p in (cold_copy / "control").glob("servo_sae_trial*"))
+        assert traces == ["servo_sae_trial00.csv", "servo_sae_trial01.csv"]
+
+    def test_report_lists_only_the_recorded_factors(self, cold_copy, tmp_path):
+        ini = tiny_with(tmp_path, ("train = bvae, sae", "train = sae"))
+        run_stages(ini, cold_copy, "factors", "report")
+        text = (cold_copy / "report.md").read_text()
+        section = text.split("## Time-varying factors")[1].split("##")[0]
+        rows = [line.split("|")[1].strip() for line in section.splitlines()[4:] if line]
+        assert rows == ["sae"]
+
+    @pytest.mark.parametrize("edits", [
+        [("learning_rate = 1e-4", "learning_rate = 2e-4")],
+        [("r_goal = 10.0", "r_goal = 5.0")],
+        [("tau = 0.2", "tau = 0.1")],
+        [("count = 2", "count = 1"), ("starts = 0.1, 0.1; 0.85, 0.2", "starts = 0.1, 0.1")],
+    ], ids=["reinforce-learning_rate", "reinforce-r_goal", "analysis-tau", "demos-count"])
+    def test_cached_run_matches_a_cold_run(self, cold_copy, tmp_path, edits):
+        ini = tiny_with(tmp_path, *edits)
+        fresh = tmp_path / "fresh"
+        run_stages(ini, cold_copy, *PIPELINE)
+        run_stages(ini, fresh, *PIPELINE)
+        cached, cold = artifact_bytes(cold_copy), artifact_bytes(fresh)
+        assert sorted(cached) == sorted(cold)
+        assert [name for name in cold if cached[name] != cold[name]] == []
 
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK
@@ -510,3 +698,18 @@ class TestExitCodes:
 
     def test_report_missing_run_dir(self, tmp_path):
         assert main(["report", "--out", str(tmp_path / "ghost")]) == EXIT_IO
+
+
+@pytest.mark.parametrize("entry", [
+    ["-m", "latentservo.cli.main", "report"],
+    ["-c", "import sys; from latentservo.cli import main; sys.exit(main(['report']))"],
+    ["-c", "import sys, latentservo.cli.main; from latentservo.cli import main; "
+           "sys.exit(main(['report']))"],
+], ids=["module", "package-attribute", "after-the-submodule"])
+def test_entry_points_start_without_warnings(entry):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", *entry],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr == "--config is required\n"
