@@ -44,18 +44,6 @@ class EmbodimentReport:
             if not -1.0 - 1e-9 <= c <= 1.0 + 1e-9:
                 raise ValueError(f"correlation {c} for factor {f} outside [-1, 1]")
 
-    def to_dict(self) -> dict:
-        return {
-            "jaccard": self.jaccard,
-            "matched_factors": list(self.matched_factors),
-            "correlations": {str(k): v for k, v in self.correlations.items()},
-            "mean_correlation": self.mean_correlation,
-            "final_latent_distance": self.final_latent_distance,
-            "verdict": self.verdict,
-            "teacher_factors": self.teacher_factors.to_dict(),
-            "executor_factors": self.executor_factors.to_dict(),
-        }
-
 
 def resample_trajectory(values: np.ndarray, points: int = RESAMPLE_POINTS) -> np.ndarray:
     """Linear resampling to a fixed number of uniform time points."""

@@ -36,14 +36,6 @@ class FactorSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    def to_dict(self) -> dict:
-        return {
-            "indices": list(self.indices),
-            "tau": self.tau,
-            "spreads": [float(s) for s in self.spreads],
-            "all_constant": self.all_constant,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "FactorSet":
         return FactorSet(indices=tuple(d["indices"]), tau=float(d["tau"]),

@@ -80,14 +80,6 @@ class MonotonicityReport:
     x: float                  # best-aligned factor's |rho| for the x axis
     y: float
 
-    def to_dict(self) -> dict:
-        return {
-            "x": self.x,
-            "y": self.y,
-            "per_factor_x": [float(v) for v in self.per_factor_x],
-            "per_factor_y": [float(v) for v in self.per_factor_y],
-        }
-
 
 def monotonicity_metric(field: LatentFieldMap) -> MonotonicityReport:
     """Rank correlation of each factor with each workspace axis along grid lines."""

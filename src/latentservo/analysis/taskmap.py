@@ -17,8 +17,6 @@ class TaskMap:
 
     values: np.ndarray           # (T+1, d) float32
     sigmas: np.ndarray | None    # (T+1, d) for the VAE family
-    demo: DemoSequence
-    model: ModelWeights
 
     @property
     def latent_dim(self) -> int:
@@ -30,7 +28,7 @@ class TaskMap:
 
 def build_task_map(model: ModelWeights, demo: DemoSequence) -> TaskMap:
     values, sigmas = encode_batch(model, demo.frames)
-    return TaskMap(values=values, sigmas=sigmas, demo=demo, model=model)
+    return TaskMap(values=values, sigmas=sigmas)
 
 
 def task_map_csv(tm: TaskMap) -> str:

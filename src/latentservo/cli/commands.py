@@ -1,7 +1,8 @@
 """Pipeline stages behind the CLI subcommands.
 
 Each stage reads everything it needs from the run directory, writes its
-artifacts there, and is cached through the run manifest. Stages pull in
+artifacts there through the ``StageOutputs`` recorder it is given, and is
+cached through the run manifest. Stages pull in
 their dependencies automatically (a cached dependency is a no-op).
 ``STAGE_TABLE`` is the one place that says what each stage depends on:
 the stages it needs and the config paths it reads.
@@ -34,6 +35,7 @@ from ..analysis import (
 from ..control import (
     GuidedReinforceController,
     Policy,
+    SuccessStats,
     UVSController,
     calibrate_goal_tolerance,
     episode_trace_csv,
@@ -43,6 +45,7 @@ from ..control import (
     target_factors,
     train_policy,
 )
+from ..plain import plain
 from ..representations import (
     Method,
     ModelWeights,
@@ -58,8 +61,8 @@ from ..toyenv import (
     random_start,
     save_demo,
 )
-from .config import ExperimentConfig, _plain
-from .manifest import RunManifest, run_stage
+from .config import ExperimentConfig
+from .manifest import RunManifest, StageOutputs, run_stage
 from .svgplot import heatmap, line_chart
 
 
@@ -89,11 +92,10 @@ def _demo_starts(cfg: ExperimentConfig) -> List[np.ndarray]:
             for _ in range(cfg.demos.count)]
 
 
-def stage_demo_gen(cfg: ExperimentConfig) -> List[str]:
+def stage_demo_gen(cfg: ExperimentConfig, out: StageOutputs) -> None:
     starts = _demo_starts(cfg)
     # load_demo_set globs these directories, so no demo of an earlier run may stay.
     shutil.rmtree(cfg.out_dir / "demos", ignore_errors=True)
-    outputs = []
     sprites = [("teacher", SpriteKind.TEACHER)]
     if cfg.demos.executor:
         sprites.append(("executor", SpriteKind.EXECUTOR))
@@ -103,30 +105,22 @@ def stage_demo_gen(cfg: ExperimentConfig) -> List[str]:
             demo = generate_demo(spec, cfg.demos.pattern, start, cfg.demos.steps,
                                  seed=cfg.stage_seed(f"demo-{label}-{i}"),
                                  arc_bulge=cfg.demos.arc_bulge)
-            path = cfg.out_dir / "demos" / label / f"demo_{i:03d}"
-            save_demo(demo, path)
-            outputs.append(str(path))
-    return outputs
+            save_demo(demo, out.path(f"demos/{label}/demo_{i:03d}"))
 
 
 # -------------------------------------------------------------------- models
 
-def model_path(cfg: ExperimentConfig, name: str, latent_dim: Optional[int] = None) -> Path:
-    suffix = f"_d{latent_dim}" if latent_dim is not None else ""
-    return cfg.out_dir / "models" / f"{name}{suffix}.lsrv"
-
-
 def load_model(cfg: ExperimentConfig, name: str) -> ModelWeights:
-    path = model_path(cfg, name)
+    path = cfg.out_dir / "models" / f"{name}.lsrv"
     if not path.exists():
         raise StageFailure(f"model {name} not trained yet ({path} missing)")
     return load_weights(path, expect_method=Method(name))
 
 
-def stage_train(cfg: ExperimentConfig, only_method: Optional[str] = None,
-                latent_dims: Optional[Sequence[int]] = None) -> List[str]:
+def stage_train(cfg: ExperimentConfig, out: StageOutputs,
+                only_method: Optional[str] = None,
+                latent_dims: Optional[Sequence[int]] = None) -> None:
     demos = load_demo_set(cfg, "teacher")
-    outputs = []
     for name, mc in cfg.methods.items():
         if only_method is not None and name != only_method:
             continue
@@ -135,47 +129,30 @@ def stage_train(cfg: ExperimentConfig, only_method: Optional[str] = None,
         for dim in latent_dims or [None]:
             spec = mc.spec if dim is None else replace(mc.spec, latent_dim=dim)
             model, curve = train_model(spec, demos, mc.train)
-            path = model_path(cfg, name, dim)
-            path.parent.mkdir(parents=True, exist_ok=True)
-            save_weights(model, path)
             tag = name if dim is None else f"{name}_d{dim}"
-            loss_path = cfg.out_dir / "models" / f"{tag}_loss.csv"
-            loss_path.write_text(
-                "epoch,loss\n"
-                + "".join(f"{i},{v:.8g}\n" for i, v in enumerate(curve)))
-            outputs += [str(path), str(loss_path)]
-    return outputs
+            save_weights(model, out.path(f"models/{tag}.lsrv"))
+            out.write(f"models/{tag}_loss.csv", "epoch,loss\n" + "".join(
+                f"{i},{v:.8g}\n" for i, v in enumerate(curve)))
 
 
 # ------------------------------------------------------------------ analysis
 
-def stage_taskmap(cfg: ExperimentConfig) -> List[str]:
+def stage_taskmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
     demos = load_demo_set(cfg, "teacher")
-    out_dir = cfg.out_dir / "analysis"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     for name in cfg.methods:
         model = load_model(cfg, name)
         tm = build_task_map(model, demos[0])
-        csv_path = out_dir / f"taskmap_{name}.csv"
-        csv_path.write_text(task_map_csv(tm))
+        out.write(f"analysis/taskmap_{name}.csv", task_map_csv(tm))
         ts = list(range(len(tm)))
         series = [(f"dim {d}", ts, tm.values[:, d].tolist())
                   for d in range(min(tm.latent_dim, 16))]
-        svg_path = out_dir / f"taskmap_{name}.svg"
-        svg_path.write_text(line_chart(
+        out.write(f"analysis/taskmap_{name}.svg", line_chart(
             series, title=f"task map — {name}", x_label="time step",
             y_label="latent value"))
-        outputs += [str(csv_path), str(svg_path)]
-    return outputs
-
-
-def factors_path(cfg: ExperimentConfig, name: str) -> Path:
-    return cfg.out_dir / "analysis" / f"factors_{name}.json"
 
 
 def load_factors(cfg: ExperimentConfig, name: str) -> Dict[str, FactorSet]:
-    path = factors_path(cfg, name)
+    path = cfg.out_dir / "analysis" / f"factors_{name}.json"
     if not path.exists():
         raise StageFailure(f"factors for {name} not extracted yet ({path} missing)")
     data = json.loads(path.read_text())
@@ -185,28 +162,23 @@ def load_factors(cfg: ExperimentConfig, name: str) -> Dict[str, FactorSet]:
     return out
 
 
-def stage_factors(cfg: ExperimentConfig) -> List[str]:
+def stage_factors(cfg: ExperimentConfig, out: StageOutputs) -> None:
     demos = load_demo_set(cfg, "teacher")
-    out_dir = cfg.out_dir / "analysis"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
     for name in cfg.methods:
         model = load_model(cfg, name)
         maps = [build_task_map(model, d) for d in demos]
         fs = extract_time_varying(maps, cfg.analysis.tau)
-        payload = {"all": fs.to_dict(), "control": None}
+        payload = {"all": plain(fs), "control": None}
         try:
             control = select_control_factors(fs, cfg.task.dof, Method(name))
-            payload["control"] = control.to_dict()
+            payload["control"] = plain(control)
         except ValueError as exc:
             payload["control_error"] = str(exc)
-        path = factors_path(cfg, name)
-        path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        outputs.append(str(path))
-    return outputs
+        out.write(f"analysis/factors_{name}.json",
+                  json.dumps(payload, indent=1, sort_keys=True))
 
 
-def stage_alpha_sweep(cfg: ExperimentConfig) -> List[str]:
+def stage_alpha_sweep(cfg: ExperimentConfig, out: StageOutputs) -> None:
     if "bvae" not in cfg.methods:
         raise StageFailure("alpha sweep needs a [method.bvae] section")
     demos = load_demo_set(cfg, "teacher")
@@ -222,21 +194,13 @@ def stage_alpha_sweep(cfg: ExperimentConfig) -> List[str]:
         rows.append({"alpha": float(alpha), "score": score,
                      "time_varying_factors": n_factors})
     rows.sort(key=lambda r: -r["score"])
-    out_dir = cfg.out_dir / "analysis"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    csv_path = out_dir / "alpha_sweep.csv"
-    csv_path.write_text("alpha,score,time_varying_factors\n" + "".join(
-        f"{r['alpha']:.6g},{r['score']:.8g},{r['time_varying_factors']}\n"
-        for r in rows))
-    json_path = out_dir / "alpha_sweep.json"
-    json_path.write_text(json.dumps(rows, indent=1))
-    return [str(csv_path), str(json_path)]
+    out.write("analysis/alpha_sweep.csv", "alpha,score,time_varying_factors\n"
+              + "".join(f"{r['alpha']:.6g},{r['score']:.8g},{r['time_varying_factors']}\n"
+                        for r in rows))
+    out.write("analysis/alpha_sweep.json", json.dumps(rows, indent=1))
 
 
-def stage_fieldmap(cfg: ExperimentConfig) -> List[str]:
-    out_dir = cfg.out_dir / "analysis"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+def stage_fieldmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
     metrics = {}
     for name in cfg.analysis.fieldmap_methods:
         model = load_model(cfg, name)
@@ -244,45 +208,33 @@ def stage_fieldmap(cfg: ExperimentConfig) -> List[str]:
         factors = sets.get("control") or sets["all"]
         fm = build_field_map(model_sensor(model, factors, cfg.task), factors,
                              cfg.analysis.grid_n)
-        csv_path = out_dir / f"fieldmap_{name}.csv"
-        csv_path.write_text(field_map_csv(fm))
-        outputs.append(str(csv_path))
+        out.write(f"analysis/fieldmap_{name}.csv", field_map_csv(fm))
         grid = fm.grid_view()
         for j, dim in enumerate(factors.indices):
-            svg_path = out_dir / f"fieldmap_{name}_f{dim}.svg"
-            svg_path.write_text(heatmap(
+            out.write(f"analysis/fieldmap_{name}_f{dim}.svg", heatmap(
                 grid[:, :, j], title=f"{name} factor {dim} over task space",
                 target_cell=cfg.task.target))
-            outputs.append(str(svg_path))
-        mono = monotonicity_metric(fm)
         eps_c = suggest_collision_eps(fm, cfg.analysis.collision_fraction)
         metrics[name] = {
-            "monotonicity": mono.to_dict(),
+            "monotonicity": plain(monotonicity_metric(fm)),
             "collision_eps": eps_c,
             "collision_fraction": injectivity_metric(fm, eps_c),
             "factor_indices": list(factors.indices),
         }
-    metrics_path = out_dir / "fieldmap_metrics.json"
-    metrics_path.write_text(json.dumps(metrics, indent=1, sort_keys=True))
-    outputs.append(str(metrics_path))
-    return outputs
+    out.write("analysis/fieldmap_metrics.json",
+              json.dumps(metrics, indent=1, sort_keys=True))
 
 
-def stage_embodiment(cfg: ExperimentConfig) -> List[str]:
+def stage_embodiment(cfg: ExperimentConfig, out: StageOutputs) -> None:
     if not cfg.demos.executor:
         raise StageFailure("embodiment comparison needs demos.executor = true")
     teacher = load_demo_set(cfg, "teacher")
     executor = load_demo_set(cfg, "executor")
-    report = {}
-    for name in cfg.methods:
-        model = load_model(cfg, name)
-        rep = embodiment_compare(model, teacher, executor, cfg.analysis.tau)
-        report[name] = rep.to_dict()
-    out_dir = cfg.out_dir / "analysis"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    path = out_dir / "embodiment.json"
-    path.write_text(json.dumps(report, indent=1, sort_keys=True))
-    return [str(path)]
+    report = {name: embodiment_compare(load_model(cfg, name), teacher, executor,
+                                       cfg.analysis.tau)
+              for name in cfg.methods}
+    out.write("analysis/embodiment.json",
+              json.dumps(plain(report), indent=1, sort_keys=True))
 
 
 # ------------------------------------------------------------------- control
@@ -301,26 +253,20 @@ def _control_setup(cfg: ExperimentConfig, name: str):
     return sensor, z_star, eps_goal
 
 
-def stage_servo(cfg: ExperimentConfig) -> List[str]:
-    out_dir = cfg.out_dir / "control"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+def stage_servo(cfg: ExperimentConfig, out: StageOutputs) -> None:
     for name in cfg.control.methods:
         sensor, z_star, eps_goal = _control_setup(cfg, name)
         stats = evaluate_success(
             lambda: UVSController(cfg.uvs, cfg.task), cfg.task, sensor, z_star,
             eps_goal, cfg.control.max_steps, cfg.control.trials,
             seed=cfg.stage_seed("servo"), r_goal=cfg.reinforce.r_goal)
-        payload = stats.to_dict()
-        payload["eps_goal"] = eps_goal
-        stats_path = out_dir / f"servo_{name}_stats.json"
-        stats_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        outputs.append(str(stats_path))
+        out.write(f"control/servo_{name}_stats.json", _stats_json(stats, eps_goal))
         for i, ep in enumerate(stats.episodes):
-            trace_path = out_dir / f"servo_{name}_trial{i:02d}.csv"
-            trace_path.write_text(episode_trace_csv(ep))
-            outputs.append(str(trace_path))
-    return outputs
+            out.write(f"control/servo_{name}_trial{i:02d}.csv", episode_trace_csv(ep))
+
+
+def _stats_json(stats: SuccessStats, eps_goal: float) -> str:
+    return json.dumps({**stats.to_dict(), "eps_goal": eps_goal}, indent=1, sort_keys=True)
 
 
 def _policy_to_json(policy: Policy) -> dict:
@@ -328,38 +274,28 @@ def _policy_to_json(policy: Policy) -> dict:
             "params": {k: v.data.tolist() for k, v in policy.params.items()}}
 
 
-def stage_reinforce(cfg: ExperimentConfig) -> List[str]:
-    out_dir = cfg.out_dir / "control"
-    out_dir.mkdir(parents=True, exist_ok=True)
-    outputs = []
+def stage_reinforce(cfg: ExperimentConfig, out: StageOutputs) -> None:
     for name in cfg.control.methods:
         sensor, z_star, eps_goal = _control_setup(cfg, name)
         policy, rewards = train_policy(cfg.task, sensor, z_star, cfg.reinforce,
                                        eps_goal)
-        curve_path = out_dir / f"reinforce_{name}_rewards.csv"
-        curve_path.write_text("episode,reward\n" + "".join(
-            f"{i},{r:.8g}\n" for i, r in enumerate(rewards)))
-        svg_path = out_dir / f"reinforce_{name}_rewards.svg"
-        svg_path.write_text(line_chart(
+        out.write(f"control/reinforce_{name}_rewards.csv", "episode,reward\n"
+                  + "".join(f"{i},{r:.8g}\n" for i, r in enumerate(rewards)))
+        out.write(f"control/reinforce_{name}_rewards.svg", line_chart(
             [("episode reward", list(range(len(rewards))), rewards)],
             title=f"guided policy-gradient training — {name}",
             x_label="episode", y_label="episode reward"))
-        policy_path = out_dir / f"reinforce_{name}_policy.json"
-        policy_path.write_text(json.dumps(_policy_to_json(policy), indent=1))
+        out.write(f"control/reinforce_{name}_policy.json",
+                  json.dumps(_policy_to_json(policy), indent=1))
         stats = evaluate_success(
             lambda: GuidedReinforceController(policy, cfg.task, cfg.reinforce.k_gain),
             cfg.task, sensor, z_star, eps_goal, cfg.control.max_steps,
             cfg.control.trials, seed=cfg.stage_seed("reinforce-eval"),
             r_goal=cfg.reinforce.r_goal)
-        payload = stats.to_dict()
-        payload["eps_goal"] = eps_goal
-        stats_path = out_dir / f"reinforce_{name}_stats.json"
-        stats_path.write_text(json.dumps(payload, indent=1, sort_keys=True))
-        outputs += [str(curve_path), str(svg_path), str(policy_path), str(stats_path)]
-    return outputs
+        out.write(f"control/reinforce_{name}_stats.json", _stats_json(stats, eps_goal))
 
 
-def stage_evaluate(cfg: ExperimentConfig) -> List[str]:
+def stage_evaluate(cfg: ExperimentConfig, out: StageOutputs) -> None:
     out_dir = cfg.out_dir / "control"
     table: Dict[str, Dict[str, float]] = {}
     for name in cfg.control.methods:
@@ -389,102 +325,85 @@ def stage_evaluate(cfg: ExperimentConfig) -> List[str]:
             cfg.control.trials, seed=cfg.stage_seed("oracle-eval"))
         table["oracle"] = {"uvs": uvs_stats.success_rate,
                            "reinforce": gr_stats.success_rate}
-    path = out_dir / "evaluate.json"
-    path.write_text(json.dumps({"success_rate": table}, indent=1, sort_keys=True))
-    return [str(path)]
+    out.write("control/evaluate.json",
+              json.dumps({"success_rate": table}, indent=1, sort_keys=True))
 
 
 # -------------------------------------------------------------------- report
 
-def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
-    out_dir = Path(out_dir)
-    lines = ["# latentservo run report", ""]
-    lines.append(f"- config digest: `{manifest.config_digest}`")
-    lines.append(f"- tool version: {manifest.tool_version}")
-    lines.append("")
-    lines.append("## Stages")
-    lines.append("")
-    lines.append("| stage | status | outputs |")
-    lines.append("|---|---|---|")
+def _table(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> List[str]:
+    """A markdown section: ``title`` over a table of ``rows``; none without rows."""
+    if not rows:
+        return []
+    return [f"## {title}", "", "| " + " | ".join(header) + " |",
+            "|" + "---|" * len(header),
+            *("| " + " | ".join(map(str, row)) + " |" for row in rows), ""]
+
+
+def _statuses(manifest: RunManifest, cfg: Optional[ExperimentConfig]) -> Dict[str, str]:
+    """Each recorded stage's status. Given the config, a done stage is
+    STALE when its recorded key is not the one it would run under now or
+    one of its dependencies is stale; only keys are compared."""
+    status = {stage: str(entry.get("status", "?")).upper()
+              for stage, entry in manifest.stages.items()}
+    if cfg is not None:
+        for stage, (_, deps, _) in STAGE_TABLE.items():
+            if status.get(stage) != "DONE":
+                continue
+            if any(status.get(dep) == "STALE" for dep in deps) or \
+                    manifest.stages[stage].get("key") != stage_key(cfg, manifest, stage):
+                status[stage] = "STALE"
+    return status
+
+
+def stage_report(out: StageOutputs, manifest: RunManifest,
+                 cfg: Optional[ExperimentConfig] = None) -> None:
+    """``report.md``: every stage's status and outputs, then the results of
+    the done ones. Without ``cfg`` (``report --out``) each stage shows the
+    status it recorded."""
+    status = _statuses(manifest, cfg)
+
+    def results(stage: str) -> Dict[str, object]:
+        """The JSON files ``stage`` recorded, by stem; none unless it is done."""
+        if status.get(stage) != "DONE":
+            return {}
+        return {p.stem: json.loads(p.read_text())
+                for p in map(Path, manifest.outputs(stage))
+                if p.suffix == ".json" and p.is_file()}
+
     partial = sorted(set(manifest.stages) - set(STAGE_TABLE) - {"report"})
-    for stage in list(STAGE_TABLE) + partial:
-        entry = manifest.stages.get(stage)
-        if entry is None:
-            lines.append(f"| {stage} | SKIPPED | |")
-            continue
-        status = entry.get("status", "?").upper()
-        shown = "<br>".join(Path(o).name for o in entry.get("outputs", []))
-        lines.append(f"| {stage} | {status} | {shown} |")
-    lines.append("")
+    stages = [(stage, status.get(stage, "SKIPPED"), "<br>".join(
+        Path(o).name for o in manifest.stages.get(stage, {}).get("outputs", [])))
+        for stage in list(STAGE_TABLE) + partial]
+    factors = [(stem.replace("factors_", ""), len(data["all"]["indices"]),
+                data["all"]["indices"]) for stem, data in results("factors").items()]
+    geometry = [(name, f"{m['monotonicity']['x']:.3f}", f"{m['monotonicity']['y']:.3f}",
+                 f"{m['collision_fraction']:.4f}") for name, m in
+                sorted(results("fieldmap").get("fieldmap_metrics", {}).items())]
+    sweep = [(r["alpha"], f"{r['score']:.4f}", r["time_varying_factors"])
+             for r in results("alpha-sweep").get("alpha_sweep", [])]
+    transfer = [(name, f"{r['jaccard']:.2f}", f"{r['mean_correlation']:.3f}",
+                 f"{r['final_latent_distance']:.4f}", r["verdict"]) for name, r in
+                sorted(results("embodiment").get("embodiment", {}).items())]
+    rates = results("evaluate").get("evaluate", {}).get("success_rate", {})
+    success = [(name, f"{row['uvs']:.0%}", f"{row['reinforce']:.0%}")
+               for name, row in sorted(rates.items())]
 
-    factors_rows = []
-    for path in map(Path, manifest.outputs("factors")):
-        name = path.stem.replace("factors_", "")
-        data = json.loads(path.read_text())
-        fs = data["all"]
-        factors_rows.append((name, len(fs["indices"]), fs["indices"]))
-    if factors_rows:
-        lines.append("## Time-varying factors")
-        lines.append("")
-        lines.append("| method | count | indices |")
-        lines.append("|---|---|---|")
-        for name, count, idx in factors_rows:
-            lines.append(f"| {name} | {count} | {idx} |")
-        lines.append("")
-
-    metrics_path = out_dir / "analysis" / "fieldmap_metrics.json"
-    if metrics_path.exists():
-        metrics = json.loads(metrics_path.read_text())
-        lines.append("## Field-map geometry")
-        lines.append("")
-        lines.append("| method | mono x | mono y | collision fraction |")
-        lines.append("|---|---|---|---|")
-        for name, m in sorted(metrics.items()):
-            lines.append(
-                f"| {name} | {m['monotonicity']['x']:.3f} "
-                f"| {m['monotonicity']['y']:.3f} "
-                f"| {m['collision_fraction']:.4f} |")
-        lines.append("")
-
-    sweep_path = out_dir / "analysis" / "alpha_sweep.json"
-    if sweep_path.exists():
-        rows = json.loads(sweep_path.read_text())
-        lines.append("## Alpha sweep (sorted by variance-smoothness score)")
-        lines.append("")
-        lines.append("| alpha | score | factors |")
-        lines.append("|---|---|---|")
-        for r in rows:
-            lines.append(f"| {r['alpha']} | {r['score']:.4f} "
-                         f"| {r['time_varying_factors']} |")
-        lines.append("")
-
-    emb_path = out_dir / "analysis" / "embodiment.json"
-    if emb_path.exists():
-        report = json.loads(emb_path.read_text())
-        lines.append("## Embodiment transfer (teacher-trained, executor demos)")
-        lines.append("")
-        lines.append("| method | jaccard | mean corr | final latent dist | verdict |")
-        lines.append("|---|---|---|---|---|")
-        for name, r in sorted(report.items()):
-            lines.append(
-                f"| {name} | {r['jaccard']:.2f} | {r['mean_correlation']:.3f} "
-                f"| {r['final_latent_distance']:.4f} | {r['verdict']} |")
-        lines.append("")
-
-    eval_path = out_dir / "control" / "evaluate.json"
-    if eval_path.exists():
-        table = json.loads(eval_path.read_text())["success_rate"]
-        lines.append("## Success rates")
-        lines.append("")
-        lines.append("| method | UVS | guided policy gradient |")
-        lines.append("|---|---|---|")
-        for name, row in sorted(table.items()):
-            lines.append(f"| {name} | {row['uvs']:.0%} | {row['reinforce']:.0%} |")
-        lines.append("")
-
-    path = out_dir / "report.md"
-    path.write_text("\n".join(lines) + "\n")
-    return [str(path)]
+    lines = ["# latentservo run report", "",
+             f"- config digest: `{manifest.config_digest}`",
+             f"- tool version: {manifest.tool_version}", "",
+             *_table("Stages", ("stage", "status", "outputs"), stages),
+             *_table("Time-varying factors", ("method", "count", "indices"), factors),
+             *_table("Field-map geometry",
+                     ("method", "mono x", "mono y", "collision fraction"), geometry),
+             *_table("Alpha sweep (sorted by variance-smoothness score)",
+                     ("alpha", "score", "factors"), sweep),
+             *_table("Embodiment transfer (teacher-trained, executor demos)",
+                     ("method", "jaccard", "mean corr", "final latent dist", "verdict"),
+                     transfer),
+             *_table("Success rates", ("method", "UVS", "guided policy gradient"),
+                     success)]
+    out.write("report.md", "\n".join(lines) + "\n")
 
 
 # ---------------------------------------------------------------- dispatcher
@@ -492,9 +411,9 @@ def stage_report(out_dir: Path, manifest: RunManifest) -> List[str]:
 # Every cached stage in pipeline order: stage -> (runner, dependencies,
 # config reads). A dependency's key covers everything upstream of it, so
 # only the nearest stages are listed. A config path is dotted into
-# ``_plain(cfg)``; a whole section is declared wherever a stage reads more
+# ``plain(cfg)``; a whole section is declared wherever a stage reads more
 # than a key or two of it.
-STAGE_TABLE: Dict[str, Tuple[Callable[..., List[str]], Tuple[str, ...], Tuple[str, ...]]] = {
+STAGE_TABLE: Dict[str, Tuple[Callable[..., None], Tuple[str, ...], Tuple[str, ...]]] = {
     "demo-gen": (stage_demo_gen, (), ("schema_version", "seed", "task", "demos")),
     "train": (stage_train, ("demo-gen",), ("methods",)),
     "taskmap": (stage_taskmap, ("train",), ("methods",)),
@@ -529,7 +448,7 @@ def stage_key(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
     """The cache key ``stage`` runs under: its config reads, its arguments
     and its inputs' recorded keys and output digests."""
     _, deps, reads = STAGE_TABLE[stage]
-    tree = _plain(cfg)
+    tree = plain(cfg)
     return manifest.key({path: _lookup(tree, path) for path in reads}, args or {}, deps)
 
 
@@ -543,4 +462,4 @@ def ensure_stage(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
     args = {k: v for k, v in sorted(kwargs.items()) if v}
     entry = stage + "".join(f"[{k}={v}]" for k, v in args.items())
     return run_stage(manifest, entry, stage_key(cfg, manifest, stage, args), force,
-                     lambda: runner(cfg, **kwargs), log=log)
+                     lambda out: runner(cfg, out, **kwargs), log=log)

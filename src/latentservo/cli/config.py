@@ -10,15 +10,15 @@ in ``_DEFAULTS``; every key's value but ``out_dir`` enters the digest.
 from __future__ import annotations
 
 import configparser
-import enum
 import hashlib
 import json
-from dataclasses import dataclass, fields, is_dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
 
 from ..analysis import DEFAULT_TAU
 from ..control import ReinforceConfig, UVSConfig
+from ..plain import plain
 from ..representations import ConfigError, EncoderSpec, Method, TrainConfig
 from ..toyenv import Pattern, TaskSpec
 
@@ -108,7 +108,7 @@ class ExperimentConfig:
 
     def digest(self) -> str:
         """The whole config's provenance line; stage keys decide caching."""
-        tree = _plain(self)
+        tree = plain(self)
         del tree["out_dir"]  # where a run is written, not what it computes
         # The global seed again; left out so that existing runs keep their digest.
         del tree["reinforce"]["seed"]
@@ -118,17 +118,6 @@ class ExperimentConfig:
     def stage_seed(self, stage: str) -> int:
         h = hashlib.sha256(f"{self.seed}:{stage}".encode()).digest()
         return int.from_bytes(h[:4], "little")
-
-
-def _plain(value):
-    """A dataclass tree as JSON data: enums by value, tuples as lists."""
-    if is_dataclass(value):
-        return {f.name: _plain(getattr(value, f.name)) for f in fields(value)}
-    if isinstance(value, dict):
-        return {key: _plain(item) for key, item in value.items()}
-    if isinstance(value, (list, tuple)):
-        return [_plain(item) for item in value]
-    return value.value if isinstance(value, enum.Enum) else value
 
 
 _SCHEMA: Dict[str, Dict[str, str]] = {

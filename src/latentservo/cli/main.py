@@ -9,14 +9,13 @@ Exit codes: 0 success, 2 configuration error, 3 stage failure, 4 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
 from ..representations import ConfigError, WeightFormatError
 from .commands import STAGE_TABLE, StageFailure, ensure_stage, stage_report
 from .config import load_config
-from .manifest import ManifestError, RunManifest, run_stage
+from .manifest import ManifestError, RunManifest, StageOutputs, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -67,17 +66,16 @@ def _train_args(args, cfg) -> dict:
 
 
 def _report_only(out_dir: Path) -> int:
-    manifest_path = out_dir / "manifest.json"
-    if not manifest_path.exists():
+    """The report of a run directory alone: each stage's recorded status."""
+    if not (out_dir / "manifest.json").exists():
         print(f"no manifest under {out_dir}", file=sys.stderr)
         return EXIT_IO
     try:
-        digest = json.loads(manifest_path.read_text()).get("config_digest", "")
-        manifest = RunManifest.open(out_dir, config_digest=digest)
-    except (ManifestError, json.JSONDecodeError) as exc:
+        manifest = RunManifest.open(out_dir, config_digest=None)
+    except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return EXIT_IO
-    stage_report(out_dir, manifest)
+    stage_report(StageOutputs(out_dir), manifest)
     return EXIT_OK
 
 
@@ -114,7 +112,7 @@ def main(argv=None) -> int:
     try:
         if args.stage == "report":
             run_stage(manifest, "report", None, True,
-                      lambda: stage_report(cfg.out_dir, manifest))
+                      lambda out: stage_report(out, manifest, cfg))
         elif args.stage == "train":
             ensure_stage(cfg, manifest, "train", force=args.force,
                          **_train_args(args, cfg))

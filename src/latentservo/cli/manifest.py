@@ -52,20 +52,24 @@ class RunManifest:
     checked: set = field(default_factory=set, repr=False, compare=False)
 
     @staticmethod
-    def open(out_dir, config_digest: str) -> "RunManifest":
+    def open(out_dir, config_digest: Optional[str]) -> "RunManifest":
+        """The run's manifest, or an empty one; ``config_digest=None`` keeps
+        the recorded digest."""
         path = Path(out_dir) / "manifest.json"
+        data = {"stages": {}}
         if path.exists():
             try:
                 data = json.loads(path.read_text())
-                stages = data["stages"]
-                if not isinstance(stages, dict):
-                    raise TypeError("stages must be a mapping")
+                if not isinstance(data, dict) or not isinstance(data["stages"], dict):
+                    raise TypeError("the manifest and its stages must be objects")
+                if not all(isinstance(e, dict) for e in data["stages"].values()):
+                    raise TypeError("every stage entry must be an object")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ManifestError(f"{path}: corrupted manifest ({exc})") from exc
-            return RunManifest(path=path, config_digest=config_digest,
-                               tool_version=__version__, stages=stages)
+        if config_digest is None:
+            config_digest = data.get("config_digest", "")
         return RunManifest(path=path, config_digest=config_digest,
-                           tool_version=__version__, stages={})
+                           tool_version=__version__, stages=data["stages"])
 
     @property
     def run_dir(self) -> Path:
@@ -139,13 +143,33 @@ def _remove(path: Path) -> None:
         path.unlink()
 
 
+class StageOutputs:
+    """The files one stage run writes: each is recorded as it is made."""
+
+    def __init__(self, run_dir: Path):
+        self.run_dir = run_dir
+        self.paths: List[str] = []
+
+    def path(self, rel: str) -> Path:
+        """``rel`` under the run directory, with its parent made, recorded."""
+        path = self.run_dir / rel
+        path.parent.mkdir(parents=True, exist_ok=True)
+        self.paths.append(str(path))
+        return path
+
+    def write(self, rel: str, text: str) -> None:
+        self.path(rel).write_text(text)
+
+
 def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool,
-              action: Callable[[], List[str]],
+              action: Callable[[StageOutputs], None],
               log: Callable[[str], None] = print) -> List[str]:
     """Execute one cached stage under ``key``; returns its output paths.
 
-    A stage that runs first removes the outputs it recorded last time, so
-    a file it no longer writes cannot outlive the change that dropped it.
+    ``action`` writes every output through the ``StageOutputs`` it is
+    given, so the manifest records exactly what the stage wrote. A stage
+    that runs first removes the outputs it recorded last time, so a file
+    it no longer writes cannot outlive the change that dropped it.
     """
     if not force and manifest.is_current(stage, key):
         log(f"[{stage}] up to date, skipping")
@@ -155,10 +179,11 @@ def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool
     try:
         for path in manifest.outputs(stage):
             _remove(Path(path))
-        outputs = action()
+        out = StageOutputs(manifest.run_dir)
+        action(out)
     except Exception as exc:
         manifest.record_failure(stage, f"{type(exc).__name__}: {exc}")
         raise
-    manifest.record(stage, key, outputs, time.perf_counter() - t0)
+    manifest.record(stage, key, out.paths, time.perf_counter() - t0)
     log(f"[{stage}] done ({time.perf_counter() - t0:.1f}s)")
-    return outputs
+    return out.paths

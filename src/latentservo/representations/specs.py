@@ -82,20 +82,6 @@ class EncoderSpec:
             return compute_beta(self.alpha, self.input_dim, self.latent)
         raise ConfigError(f"{self.method.value} has no KL term")
 
-    def to_dict(self) -> dict:
-        return {
-            "method": self.method.value,
-            "image_size": self.image_size,
-            "latent_dim": self.latent_dim,
-            "sae_channels": self.sae_channels,
-            "alpha": self.alpha,
-            "hidden": list(self.hidden),
-            "sae_conv1_channels": self.sae_conv1_channels,
-            "sae_decoder_hidden": self.sae_decoder_hidden,
-            "temperature": self.temperature,
-            "seed": self.seed,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "EncoderSpec":
         return EncoderSpec(
@@ -124,11 +110,3 @@ class TrainConfig:
             raise ConfigError(
                 f"epochs, batch_size, learning_rate must be positive, got "
                 f"{self.epochs}, {self.batch_size}, {self.learning_rate}")
-
-    def to_dict(self) -> dict:
-        return {
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-            "learning_rate": self.learning_rate,
-            "seed": self.seed,
-        }

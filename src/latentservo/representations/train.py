@@ -9,6 +9,7 @@ from typing import List, Sequence, Tuple
 import numpy as np
 
 from .. import autodiff as ad
+from ..plain import plain
 from ..toyenv import DemoSequence
 from .models import ModelWeights, init_params, loss
 from .specs import EncoderSpec, Method, TrainConfig
@@ -36,7 +37,7 @@ def dataset_digest(demos: Sequence[DemoSequence]) -> str:
 
 
 def config_digest(spec: EncoderSpec, config: TrainConfig, data_digest: str) -> str:
-    blob = json.dumps({"spec": spec.to_dict(), "train": config.to_dict(),
+    blob = json.dumps({"spec": plain(spec), "train": plain(config),
                        "dataset": data_digest}, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()
 

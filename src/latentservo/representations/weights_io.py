@@ -19,6 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import autodiff as ad
+from ..plain import plain
 from .models import ModelWeights, expected_shapes
 from .specs import METHOD_TAGS, TAG_METHODS, EncoderSpec, Method
 
@@ -32,7 +33,7 @@ class WeightFormatError(ValueError):
 
 def save(model: ModelWeights, path) -> None:
     path = Path(path)
-    header = json.dumps({"spec": model.spec.to_dict(),
+    header = json.dumps({"spec": plain(model.spec),
                          "config_digest": model.config_digest,
                          "dataset_digest": model.dataset_digest},
                         sort_keys=True).encode("utf-8")

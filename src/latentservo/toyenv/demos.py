@@ -16,6 +16,7 @@ from typing import List
 
 import numpy as np
 
+from ..plain import plain
 from .task import TaskSpec, render
 
 MANIFEST_SCHEMA = 1
@@ -139,7 +140,7 @@ def save_demo(demo: DemoSequence, directory) -> None:
     directory.mkdir(parents=True, exist_ok=True)
     manifest = {
         "schema_version": MANIFEST_SCHEMA,
-        "task": demo.spec.to_dict(),
+        "task": plain(demo.spec),
         "pattern": demo.pattern.value,
         "positions": [[float(x), float(y)] for x, y in demo.positions],
         "frame_count": len(demo),

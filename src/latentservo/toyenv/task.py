@@ -60,18 +60,6 @@ class TaskSpec:
     def with_sprite(self, sprite: SpriteKind) -> "TaskSpec":
         return replace(self, sprite=sprite)
 
-    def to_dict(self) -> dict:
-        return {
-            "dof": self.dof,
-            "target": list(self.target),
-            "image_size": self.image_size,
-            "sprite": self.sprite.value,
-            "sprite_radius": self.sprite_radius,
-            "target_intensity": self.target_intensity,
-            "cross_arm": self.cross_arm,
-            "a_max": self.a_max,
-        }
-
     @staticmethod
     def from_dict(d: dict) -> "TaskSpec":
         return TaskSpec(

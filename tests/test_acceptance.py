@@ -42,6 +42,7 @@ from latentservo.control import (
     target_factors,
     train_policy,
 )
+from latentservo.plain import plain
 from latentservo.representations import (
     EncoderSpec,
     Method,
@@ -293,7 +294,7 @@ def test_criterion_4_factor_extraction_oracle():
         vals = rng.normal(0.0, noise_sigma, size=(T, dims))
         vals[:, 0] = ramp
         vals[:, 3] = ramp
-        tm = TaskMap(values=vals.astype(np.float32), sigmas=None, demo=None, model=None)
+        tm = TaskMap(values=vals.astype(np.float32), sigmas=None)
         fs = extract_time_varying([tm], tau=0.2)
         if fs.indices != (0, 3):
             failures += 1
@@ -499,7 +500,7 @@ def test_criterion_10_embodiment_harness(sae_model, bvae_model, ae_model,
     report = {}
     for name, model in models.items():
         rep = embodiment_compare(model, teacher_demos, executor_demos)
-        report[name] = rep.to_dict()
+        report[name] = plain(rep)
         assert 0.0 <= rep.jaccard <= 1.0
     out = tmp_path / "embodiment_transfer.json"
     out.write_text(json.dumps(report, indent=1, sort_keys=True))

@@ -26,6 +26,7 @@ from latentservo.analysis import (
 )
 from latentservo.analysis.taskmap import TaskMap
 from latentservo.control import model_sensor, oracle_sensor
+from latentservo.plain import plain
 from latentservo.representations import (
     EncoderSpec,
     Method,
@@ -43,7 +44,7 @@ from latentservo.toyenv import (
 
 def fake_map(values):
     values = np.asarray(values, dtype=np.float32)
-    return TaskMap(values=values, sigmas=None, demo=None, model=None)
+    return TaskMap(values=values, sigmas=None)
 
 
 def synthetic_ramp_map(rng, T=40, dims=12, ramp_dims=(0, 3), noise=0.01):
@@ -319,7 +320,7 @@ class TestEmbodiment:
         assert 0.0 <= rep.jaccard <= 1.0
         for c in rep.correlations.values():
             assert -1.0 <= c <= 1.0
-        d = rep.to_dict()
+        d = plain(rep)
         assert set(d) >= {"jaccard", "correlations", "final_latent_distance", "verdict"}
 
     def test_resample_endpoints(self):

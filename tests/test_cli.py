@@ -13,9 +13,10 @@ import pytest
 
 from latentservo.cli import config
 from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
-from latentservo.cli.config import _SCHEMA, _parse_bool, _plain, load_config
+from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
 from latentservo.cli.manifest import ManifestError, RunManifest
+from latentservo.plain import plain
 from latentservo.representations import ConfigError
 
 TINY = Path(__file__).parent / "data" / "tiny.ini"
@@ -49,6 +50,24 @@ def ran(log):
     """The stages a CLI log says ran, in order."""
     return [line[1:line.index("]")] for line in log.splitlines()
             if line.endswith("] running")]
+
+
+def report_statuses(text):
+    """The status column of a report's stage table, by stage."""
+    section = text.split("## Stages")[1].split("##")[0]
+    rows = [[cell.strip() for cell in line.strip("|").split("|")]
+            for line in section.splitlines()[4:] if line]
+    return {row[0]: row[1] for row in rows}
+
+
+# A report section per stage whose results it summarizes.
+SUMMARY_SECTIONS = ("## Time-varying factors", "## Field-map geometry", "## Alpha sweep",
+                    "## Embodiment transfer", "## Success rates")
+
+# A manifest.json of the wrong shape, by what is wrong with it.
+BAD_MANIFESTS = {"not-json": "{not json", "not-an-object": "[]",
+                 "stages-not-an-object": '{"stages": []}',
+                 "entry-not-an-object": '{"stages": {"train": "x"}}'}
 
 
 def artifact_bytes(run_dir):
@@ -323,7 +342,7 @@ class TestConfig:
     def test_every_stage_read_names_a_config_value(self, tmp_path):
         base = EVERY_KEY.format(out=tmp_path / "run").replace(
             "train = ae", "train = ae, vae, bvae, sae")
-        tree = _plain(load_config(write_config(tmp_path, base)))
+        tree = plain(load_config(write_config(tmp_path, base)))
         for stage, (_, _, reads) in STAGE_TABLE.items():
             for path in reads:
                 assert _lookup(tree, path) is not None, (stage, path)
@@ -395,8 +414,9 @@ class TestManifest:
         assert main(["demo-gen", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
         assert ran(capsys.readouterr().out) == ["demo-gen"]
 
-    def test_corrupted_manifest_raises(self, tmp_path):
-        (tmp_path / "manifest.json").write_text("{not json")
+    @pytest.mark.parametrize("text", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+    def test_corrupted_manifest_raises(self, tmp_path, text):
+        (tmp_path / "manifest.json").write_text(text)
         with pytest.raises(ManifestError, match="corrupted"):
             RunManifest.open(tmp_path, "x")
 
@@ -577,6 +597,33 @@ class TestPipeline:
         assert sorted(cached) == sorted(cold)
         assert [name for name in cold if cached[name] != cold[name]] == []
 
+    def test_report_marks_stale_stages(self, cold_copy, tmp_path):
+        ini = tiny_with(tmp_path, ("tau = 0.2", "tau = 0.1"))
+        run_stages(ini, cold_copy, "report")
+        text = (cold_copy / "report.md").read_text()
+        stale = {"factors", "alpha-sweep", "embodiment", "fieldmap", "servo", "reinforce",
+                 "evaluate"}
+        assert report_statuses(text) == {
+            stage: "STALE" if stage in stale else "DONE" for stage in STAGE_TABLE}
+        assert [s for s in SUMMARY_SECTIONS if s in text] == []
+        # Without the config the report shows what the manifest recorded.
+        assert main(["report", "--out", str(cold_copy)]) == EXIT_OK
+        text = (cold_copy / "report.md").read_text()
+        assert set(report_statuses(text).values()) == {"DONE"}
+        run_stages(ini, cold_copy, "evaluate", "alpha-sweep", "fieldmap", "embodiment",
+                   "report")
+        text = (cold_copy / "report.md").read_text()
+        assert set(report_statuses(text).values()) == {"DONE"}
+        assert [s for s in SUMMARY_SECTIONS if s not in text] == []
+
+    def test_every_file_is_a_recorded_output(self, cold_run):
+        recorded = [rel for entry in json.loads((cold_run / "manifest.json").read_text())[
+            "stages"].values() for rel in entry["outputs"]]
+        files = [p.relative_to(cold_run).as_posix() for p in cold_run.rglob("*")
+                 if p.is_file() and p != cold_run / "manifest.json"]
+        assert [f for f in files if not any(f == rel or f.startswith(rel + "/")
+                                            for rel in recorded)] == []
+
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK
 
@@ -664,12 +711,16 @@ class TestExitCodes:
         p = write_config(tmp_path, "[meta]\nschema_version = 2\n")
         assert main(["train", "--config", str(p)]) == EXIT_CONFIG
 
-    def test_corrupted_manifest_io_error(self, tmp_path):
+    @pytest.mark.parametrize("stage", ["demo-gen", "factors", "report"])
+    @pytest.mark.parametrize("text", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
+    def test_corrupted_manifest_io_error(self, tmp_path, text, stage):
         out = tmp_path / "run"
         out.mkdir()
-        (out / "manifest.json").write_text("{broken")
-        p = write_config(tmp_path, MINIMAL.format(out=out))
-        assert main(["demo-gen", "--config", str(p)]) == EXIT_IO
+        (out / "manifest.json").write_text(text)
+        ini = write_config(tmp_path, MINIMAL.format(out=out))
+        assert main([stage, "--config", str(ini)]) == EXIT_IO
+        if stage == "report":
+            assert main([stage, "--out", str(out)]) == EXIT_IO
 
     def test_train_method_missing_from_config(self, tmp_path):
         out = tmp_path / "run"
