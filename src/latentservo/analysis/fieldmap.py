@@ -15,7 +15,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict
 
 import numpy as np
-from scipy import stats
 
 from ..toyenv import grid_positions
 from .factors import FactorSet
@@ -66,10 +65,23 @@ def build_field_map(sensor: Callable[[np.ndarray], np.ndarray], factors: FactorS
                           factors=factors)
 
 
+def _average_ranks(v: np.ndarray) -> np.ndarray:
+    """1-based ranks of ``v``; tied values share the mean of their ranks."""
+    order = np.argsort(v, kind="stable")
+    ordered = v[order]
+    first = np.flatnonzero(np.concatenate(([True], ordered[1:] != ordered[:-1])))
+    counts = np.diff(np.append(first, v.size))
+    ranks = np.empty(v.size)
+    ranks[order] = np.repeat(first + (counts + 1) / 2.0, counts)
+    return ranks
+
+
 def _line_rho(coord: np.ndarray, vals: np.ndarray) -> float:
-    if np.ptp(vals) == 0.0:
+    """Spearman rank correlation; 0 for a constant line or one with a NaN."""
+    if np.isnan(vals).any() or np.ptp(vals) == 0.0:
         return 0.0
-    rho = stats.spearmanr(coord, vals).statistic
+    ranks = np.column_stack((_average_ranks(coord), _average_ranks(vals)))
+    rho = np.corrcoef(ranks, rowvar=False)[1, 0]
     return 0.0 if math.isnan(rho) else float(rho)
 
 

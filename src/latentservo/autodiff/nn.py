@@ -7,6 +7,8 @@ padding, and the spatial-softmax coordinate readout.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .tensor import ShapeError, Tensor, _record, add, matmul
@@ -42,7 +44,10 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {ck}")
     oh, pt, pb = _same_pad(h, kh, stride)
     ow, pl, pr = _same_pad(wd, kw, stride)
-    xp = np.pad(x.data, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    # zero-bordered copy: cheaper than np.pad, which dominates one-frame encodes
+    xp = np.zeros((n, c, pt + h + pb, pl + wd + pr), dtype=x.data.dtype)
+    xp[:, :, pt:pt + h, pl:pl + wd] = x.data
+    need_gx = x.requires_grad
     cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N,C,kh,kw,OH,OW)
     cols2 = cols.reshape(n, c * kh * kw, oh * ow)
     wf = w.data.reshape(f, c * kh * kw)
@@ -54,22 +59,35 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gf = g.reshape(n, f, oh * ow)
         gw = np.einsum("nfp,nkp->fk", gf, cols2).reshape(w.shape)
         gb = g.sum(axis=(0, 2, 3))
-        gcols = np.einsum("fk,nfp->nkp", wf, gf).reshape(n, c, kh, kw, oh, ow)
-        gxp = np.zeros_like(xp)
-        for i in range(kh):
-            for j in range(kw):
-                gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
-        gx = gxp[:, :, pt:pt + h, pl:pl + wd].astype(x.data.dtype, copy=False)
+        gx = None
+        if need_gx:
+            gcols = np.einsum("fk,nfp->nkp", wf, gf).reshape(n, c, kh, kw, oh, ow)
+            gxp = np.zeros_like(xp)
+            for i in range(kh):
+                for j in range(kw):
+                    gxp[:, :, i:i + stride * oh:stride,
+                        j:j + stride * ow:stride] += gcols[:, :, i, j]
+            gx = gxp[:, :, pt:pt + h, pl:pl + wd].astype(x.data.dtype, copy=False)
         return gx, gw.astype(w.data.dtype, copy=False), gb.astype(b.data.dtype, copy=False)
 
     return _record(out, (x, w, b), bwd, "conv2d")
 
 
-def _axis_coords(n: int, dtype) -> np.ndarray:
+def _axis_coords(n: int) -> np.ndarray:
     # normalized pixel coordinates in [-1, 1]; a single pixel sits at the center
     if n == 1:
-        return np.zeros(1, dtype=dtype)
-    return np.linspace(-1.0, 1.0, n, dtype=dtype)
+        return np.zeros(1)
+    return np.linspace(-1.0, 1.0, n)
+
+
+@lru_cache(maxsize=32)
+def _coord_grids(h: int, w: int) -> tuple:
+    """Read-only float64 (x, y) pixel-coordinate grids, flattened row-major."""
+    grid_x = np.broadcast_to(_axis_coords(w), (h, w)).reshape(h * w)
+    grid_y = np.broadcast_to(_axis_coords(h)[:, None], (h, w)).reshape(h * w)
+    grid_x.setflags(write=False)
+    grid_y.setflags(write=False)
+    return grid_x, grid_y
 
 
 def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
@@ -89,10 +107,7 @@ def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     flat = flat - flat.max(axis=2, keepdims=True)
     e = np.exp(flat)
     p = e / e.sum(axis=2, keepdims=True)                  # (N,C,HW) float64
-    xs = _axis_coords(w, np.float64)
-    ys = _axis_coords(h, np.float64)
-    grid_x = np.broadcast_to(xs, (h, w)).reshape(h * w)
-    grid_y = np.broadcast_to(ys[:, None], (h, w)).reshape(h * w)
+    grid_x, grid_y = _coord_grids(h, w)
     ex = p @ grid_x                                       # (N,C)
     ey = p @ grid_y
     out_data = np.empty((n, 2 * c), dtype=x.data.dtype)

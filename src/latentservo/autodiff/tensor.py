@@ -267,9 +267,11 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     out = Tensor(a.data @ b.data)
+    need_ga, need_gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return g @ b.data.T, a.data.T @ g
+        return (g @ b.data.T if need_ga else None,
+                a.data.T @ g if need_gb else None)
 
     return _record(out, (a, b), bwd, "matmul")
 

@@ -26,7 +26,7 @@ from .reinforce import (
     train_policy,
 )
 from .loop import (EpisodeResult, SuccessStats, control_loop, episode_trace_csv,
-                   evaluate_success, reward)
+                   evaluate_success, reward, run_episodes)
 
 __all__ = [
     "EpisodeResult", "GuidedReinforceController", "JacobianEstimate", "Policy",
@@ -34,6 +34,6 @@ __all__ = [
     "UVSController", "broyden_update", "calibrate_goal_tolerance", "control_loop",
     "discounted_returns", "episode_trace_csv", "evaluate_success",
     "guidance_action", "model_sensor", "oracle_sensor", "reinforce_update",
-    "reward", "rollout", "sample_action", "target_factors", "train_policy",
-    "uvs_init_jacobian", "uvs_step",
+    "reward", "rollout", "run_episodes", "sample_action", "target_factors",
+    "train_policy", "uvs_init_jacobian", "uvs_step",
 ]

@@ -4,17 +4,21 @@ Loop per step: (a) sense the current factors, (b) let the controller act
 and execute the action, (c) stop when the factor error drops below the
 goal tolerance or the budget runs out. Jacobian-exploration probes happen
 in the controller's ``begin`` and are not counted against the budget.
+
+``run_episodes`` steps a group of episodes in lockstep so that each step
+senses every moving episode in one stacked sensor call; each controller
+still sees only its own episode.
 """
 
 from __future__ import annotations
 
 import io
-from dataclasses import dataclass
-from typing import Callable, List
+from dataclasses import dataclass, field
+from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..toyenv import TaskSpec, WorldState, random_start, step
+from ..toyenv import TaskSpec, WorldState, as_positions, random_start, step
 from .sensors import Sensor
 
 
@@ -41,48 +45,87 @@ def reward(z_v: np.ndarray, z_star: np.ndarray, eps_goal: float,
     return -err + (r_goal if err < eps_goal else 0.0)
 
 
+@dataclass
+class _Episode:
+    """One lockstepped episode's controller, state and record so far."""
+
+    controller: object
+    state: WorldState
+    z: np.ndarray
+    errors: List[float]
+    rewards: List[float] = field(default_factory=list)
+    zs: List[np.ndarray] = field(default_factory=list)
+    actions: List[np.ndarray] = field(default_factory=list)
+    success: bool = False
+    aborted: bool = False
+
+    def result(self, spec: TaskSpec, k: int) -> EpisodeResult:
+        task_err = float(np.linalg.norm(self.state.position - np.asarray(spec.target)))
+        return EpisodeResult(
+            success=self.success, steps=len(self.rewards), latent_errors=self.errors,
+            rewards=self.rewards, final_task_error=task_err,
+            zs=np.reshape(self.zs, (-1, k)),
+            actions=np.reshape(self.actions, (-1, spec.dof)), aborted=self.aborted)
+
+
+def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
+                 sensor: Sensor, z_star: np.ndarray, eps_goal: float,
+                 max_steps: int, r_goal: float = 10.0) -> List[EpisodeResult]:
+    """One episode per (controller, start row), stepped together.
+
+    Every episode gives the result it would give on its own: controllers
+    keep their one-episode ``begin``/``act``/``observe`` interface and only
+    sensing is stacked. An episode leaves the group when it reaches the
+    goal, when its controller emits a non-finite action (it aborts; the
+    others go on) or when the budget runs out.
+    """
+    if max_steps < 1:
+        raise ValueError("max_steps must be >= 1")
+    starts = as_positions(starts)
+    if len(controllers) != len(starts):
+        raise ValueError(f"{len(controllers)} controllers for {len(starts)} starts")
+    z_star = np.asarray(z_star, dtype=np.float64)
+    states = [WorldState(position=p) for p in starts]
+    z0 = sensor(np.stack([s.position for s in states]))
+    episodes = []
+    for controller, state, z in zip(controllers, states, z0):
+        err = float(np.linalg.norm(z - z_star))
+        episodes.append(_Episode(controller, state, z, [err], success=err < eps_goal))
+    active = [e for e in episodes if not e.success]
+    for e in active:
+        e.controller.begin(e.state, sensor)
+
+    for _ in range(max_steps):
+        moved = []
+        for e in active:
+            action = np.asarray(e.controller.act(e.z, z_star), dtype=np.float64)
+            if not np.all(np.isfinite(action)):
+                e.aborted = True
+                continue
+            e.state = step(e.state, action, spec)
+            e.actions.append(action)
+            moved.append(e)
+        if not moved:
+            break
+        z_new = sensor(np.stack([e.state.position for e in moved]))
+        for e, z in zip(moved, z_new):
+            e.controller.observe(e.z, e.actions[-1], z)
+            e.rewards.append(reward(z, z_star, eps_goal, r_goal))
+            e.zs.append(z)
+            e.z = z
+            err = float(np.linalg.norm(z - z_star))
+            e.errors.append(err)
+            e.success = err < eps_goal
+        active = [e for e in moved if not e.success]
+    return [e.result(spec, len(z_star)) for e in episodes]
+
+
 def control_loop(controller, start: WorldState, spec: TaskSpec, sensor: Sensor,
                  z_star: np.ndarray, eps_goal: float, max_steps: int,
                  r_goal: float = 10.0) -> EpisodeResult:
-    if max_steps < 1:
-        raise ValueError("max_steps must be >= 1")
-    z_star = np.asarray(z_star, dtype=np.float64)
-    state = start
-    z = sensor(state.position[None])[0]
-    err = float(np.linalg.norm(z - z_star))
-    errors = [err]
-    rewards: List[float] = []
-    zs: List[np.ndarray] = []
-    actions: List[np.ndarray] = []
-
-    def result(success: bool, aborted: bool = False) -> EpisodeResult:
-        task_err = float(np.linalg.norm(state.position - np.asarray(spec.target)))
-        return EpisodeResult(
-            success=success, steps=len(rewards), latent_errors=errors,
-            rewards=rewards, final_task_error=task_err,
-            zs=np.reshape(zs, (-1, len(z_star))),
-            actions=np.reshape(actions, (-1, spec.dof)), aborted=aborted)
-
-    if err < eps_goal:
-        return result(success=True)
-
-    controller.begin(state, sensor)
-    for _ in range(max_steps):
-        action = np.asarray(controller.act(z, z_star), dtype=np.float64)
-        if not np.all(np.isfinite(action)):
-            return result(success=False, aborted=True)
-        state = step(state, action, spec)
-        z_new = sensor(state.position[None])[0]
-        controller.observe(z, action, z_new)
-        rewards.append(reward(z_new, z_star, eps_goal, r_goal))
-        zs.append(z_new)
-        actions.append(action)
-        z = z_new
-        err = float(np.linalg.norm(z - z_star))
-        errors.append(err)
-        if err < eps_goal:
-            return result(success=True)
-    return result(success=False)
+    """One episode from ``start``: ``run_episodes`` on a group of one."""
+    return run_episodes([controller], start.position[None], spec, sensor, z_star,
+                        eps_goal, max_steps, r_goal)[0]
 
 
 @dataclass
@@ -111,15 +154,13 @@ def evaluate_success(controller_factory: Callable[[], object], spec: TaskSpec,
                      sensor: Sensor, z_star: np.ndarray, eps_goal: float,
                      max_steps: int, trials: int, seed: int,
                      r_goal: float = 10.0) -> SuccessStats:
-    """Run seeded episodes from random interior starts."""
+    """Run seeded episodes from random interior starts, all in lockstep."""
     if trials < 1:
         raise ValueError("trials must be >= 1")
     rng = np.random.default_rng(seed)
-    episodes = []
-    for _ in range(trials):
-        start = WorldState(position=random_start(spec, rng))
-        episodes.append(control_loop(controller_factory(), start, spec, sensor,
-                                     z_star, eps_goal, max_steps, r_goal))
+    starts = np.stack([random_start(spec, rng) for _ in range(trials)])
+    episodes = run_episodes([controller_factory() for _ in range(trials)], starts,
+                            spec, sensor, z_star, eps_goal, max_steps, r_goal)
     return SuccessStats(
         success_rate=float(np.mean([e.success for e in episodes])),
         mean_steps=float(np.mean([e.steps for e in episodes])),

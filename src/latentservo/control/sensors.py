@@ -3,8 +3,9 @@
 A sensor maps an (N, 2) stack of workspace positions to (N, k) float64
 factor rows. The model sensor closes over render + encode + factor
 projection; the oracle variant reads the ground-truth position instead,
-bounding what the control harness itself can achieve. Controllers sense
-one state at a time as a one-row stack: ``sensor(state.position[None])[0]``.
+bounding what the control harness itself can achieve. ``run_episodes``
+senses every moving episode of a step in one stack, and a UVS controller
+its 2 * dof exploration probes in one stack.
 """
 
 from __future__ import annotations

@@ -59,20 +59,19 @@ def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
     """Central-difference exploration: one +- probe pair per action axis.
 
     Probes run through the environment step (so actuation limits apply)
-    and the effector ends back at the start state.
+    and the effector ends back at the start state. All 2 * dof probes are
+    sensed in one call.
     """
     if eps_explore <= 0 or eps_explore > spec.a_max:
         raise ValueError(
             f"eps_explore must be in (0, a_max={spec.a_max}], got {eps_explore}")
     m = spec.dof
+    probes = [sign * eps_explore * unit for unit in np.eye(m) for sign in (1.0, -1.0)]
+    z = sensor(np.stack([step(state, probe, spec).position for probe in probes]))
     cols = []
     ill = False
     for axis in range(m):
-        probe = np.zeros(m)
-        probe[axis] = eps_explore
-        z_plus = sensor(step(state, probe, spec).position[None])[0]
-        z_minus = sensor(step(state, -probe, spec).position[None])[0]
-        col = (z_plus - z_minus) / (2.0 * eps_explore)
+        col = (z[2 * axis] - z[2 * axis + 1]) / (2.0 * eps_explore)
         if np.linalg.norm(col) < DEGENERATE_COLUMN:
             ill = True
         cols.append(col)

@@ -180,6 +180,74 @@ class TestBackward:
         assert a.tobytes() == b.tobytes()
 
 
+def _np_pad_conv2d(x, w, b, g, stride):
+    """conv2d forward and (gx, gw, gb) through ``np.pad``: the reference."""
+    from latentservo.autodiff.nn import _im2col, _same_pad
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    oh, pt, pb = _same_pad(h, kh, stride)
+    ow, pl, pr = _same_pad(wd, kw, stride)
+    xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
+    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(n, c * kh * kw, oh * ow)
+    wf = w.reshape(f, c * kh * kw)
+    out = np.einsum("fk,nkp->nfp", wf, cols).reshape(n, f, oh, ow) + b.reshape(1, f, 1, 1)
+    gf = g.reshape(n, f, oh * ow)
+    gw = np.einsum("nfp,nkp->fk", gf, cols).reshape(w.shape)
+    gcols = np.einsum("fk,nfp->nkp", wf, gf).reshape(n, c, kh, kw, oh, ow)
+    gxp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            gxp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride] += gcols[:, :, i, j]
+    return out, gxp[:, :, pt:pt + h, pl:pl + wd], gw, g.sum(axis=(0, 2, 3))
+
+
+class TestConvWithoutPad:
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(5, 7), (9, 4), (16, 16)])
+    def test_matches_np_pad_bit_for_bit(self, stride, hw):
+        rng = np.random.default_rng(stride * 100 + hw[0])
+        x = ad.parameter(rng.standard_normal((3, 2) + hw).astype(np.float32))
+        w = ad.parameter(rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
+        b = ad.parameter(rng.standard_normal(4).astype(np.float32))
+        with ad.Tape():
+            y = ad.conv2d(x, w, b, stride=stride)
+            g = rng.standard_normal(y.shape).astype(np.float32)
+            grads = ad.backward(ad.tsum(ad.mul(y, ad.Tensor(g))), {"x": x, "w": w, "b": b})
+        ref = _np_pad_conv2d(x.data, w.data, b.data, g, stride)
+        for got, want in zip((y.data, grads["x"], grads["w"], grads["b"]), ref):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+class TestUnneededInputGradients:
+    """An input that needs no gradient gets none; the others keep their bits."""
+
+    @pytest.mark.parametrize("op", ["matmul", "conv2d"])
+    def test_input_without_grad_is_skipped(self, op):
+        rng = np.random.default_rng(21)
+        if op == "matmul":
+            xd = rng.standard_normal((5, 6)).astype(np.float32)
+            w = ad.parameter(rng.standard_normal((6, 3)).astype(np.float32))
+            params = {"w": w}
+            fwd = lambda x: ad.matmul(x, w)  # noqa: E731
+        else:
+            xd = rng.standard_normal((2, 1, 7, 7)).astype(np.float32)
+            w = ad.parameter(rng.standard_normal((3, 1, 3, 3)).astype(np.float32))
+            b = ad.parameter(rng.standard_normal(3).astype(np.float32))
+            params = {"w": w, "b": b}
+            fwd = lambda x: ad.conv2d(x, w, b, stride=2)  # noqa: E731
+
+        def grads(x):
+            with ad.Tape() as tape:
+                y = fwd(x)
+                return tape.backward(ad.tsum(ad.mul(y, y)))
+
+        plain, needed = ad.Tensor(xd), ad.parameter(xd)
+        got, want = grads(plain), grads(needed)
+        assert id(plain) not in got and id(needed) in want
+        for p in params.values():
+            assert got[id(p)].tobytes() == want[id(p)].tobytes()
+
+
 class TestOptimizers:
     def test_zero_gradient_leaves_params(self):
         p = ad.parameter([1.0, -2.0])

@@ -26,13 +26,14 @@ from latentservo.control import (
     reinforce_update,
     reward,
     rollout,
+    run_episodes,
     sample_action,
     target_factors,
     uvs_init_jacobian,
     uvs_step,
 )
 from latentservo.representations import EncoderSpec, Method, ModelWeights, init_params
-from latentservo.toyenv import TaskSpec, WorldState, random_start
+from latentservo.toyenv import TaskSpec, WorldState, random_start, step
 
 
 @pytest.fixture
@@ -393,6 +394,146 @@ class TestControlLoop:
         assert rows[0] == "step,z0,z1,a0,a1,reward"
         assert len(rows) == res.steps + 1
         assert rows[-1].endswith(f",{res.rewards[-1]:.6g}")
+
+
+def _one_episode(controller, start, spec, sensor, z_star, eps_goal, max_steps,
+                 r_goal=10.0):
+    """The loop one episode at a time, one one-row sensor call per reading:
+    the reference that lockstepped episodes must match."""
+    state = start
+    z = sensor(state.position[None])[0]
+    errors, rewards, zs, actions = [float(np.linalg.norm(z - z_star))], [], [], []
+    success = aborted = False
+    if errors[0] < eps_goal:
+        success = True
+    else:
+        controller.begin(state, sensor)
+        for _ in range(max_steps):
+            action = np.asarray(controller.act(z, z_star), dtype=np.float64)
+            if not np.all(np.isfinite(action)):
+                aborted = True
+                break
+            state = step(state, action, spec)
+            z_new = sensor(state.position[None])[0]
+            controller.observe(z, action, z_new)
+            rewards.append(reward(z_new, z_star, eps_goal, r_goal))
+            zs.append(z_new)
+            actions.append(action)
+            z = z_new
+            errors.append(float(np.linalg.norm(z - z_star)))
+            if errors[-1] < eps_goal:
+                success = True
+                break
+    return dict(success=success, steps=len(rewards), latent_errors=errors,
+                rewards=rewards,
+                final_task_error=float(np.linalg.norm(state.position
+                                                      - np.asarray(spec.target))),
+                zs=np.reshape(zs, (-1, len(z_star))),
+                actions=np.reshape(actions, (-1, spec.dof)), aborted=aborted)
+
+
+class NaNAtStep:
+    """Wraps a controller and emits a NaN action at step ``k`` (0-based)."""
+
+    def __init__(self, inner, k):
+        self.inner, self.k, self.t = inner, k, 0
+
+    def begin(self, state, sensor):
+        self.inner.begin(state, sensor)
+
+    def act(self, z, z_star):
+        self.t += 1
+        if self.t - 1 == self.k:
+            return np.array([np.nan, 0.0])
+        return self.inner.act(z, z_star)
+
+    def observe(self, z_before, action, z_after):
+        self.inner.observe(z_before, action, z_after)
+
+
+class CountingSensor:
+    def __init__(self, base):
+        self.base, self.calls, self.rows = base, 0, 0
+
+    def __call__(self, positions):
+        self.calls += 1
+        self.rows += len(positions)
+        return self.base(positions)
+
+
+def _as_fields(result):
+    return {name: getattr(result, name) for name in (
+        "success", "steps", "latent_errors", "rewards", "final_task_error", "zs",
+        "actions", "aborted")}
+
+
+def _assert_same_episode(got: dict, want: dict):
+    assert got.keys() == want.keys()
+    for name, value in want.items():
+        if isinstance(value, np.ndarray):
+            assert got[name].shape == value.shape and got[name].tobytes() == value.tobytes()
+        else:
+            assert got[name] == value, name
+
+
+class TestRunEpisodes:
+    STARTS = np.array([[0.1, 0.1], [0.7, 0.7], [0.85, 0.2], [0.3, 0.9], [0.5, 0.45]])
+
+    def _sae_sensor(self):
+        spec = EncoderSpec(method=Method.SAE, sae_channels=4, seed=7)
+        model = ModelWeights(spec=spec, params=init_params(spec))
+        return model_sensor(model, FactorSet(indices=(0, 5), tau=0.2,
+                                             spreads=np.ones(8)), TaskSpec())
+
+    @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
+    @pytest.mark.parametrize("controller_kind", ["uvs", "guided"])
+    def test_lockstep_equals_one_episode_at_a_time(self, spec, sensor_kind,
+                                                   controller_kind):
+        sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
+        z_star = target_factors(sensor, spec)
+        eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
+        policy = Policy.create(k=2, dof=2, seed=1)
+
+        def controllers():
+            make = ((lambda: UVSController(UVSConfig(), spec)) if controller_kind == "uvs"
+                    else (lambda: GuidedReinforceController(policy, spec, k_gain=0.5)))
+            ctrls = [make() for _ in self.STARTS]
+            ctrls[2] = NaNAtStep(ctrls[2], k=3)
+            return ctrls
+
+        got = run_episodes(controllers(), self.STARTS, spec, sensor, z_star,
+                           eps_goal, max_steps=40)
+        singles = [control_loop(c, WorldState(position=p), spec, sensor, z_star,
+                                eps_goal, max_steps=40)
+                   for c, p in zip(controllers(), self.STARTS)]
+        reference = [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
+                                  eps_goal, max_steps=40)
+                     for c, p in zip(controllers(), self.STARTS)]
+        assert [r["aborted"] for r in reference] == [False, False, True, False, False]
+        assert reference[1]["success"] and reference[1]["steps"] == 0
+        assert len({r["steps"] for r in reference}) > 2
+        for lockstep, single, ref in zip(got, singles, reference):
+            _assert_same_episode(_as_fields(lockstep), ref)
+            _assert_same_episode(_as_fields(single), ref)
+
+    def test_one_stacked_sensor_call_per_step(self, spec):
+        sensor = CountingSensor(oracle_sensor(spec))
+        z_star = target_factors(oracle_sensor(spec), spec)
+        results = run_episodes([UVSController(UVSConfig(), spec) for _ in self.STARTS],
+                               self.STARTS, spec, sensor, z_star, eps_goal=0.02,
+                               max_steps=60)
+        begun = [not (r.success and r.steps == 0) for r in results]
+        assert begun.count(False) == 1 and all(r.success for r in results)
+        assert sensor.rows == sum(1 + 2 * spec.dof * b + r.steps
+                                  for b, r in zip(begun, results))
+        assert sensor.calls == 1 + sum(begun) + max(r.steps for r in results)
+        assert sensor.calls <= 60 + 1 + len(self.STARTS)
+
+    def test_rejects_a_controller_count_that_differs_from_the_starts(self, spec):
+        sensor = oracle_sensor(spec)
+        with pytest.raises(ValueError, match="controllers"):
+            run_episodes([UVSController(UVSConfig(), spec)], self.STARTS, spec, sensor,
+                         target_factors(sensor, spec), eps_goal=0.02, max_steps=5)
 
 
 class TestEvaluateAndTrain:
