@@ -26,16 +26,26 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Patch columns (C, kh, kw, N, OH, OW) of the zero-bordered input xp (N, C, ., .)."""
     n, c = xp.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    xt = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
     for i in range(kh):
         for j in range(kw):
-            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+            cols[:, i, j] = xt[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
     return cols
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
-    """Zero-padded "same" convolution: x (N,C,H,W), w (F,C,kh,kw), b (F,)."""
+    """Zero-padded "same" convolution: x (N,C,H,W), w (F,C,kh,kw), b (F,).
+
+    The columns are laid out (K, Q) with K = C*kh*kw and Q = N*OH*OW, so the
+    forward and input-gradient contractions, which einsum sums in index
+    order, each run one inner loop over all of Q rather than one per frame;
+    their bits match the per-frame (N, K, OH*OW) form.  The weight gradient
+    sums over frames and pixels in memory order, so it keeps a C-contiguous
+    (N, K, OH*OW) operand: another layout changes its bits.
+    """
     if x.data.ndim != 4 or w.data.ndim != 4:
         raise ShapeError(f"conv2d: need 4-D input/kernel, got {x.shape}, {w.shape}")
     n, c, h, wd = x.shape
@@ -48,26 +58,28 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     xp = np.zeros((n, c, pt + h + pb, pl + wd + pr), dtype=x.data.dtype)
     xp[:, :, pt:pt + h, pl:pl + wd] = x.data
     need_gx = x.requires_grad
-    cols = _im2col(xp, kh, kw, stride, oh, ow)            # (N,C,kh,kw,OH,OW)
-    cols2 = cols.reshape(n, c * kh * kw, oh * ow)
-    wf = w.data.reshape(f, c * kh * kw)
-    out_data = np.einsum("fk,nkp->nfp", wf, cols2).reshape(n, f, oh, ow)
-    out_data = out_data + b.data.reshape(1, f, 1, 1)
-    out = Tensor(out_data)
+    k, p = c * kh * kw, oh * ow
+    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(k, n * p)
+    wf = w.data.reshape(f, k)
+    out_fq = np.einsum("fk,kq->fq", wf, cols).reshape(f, n, oh, ow)
+    out = Tensor(np.add(out_fq.transpose(1, 0, 2, 3), b.data.reshape(1, f, 1, 1), order="C"))
 
     def bwd(g):
-        gf = g.reshape(n, f, oh * ow)
-        gw = np.einsum("nfp,nkp->fk", gf, cols2).reshape(w.shape)
+        gf = g.reshape(n, f, p)
+        cols_nkp = np.ascontiguousarray(cols.reshape(k, n, p).transpose(1, 0, 2))
+        gw = np.einsum("nfp,nkp->fk", gf, cols_nkp).reshape(w.shape)
         gb = g.sum(axis=(0, 2, 3))
         gx = None
         if need_gx:
-            gcols = np.einsum("fk,nfp->nkp", wf, gf).reshape(n, c, kh, kw, oh, ow)
-            gxp = np.zeros_like(xp)
+            gq = gf.transpose(1, 0, 2).reshape(f, n * p)
+            gcols = np.einsum("fk,fq->kq", wf, gq).reshape(c, kh, kw, n, oh, ow)
+            gxp = np.zeros_like(xp).transpose(1, 0, 2, 3)     # (C, N, ., .) view
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i:i + stride * oh:stride,
-                        j:j + stride * ow:stride] += gcols[:, :, i, j]
-            gx = gxp[:, :, pt:pt + h, pl:pl + wd].astype(x.data.dtype, copy=False)
+                        j:j + stride * ow:stride] += gcols[:, i, j]
+            gx = gxp.transpose(1, 0, 2, 3)[:, :, pt:pt + h, pl:pl + wd]
+            gx = gx.astype(x.data.dtype, copy=False)
         return gx, gw.astype(w.data.dtype, copy=False), gb.astype(b.data.dtype, copy=False)
 
     return _record(out, (x, w, b), bwd, "conv2d")

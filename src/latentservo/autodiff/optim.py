@@ -29,18 +29,44 @@ def _checked_grads(params: Mapping[str, Tensor],
     return out
 
 
+# Elements per slice of one Adam pass: the slices of p, g, m, v and the two
+# scratch buffers stay in cache across the update's 14 passes.
+_BLOCK = 1 << 16
+# Share of live rows below which gathering them beats updating every row: on
+# a (1024, 256) float32 parameter the two cost the same at about 42% live
+# (numpy 2.4, one core of a 2-vCPU x86-64 VM).
+_GATHER_SHARE = 0.4
+
+
 class Adam:
     """Adaptive-moment estimation with bias correction.
 
     Keeps per-parameter first/second moment accumulators keyed by
     parameter name; accumulators always match their parameter's shape.
-    The update runs in place through two scratch arrays per parameter, in
-    the operation order of Kingma & Ba (2015), Algorithm 1; another order
-    changes the low bits of trained weights.
+    The update runs in place in the operation order of Kingma & Ba (2015),
+    Algorithm 1; another order changes the low bits of trained weights.
+    Every op is element-wise, so it runs over cache-sized slices of each
+    parameter's flat view, through one shared pair of slice-sized scratch
+    buffers.
+
+    A row (index along axis 0) of a parameter with two or more axes is
+    *live* from the first step whose gradient has a non-zero entry in it,
+    and stays live.  Rows that are not live may be skipped: such a row has
+    m = v = +0 and a gradient of +0 or -0, so the update leaves m and v at
+    +0 and subtracts (0 / bc1) * lr / (sqrt(0) + eps) = +0 from p, which
+    leaves every p, -0.0 included, as it was (this needs lr > 0 and
+    eps > 0).  Skipping or updating such a row gives the same bits, so the
+    choice is by cost alone: while fewer than 40% of a parameter's rows
+    are live, only those rows are gathered, updated and scattered back;
+    from then on the whole flat view is updated and the rows are no longer
+    tracked.  The rows of an image encoder's first layer that belong to
+    pixels no frame ever lights stay skipped.
     """
 
     def __init__(self, lr: float = 1e-3, beta1: float = 0.9, beta2: float = 0.999,
                  eps: float = 1e-8):
+        if not (lr > 0 and eps > 0):
+            raise ValueError(f"Adam: lr and eps must be positive, got {lr}, {eps}")
         self.lr = lr
         self.beta1 = beta1
         self.beta2 = beta2
@@ -48,7 +74,9 @@ class Adam:
         self.step_count = 0
         self.m: Dict[str, np.ndarray] = {}
         self.v: Dict[str, np.ndarray] = {}
-        self._scratch: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        # live-row masks of the parameters whose rows are still tracked
+        self._live: Dict[str, np.ndarray] = {}
+        self._scratch: Dict[np.dtype, Tuple[np.ndarray, np.ndarray]] = {}
 
     def step(self, params: Mapping[str, Tensor], grads: Mapping[str, np.ndarray]) -> None:
         checked = _checked_grads(params, grads)
@@ -59,26 +87,56 @@ class Adam:
         for (name, p), g in zip(params.items(), checked):
             m = self.m.get(name)
             if m is None:
-                m = self.m[name] = np.zeros_like(p.data)
-                self.v[name] = np.zeros_like(p.data)
-                self._scratch[name] = (np.empty_like(p.data), np.empty_like(p.data))
+                # C order whatever p's layout is: _update writes through flat views
+                m = self.m[name] = np.zeros(p.data.shape, dtype=p.data.dtype)
+                self.v[name] = np.zeros(p.data.shape, dtype=p.data.dtype)
+                if p.data.ndim >= 2:
+                    self._live[name] = np.zeros(p.data.shape[0], dtype=bool)
             v = self.v[name]
-            s, u = self._scratch[name]
-            m *= self.beta1
-            np.multiply(g, 1.0 - self.beta1, out=s)
-            m += s
-            v *= self.beta2
-            np.multiply(g, 1.0 - self.beta2, out=s)
-            s *= g
-            v += s
+            live = self._live.get(name)
+            if live is not None:
+                live |= (g != 0).any(axis=tuple(range(1, g.ndim)))
+                rows = np.flatnonzero(live)
+                if rows.size < _GATHER_SHARE * live.size:
+                    pr = np.ascontiguousarray(p.data[rows])
+                    mr, vr = m[rows], v[rows]
+                    self._update(pr.reshape(-1), g[rows].reshape(-1),
+                                 mr.reshape(-1), vr.reshape(-1), bc1, bc2)
+                    p.data[rows], m[rows], v[rows] = pr, mr, vr
+                    continue
+                del self._live[name]
+            flat = p.data.reshape(-1)            # a copy only if p is not C-contiguous
+            self._update(flat, g.reshape(-1), m.reshape(-1), v.reshape(-1), bc1, bc2)
+            if not p.data.flags.c_contiguous:
+                p.data[...] = flat.reshape(p.data.shape)
+
+    def _update(self, p: np.ndarray, g: np.ndarray, m: np.ndarray, v: np.ndarray,
+                bc1: float, bc2: float) -> None:
+        """One Adam update of the flat arrays p, m and v in place, slice by slice."""
+        size = min(p.size, _BLOCK)
+        scratch = self._scratch.get(p.dtype)
+        if scratch is None or scratch[0].size < size:
+            scratch = self._scratch[p.dtype] = (np.empty(size, dtype=p.dtype),
+                                                np.empty(size, dtype=p.dtype))
+        for lo in range(0, p.size, _BLOCK):
+            hi = lo + _BLOCK
+            pb, gb, mb, vb = p[lo:hi], g[lo:hi], m[lo:hi], v[lo:hi]
+            s, u = scratch[0][:pb.size], scratch[1][:pb.size]
+            mb *= self.beta1
+            np.multiply(gb, 1.0 - self.beta1, out=s)
+            mb += s
+            vb *= self.beta2
+            np.multiply(gb, 1.0 - self.beta2, out=s)
+            s *= gb
+            vb += s
             # p -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
-            np.divide(v, bc2, out=s)
+            np.divide(vb, bc2, out=s)
             np.sqrt(s, out=s)
             s += self.eps
-            np.divide(m, bc1, out=u)
+            np.divide(mb, bc1, out=u)
             u *= self.lr
             u /= s
-            p.data -= u
+            pb -= u
 
 
 class SGD:

@@ -176,9 +176,10 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
     return grad.reshape(shape)
 
 
-def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
+def _broadcasting(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
+    """``fn(a.data, b.data)``, with numpy's broadcast failure as a ShapeError."""
     try:
-        np.broadcast_shapes(a.shape, b.shape)
+        return fn(a.data, b.data)
     except ValueError:
         raise ShapeError(f"{op}: shapes {a.shape} and {b.shape} do not broadcast") from None
 
@@ -186,8 +187,7 @@ def _check_broadcast(a: Tensor, b: Tensor, op: str) -> None:
 # ---------------------------------------------------------------- primitives
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "add")
-    out = Tensor(a.data + b.data)
+    out = Tensor(_broadcasting("add", np.add, a, b))
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
@@ -196,8 +196,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "sub")
-    out = Tensor(a.data - b.data)
+    out = Tensor(_broadcasting("sub", np.subtract, a, b))
 
     def bwd(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
@@ -206,8 +205,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    _check_broadcast(a, b, "mul")
-    out = Tensor(a.data * b.data)
+    out = Tensor(_broadcasting("mul", np.multiply, a, b))
 
     def bwd(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
@@ -250,14 +248,12 @@ def relu(a: Tensor) -> Tensor:
 
 
 def sigmoid(a: Tensor) -> Tensor:
-    # numerically safe two-sided form
+    # numerically safe two-sided form without boolean masks: e = exp(-|x|)
+    # is exp(-x) where x >= 0 (-0.0 included) and exp(x) where x < 0
     x = a.data
-    out_data = np.empty_like(x)
-    pos = x >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out_data[~pos] = ex / (1.0 + ex)
-    out = Tensor(out_data)
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    out = Tensor(np.where(x >= 0, 1.0 / d, e / d))
     return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),), "sigmoid")
 
 

@@ -181,14 +181,19 @@ class TestBackward:
 
 
 def _np_pad_conv2d(x, w, b, g, stride):
-    """conv2d forward and (gx, gw, gb) through ``np.pad``: the reference."""
-    from latentservo.autodiff.nn import _im2col, _same_pad
+    """conv2d forward and (gx, gw, gb) through ``np.pad`` and per-frame
+    (N, C*kh*kw, OH*OW) columns: the reference."""
+    from latentservo.autodiff.nn import _same_pad
     n, c, h, wd = x.shape
     f, _, kh, kw = w.shape
     oh, pt, pb = _same_pad(h, kh, stride)
     ow, pl, pr = _same_pad(wd, kw, stride)
     xp = np.pad(x, ((0, 0), (0, 0), (pt, pb), (pl, pr)))
-    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(n, c * kh * kw, oh * ow)
+    cols = np.empty((n, c, kh, kw, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    cols = cols.reshape(n, c * kh * kw, oh * ow)
     wf = w.reshape(f, c * kh * kw)
     out = np.einsum("fk,nkp->nfp", wf, cols).reshape(n, f, oh, ow) + b.reshape(1, f, 1, 1)
     gf = g.reshape(n, f, oh * ow)
@@ -202,11 +207,12 @@ def _np_pad_conv2d(x, w, b, g, stride):
 
 
 class TestConvWithoutPad:
+    @pytest.mark.parametrize("n", [1, 3, 16])
     @pytest.mark.parametrize("stride", [1, 2])
     @pytest.mark.parametrize("hw", [(5, 7), (9, 4), (16, 16)])
-    def test_matches_np_pad_bit_for_bit(self, stride, hw):
-        rng = np.random.default_rng(stride * 100 + hw[0])
-        x = ad.parameter(rng.standard_normal((3, 2) + hw).astype(np.float32))
+    def test_matches_np_pad_bit_for_bit(self, n, stride, hw):
+        rng = np.random.default_rng(stride * 100 + hw[0] + 1000 * n)
+        x = ad.parameter(rng.standard_normal((n, 2) + hw).astype(np.float32))
         w = ad.parameter(rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
         b = ad.parameter(rng.standard_normal(4).astype(np.float32))
         with ad.Tape():
@@ -214,8 +220,40 @@ class TestConvWithoutPad:
             g = rng.standard_normal(y.shape).astype(np.float32)
             grads = ad.backward(ad.tsum(ad.mul(y, ad.Tensor(g))), {"x": x, "w": w, "b": b})
         ref = _np_pad_conv2d(x.data, w.data, b.data, g, stride)
+        assert y.data.flags.c_contiguous
         for got, want in zip((y.data, grads["x"], grads["w"], grads["b"]), ref):
-            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+
+def _masked_sigmoid(x):
+    """The two-sided sigmoid through boolean masks: the reference."""
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return out
+
+
+class TestBranchlessSigmoid:
+    EDGES = [0.0, -0.0, 20.0, -20.0, 100.0, -100.0, 1e4, -1e4]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_masked_form_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(31)
+        batches = [np.asarray(self.EDGES, dtype=dtype)]
+        batches += [(rng.standard_normal((16, 1024)) * scale).astype(dtype)
+                    for scale in (1.0, 5.0, 30.0, 200.0)]
+        for xd in batches:
+            x = ad.parameter(xd)
+            g = rng.standard_normal(xd.shape).astype(dtype)
+            with ad.Tape():
+                y = ad.sigmoid(x)
+                gx = ad.backward(ad.tsum(ad.mul(y, ad.Tensor(g))), {"x": x})["x"]
+            want = _masked_sigmoid(xd)
+            assert y.data.dtype == want.dtype and y.data.tobytes() == want.tobytes()
+            assert gx.tobytes() == (g * want * (1.0 - want)).tobytes()
 
 
 class TestUnneededInputGradients:
@@ -312,6 +350,132 @@ class TestOptimizers:
             assert params[n].data.tobytes() == data.tobytes()
             assert opt.m[n].tobytes() == m.tobytes()
             assert opt.v[n].tobytes() == v.tobytes()
+
+
+def _reference_adam_step(p, g, m, v, t, lr, beta1=0.9, beta2=0.999, eps=1e-8):
+    """Kingma & Ba (2015), Alg. 1, as 14 in-place ops over whole arrays: the reference."""
+    bc1 = 1.0 - beta1 ** t
+    bc2 = 1.0 - beta2 ** t
+    s, u = np.empty_like(p), np.empty_like(p)
+    m *= beta1
+    np.multiply(g, 1.0 - beta1, out=s)
+    m += s
+    v *= beta2
+    np.multiply(g, 1.0 - beta2, out=s)
+    s *= g
+    v += s
+    np.divide(v, bc2, out=s)
+    np.sqrt(s, out=s)
+    s += eps
+    np.divide(m, bc1, out=u)
+    u *= lr
+    u /= s
+    p -= u
+
+
+def _rows(g, rows, on):
+    """g with the given rows zeroed unless ``on``."""
+    if not on:
+        g[rows] = 0.0
+    return g
+
+
+# name -> (initial shape, gradient at step k); k runs 1..50.  While fewer
+# than 40% of a parameter's rows are live, Adam updates the live rows only.
+_ADAM_CASES = {
+    # 2-D, larger than one block and not a multiple of it, every row live
+    "wide_all_live": ((300, 701), lambda rng, k: rng.standard_normal((300, 701))),
+    # a third of the rows live: still more than one block after the gather
+    "wide_few_live": ((600, 500), lambda rng, k: _rows(
+        rng.standard_normal((600, 500)), np.arange(600) % 3 != 0, False)),
+    # 10 rows live; 5 more turn live at step 10, the other 25 at step 30
+    "late_rows": ((40, 30), lambda rng, k: _rows(_rows(
+        rng.standard_normal((40, 30)), slice(10, 15), k >= 10), slice(15, 40), k >= 30)),
+    # rows 0-9 live for 9 steps, then zero again; rows 10-14 on odd steps; the rest never
+    "back_to_zero": ((40, 30), lambda rng, k: _rows(_rows(_rows(
+        rng.standard_normal((40, 30)), slice(0, 10), k < 10), slice(10, 15), k % 2),
+        slice(15, 40), False)),
+    # -0.0 gradients: whole rows that never turn live, and single entries
+    "negative_zero": ((20, 8), lambda rng, k: np.where(
+        (np.arange(20)[:, None] < 13) | (rng.random((20, 8)) < 0.3),
+        -0.0, rng.standard_normal((20, 8)))),
+    "scalar": ((), lambda rng, k: rng.standard_normal(())),
+    "vector": ((13,), lambda rng, k: _rows(rng.standard_normal(13), slice(0, 4), k > 30)),
+    "kernel": ((6, 2, 3, 3), lambda rng, k: _rows(
+        rng.standard_normal((6, 2, 3, 3)), slice(0, 4), k > 5)),
+}
+
+
+class TestAdamExactness:
+    """Adam's skipped rows and cache-sized slices keep the reference's bits."""
+
+    @pytest.mark.parametrize("case", sorted(_ADAM_CASES))
+    @pytest.mark.parametrize("order", ["C", "F"])
+    def test_matches_whole_array_reference(self, case, order):
+        shape, grad_at = _ADAM_CASES[case]
+        rng = np.random.default_rng(41)
+        p0 = rng.standard_normal(shape).astype(np.float32)
+        if case == "negative_zero":
+            p0[:13] = np.where(rng.random((13, 8)) < 0.5, -0.0, 0.0)
+        p = ad.parameter(np.asarray(p0, order=order))
+        want, m, v = p0.copy(), np.zeros_like(p0), np.zeros_like(p0)
+        opt = ad.Adam(lr=0.01)
+        for k in range(1, 51):
+            g = grad_at(rng, k).astype(np.float32)
+            opt.step({"p": p}, {"p": g})
+            _reference_adam_step(want, g, m, v, k, lr=0.01)
+        assert p.data.tobytes() == want.tobytes()
+        assert opt.m["p"].tobytes() == m.tobytes()
+        assert opt.v["p"].tobytes() == v.tobytes()
+
+    def test_dead_relu_row_in_hidden_layer(self):
+        rng = np.random.default_rng(43)
+        params = {"w0": ad.parameter(rng.standard_normal((6, 6)).astype(np.float32)),
+                  "b0": ad.parameter(rng.standard_normal(6).astype(np.float32)),
+                  "w1": ad.parameter(rng.standard_normal((6, 3)).astype(np.float32)),
+                  "b1": ad.parameter(np.zeros(3, dtype=np.float32))}
+        params["b0"].data[[1, 2, 4, 5]] = -100.0   # only hidden units 0 and 3 fire
+        ref = {n: (p.data.copy(), np.zeros_like(p.data), np.zeros_like(p.data))
+               for n, p in params.items()}
+        opt = ad.Adam(lr=0.01)
+        for k in range(1, 51):
+            x = ad.Tensor(rng.standard_normal((8, 6)).astype(np.float32))
+            y = ad.Tensor(rng.standard_normal((8, 3)).astype(np.float32))
+            with ad.Tape():
+                h = ad.relu(ad.linear(x, params["w0"], params["b0"]))
+                grads = ad.backward(ad.mse(ad.linear(h, params["w1"], params["b1"]), y), params)
+            assert not grads["w1"][[1, 2, 4, 5]].any()
+            opt.step(params, grads)
+            for n, (want, m, v) in ref.items():
+                _reference_adam_step(want, grads[n], m, v, k, lr=0.01)
+        for n, (want, m, v) in ref.items():
+            assert params[n].data.tobytes() == want.tobytes()
+            assert opt.m[n].tobytes() == m.tobytes() and opt.v[n].tobytes() == v.tobytes()
+
+    @pytest.mark.parametrize("kw", [{"lr": 0.0}, {"lr": -1e-3}, {"eps": 0.0}])
+    def test_nonpositive_lr_or_eps_rejected(self, kw):
+        with pytest.raises(ValueError):
+            ad.Adam(**kw)
+
+
+class TestNonFiniteGradientGuard:
+    def test_backward_raises_before_any_adam_step(self):
+        # 1/x overflows float32 at a subnormal x, so log's gradient is inf
+        params = {"x": ad.parameter(np.asarray([1e-45, 0.5], dtype=np.float32)),
+                  "w": ad.parameter(np.asarray([[1.0, 2.0]], dtype=np.float32))}
+        opt = ad.Adam(lr=0.1)
+        opt.step(params, {"x": np.asarray([0.0, 1.0], dtype=np.float32),
+                          "w": np.ones((1, 2), dtype=np.float32)})
+        before = {n: (p.data.tobytes(), opt.m[n].tobytes(), opt.v[n].tobytes())
+                  for n, p in params.items()}
+        with pytest.raises(ad.GraphError, match="non-finite gradient out of op 'log'"), \
+                np.errstate(over="ignore"):
+            with ad.Tape():
+                loss = ad.tsum(ad.mul(ad.log(params["x"]), params["w"]))
+                opt.step(params, ad.backward(loss, params))
+        assert opt.step_count == 1
+        for n, p in params.items():
+            assert (p.data.tobytes(), opt.m[n].tobytes(), opt.v[n].tobytes()) == before[n]
 
 
 class TestFiniteDiffCheck:
