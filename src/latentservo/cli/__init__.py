@@ -1,5 +1,12 @@
+import os
 import sys
 import types
+
+# One BLAS thread unless the caller says otherwise: the matrices here are
+# small, and a second thread on a busy core slows a fit several-fold. Set
+# before ``.config`` loads numpy, which reads them once.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 from .config import ExperimentConfig, load_config
 from .manifest import ManifestError, RunManifest, run_stage

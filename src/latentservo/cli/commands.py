@@ -2,8 +2,9 @@
 
 Each stage reads everything it needs from the run directory, writes its
 artifacts there through the ``StageOutputs`` recorder it is given, and is
-cached through the run manifest. Stages pull in
-their dependencies automatically (a cached dependency is a no-op).
+cached through the run manifest. A stage call first brings every stage
+upstream of it up to date, each once and in table order (a cached one is
+a no-op).
 ``STAGE_TABLE`` is the one place that says what each stage depends on:
 the stages it needs and the config paths it reads.
 """
@@ -340,28 +341,28 @@ def _table(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> List[
             *("| " + " | ".join(map(str, row)) + " |" for row in rows), ""]
 
 
-def _statuses(manifest: RunManifest, cfg: Optional[ExperimentConfig]) -> Dict[str, str]:
-    """Each recorded stage's status. Given the config, a done stage is
-    STALE when its recorded key is not the one it would run under now or
-    one of its dependencies is stale; only keys are compared."""
+def _statuses(manifest: RunManifest, tree: Optional[dict]) -> Dict[str, str]:
+    """Each recorded stage's status. Given the config's ``plain`` tree, a
+    done stage is STALE when its recorded key is not the one it would run
+    under now or one of its dependencies is stale; only keys are compared."""
     status = {stage: str(entry.get("status", "?")).upper()
               for stage, entry in manifest.stages.items()}
-    if cfg is not None:
+    if tree is not None:
         for stage, (_, deps, _) in STAGE_TABLE.items():
             if status.get(stage) != "DONE":
                 continue
             if any(status.get(dep) == "STALE" for dep in deps) or \
-                    manifest.stages[stage].get("key") != stage_key(cfg, manifest, stage):
+                    manifest.stages[stage].get("key") != stage_key(tree, manifest, stage):
                 status[stage] = "STALE"
     return status
 
 
 def stage_report(out: StageOutputs, manifest: RunManifest,
-                 cfg: Optional[ExperimentConfig] = None) -> None:
+                 tree: Optional[dict] = None) -> None:
     """``report.md``: every stage's status and outputs, then the results of
-    the done ones. Without ``cfg`` (``report --out``) each stage shows the
-    status it recorded."""
-    status = _statuses(manifest, cfg)
+    the done ones. Without the config's ``plain`` tree (``report --out``)
+    each stage shows the status it recorded."""
+    status = _statuses(manifest, tree)
 
     def results(stage: str) -> Dict[str, object]:
         """The JSON files ``stage`` recorded, by stem; none unless it is done."""
@@ -408,9 +409,9 @@ def stage_report(out: StageOutputs, manifest: RunManifest,
 
 # ---------------------------------------------------------------- dispatcher
 
-# Every cached stage in pipeline order: stage -> (runner, dependencies,
-# config reads). A dependency's key covers everything upstream of it, so
-# only the nearest stages are listed. A config path is dotted into
+# Every cached stage in pipeline order, each after its dependencies:
+# stage -> (runner, dependencies, config reads). A dependency's key covers
+# everything upstream of it, so only the nearest stages are listed. A config path is dotted into
 # ``plain(cfg)``; a whole section is declared wherever a stage reads more
 # than a key or two of it.
 STAGE_TABLE: Dict[str, Tuple[Callable[..., None], Tuple[str, ...], Tuple[str, ...]]] = {
@@ -443,23 +444,37 @@ def _lookup(tree, path: str):
     return tree
 
 
-def stage_key(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
+def stage_key(tree: dict, manifest: RunManifest, stage: str,
               args: Optional[dict] = None) -> str:
-    """The cache key ``stage`` runs under: its config reads, its arguments
-    and its inputs' recorded keys and output digests."""
+    """The cache key ``stage`` runs under: its config reads out of ``tree``
+    (``plain(cfg)``), its arguments and its inputs' recorded keys and
+    output digests."""
     _, deps, reads = STAGE_TABLE[stage]
-    tree = plain(cfg)
     return manifest.key({path: _lookup(tree, path) for path in reads}, args or {}, deps)
 
 
-def ensure_stage(cfg: ExperimentConfig, manifest: RunManifest, stage: str,
-                 force: bool = False, log=print, **kwargs) -> List[str]:
-    runner, deps, _ = STAGE_TABLE[stage]
-    for dep in deps:
-        ensure_stage(cfg, manifest, dep, force=False, log=log)
+def _upstream(stage: str) -> List[str]:
+    """Every stage ``stage`` depends on, directly or not, in table order."""
+    needed = {stage}
+    for name in reversed(STAGE_TABLE):
+        if name in needed:
+            needed.update(STAGE_TABLE[name][1])
+    return [name for name in STAGE_TABLE if name in needed and name != stage]
+
+
+def ensure_stage(cfg: ExperimentConfig, tree: dict, manifest: RunManifest,
+                 stage: str, force: bool = False, log=print, **kwargs) -> List[str]:
+    """Bring each upstream stage up to date once, in table order, then
+    ``stage`` itself; returns ``stage``'s output paths. ``tree`` is
+    ``plain(cfg)``."""
+    for dep in _upstream(stage):
+        runner = STAGE_TABLE[dep][0]
+        run_stage(manifest, dep, stage_key(tree, manifest, dep), False,
+                  lambda out, runner=runner: runner(cfg, out), log=log)
     # A partial run (train --method / --latent-dim) is cached under its own
     # entry, so it never stands in for the whole stage.
     args = {k: v for k, v in sorted(kwargs.items()) if v}
     entry = stage + "".join(f"[{k}={v}]" for k, v in args.items())
-    return run_stage(manifest, entry, stage_key(cfg, manifest, stage, args), force,
+    runner = STAGE_TABLE[stage][0]
+    return run_stage(manifest, entry, stage_key(tree, manifest, stage, args), force,
                      lambda out: runner(cfg, out, **kwargs), log=log)

@@ -106,13 +106,16 @@ class ExperimentConfig:
     uvs: UVSConfig
     reinforce: ReinforceConfig
 
-    def digest(self) -> str:
-        """The whole config's provenance line; stage keys decide caching."""
-        tree = plain(self)
-        del tree["out_dir"]  # where a run is written, not what it computes
+    def digest(self, tree: Optional[dict] = None) -> str:
+        """The whole config's provenance line; stage keys decide caching.
+        ``tree`` is ``plain(self)``, where the caller has it already."""
+        tree = plain(self) if tree is None else tree
+        # out_dir is where a run is written, not what it computes.
+        kept = {key: value for key, value in tree.items() if key != "out_dir"}
         # The global seed again; left out so that existing runs keep their digest.
-        del tree["reinforce"]["seed"]
-        blob = json.dumps(tree, sort_keys=True)
+        kept["reinforce"] = {key: value for key, value in tree["reinforce"].items()
+                             if key != "seed"}
+        blob = json.dumps(kept, sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def stage_seed(self, stage: str) -> int:

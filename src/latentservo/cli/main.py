@@ -1,6 +1,7 @@
 """Command-line entry point.
 
     latentservo <stage> --config experiment.ini [--force] [--seed N] [--out DIR]
+    latentservo train --config experiment.ini [--method NAME] [--latent-dim D,...]
     latentservo report [--config experiment.ini | --out RUN_DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure, 4 I/O error.
@@ -12,6 +13,7 @@ import argparse
 import sys
 from pathlib import Path
 
+from ..plain import plain
 from ..representations import ConfigError, WeightFormatError
 from .commands import STAGE_TABLE, StageFailure, ensure_stage, stage_report
 from .config import load_config
@@ -29,23 +31,20 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="latentservo",
         description="state-representation workbench for the 2D hand-eye toy task")
-    sub = parser.add_subparsers(dest="stage", required=True)
-    for stage in STAGES:
-        p = sub.add_parser(stage)
-        p.add_argument("--config", type=Path, help="experiment INI file")
-        p.add_argument("--force", action="store_true",
-                       help="re-run even when the manifest says up to date")
-        p.add_argument("--seed", type=int, default=None,
-                       help="override the config's global seed")
-        p.add_argument("--out", type=Path, default=None,
-                       help="override the config's output directory "
-                            "(for report: the run directory)")
-        if stage == "train":
-            p.add_argument("--method", choices=["ae", "vae", "bvae", "sae"],
-                           default=None, help="train a single method")
-            p.add_argument("--latent-dim", default=None,
-                           help="comma-separated list for a dimension sweep "
-                                "(ae, vae and bvae)")
+    parser.add_argument("stage", choices=STAGES, help="the stage to bring up to date")
+    parser.add_argument("--config", type=Path, help="experiment INI file")
+    parser.add_argument("--force", action="store_true",
+                        help="re-run even when the manifest says up to date")
+    parser.add_argument("--seed", type=int, default=None,
+                        help="override the config's global seed")
+    parser.add_argument("--out", type=Path, default=None,
+                        help="override the config's output directory "
+                             "(for report: the run directory)")
+    parser.add_argument("--method", choices=["ae", "vae", "bvae", "sae"],
+                        default=None, help="train only: train a single method")
+    parser.add_argument("--latent-dim", default=None,
+                        help="train only: comma-separated list for a dimension "
+                             "sweep (ae, vae and bvae)")
     return parser
 
 
@@ -80,7 +79,10 @@ def _report_only(out_dir: Path) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    if args.stage != "train" and (args.method, args.latent_dim) != (None, None):
+        parser.error("--method and --latent-dim apply to train only")
 
     if args.config is None:
         if args.stage == "report" and args.out is not None:
@@ -99,9 +101,10 @@ def main(argv=None) -> int:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 
+    tree = plain(cfg)
     try:
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest.open(cfg.out_dir, cfg.digest())
+        manifest = RunManifest.open(cfg.out_dir, cfg.digest(tree))
     except ManifestError as exc:
         print(f"manifest error: {exc}", file=sys.stderr)
         return EXIT_IO
@@ -112,12 +115,12 @@ def main(argv=None) -> int:
     try:
         if args.stage == "report":
             run_stage(manifest, "report", None, True,
-                      lambda out: stage_report(out, manifest, cfg))
+                      lambda out: stage_report(out, manifest, tree))
         elif args.stage == "train":
-            ensure_stage(cfg, manifest, "train", force=args.force,
+            ensure_stage(cfg, tree, manifest, "train", force=args.force,
                          **_train_args(args, cfg))
         else:
-            ensure_stage(cfg, manifest, args.stage, force=args.force)
+            ensure_stage(cfg, tree, manifest, args.stage, force=args.force)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -27,18 +27,42 @@ class ManifestError(RuntimeError):
     """Unreadable or structurally invalid manifest."""
 
 
-def content_digest(path: Path) -> Optional[str]:
+def _files(root: str, prefix: str):
+    """(relative POSIX path, path) of every file under ``root``, as
+    ``Path.rglob`` finds them: a symlinked directory is not entered."""
+    with os.scandir(root) as entries:
+        for entry in entries:
+            if entry.is_dir():
+                if not entry.is_symlink():
+                    yield from _files(entry.path, prefix + entry.name + "/")
+            elif entry.is_file():
+                yield prefix + entry.name, entry.path
+
+
+def _file_digest(path) -> bytes:
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).digest()
+
+
+def content_digest(path) -> Optional[str]:
     """sha256 of a file's bytes, or of a directory's files in sorted
     relative-path order (each path, then its file's digest); None if absent."""
-    if path.is_file():
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    if not path.is_dir():
+    if os.path.isfile(path):
+        return _file_digest(path).hex()
+    if not os.path.isdir(path):
         return None
     h = hashlib.sha256()
-    for rel, file in sorted((p.relative_to(path).as_posix(), p)
-                            for p in path.rglob("*") if p.is_file()):
-        h.update(rel.encode() + b"\0" + bytes.fromhex(content_digest(file)))
+    for rel, file in sorted(_files(os.fspath(path), "")):
+        h.update(rel.encode() + b"\0" + _file_digest(file))
     return h.hexdigest()
+
+
+def _beneath(rel: str) -> bool:
+    """Whether the relative POSIX path ``rel`` names something beneath the
+    directory it is joined to: not absolute, no ``..``, not the directory."""
+    parts = rel.split("/")
+    return not rel.startswith("/") and ".." not in parts \
+        and any(part not in ("", ".") for part in parts)
 
 
 @dataclass
@@ -66,6 +90,14 @@ class RunManifest:
                     raise TypeError("every stage entry must be an object")
             except (json.JSONDecodeError, KeyError, TypeError) as exc:
                 raise ManifestError(f"{path}: corrupted manifest ({exc})") from exc
+            # A stage that re-runs removes its recorded outputs first, so each
+            # must name something inside the run directory.
+            for stage, entry in data["stages"].items():
+                outputs = entry.get("outputs")
+                for rel in outputs if isinstance(outputs, dict) else ():
+                    if not _beneath(rel):
+                        raise ManifestError(f"{path}: stage {stage} records output "
+                                            f"{rel!r} outside the run directory")
         if config_digest is None:
             config_digest = data.get("config_digest", "")
         return RunManifest(path=path, config_digest=config_digest,
@@ -94,7 +126,8 @@ class RunManifest:
                 or not isinstance(outputs, dict):
             return False
         if stage not in self.checked:
-            if any(content_digest(self.run_dir / rel) != digest
+            run_dir = str(self.run_dir)
+            if any(content_digest(os.path.join(run_dir, rel)) != digest
                    for rel, digest in outputs.items()):
                 return False
             self.checked.add(stage)
@@ -105,11 +138,12 @@ class RunManifest:
         outputs = (self.stages.get(stage) or {}).get("outputs")
         if not isinstance(outputs, dict):
             return []
-        return [str(self.run_dir / rel) for rel in outputs]
+        run_dir = str(self.run_dir)
+        return [os.path.join(run_dir, rel) for rel in outputs]
 
     def record(self, stage: str, key: Optional[str], outputs: List[str],
                wall_clock_s: float) -> None:
-        digests = {Path(o).relative_to(self.run_dir).as_posix(): content_digest(Path(o))
+        digests = {Path(o).relative_to(self.run_dir).as_posix(): content_digest(o)
                    for o in outputs}
         self.stages[stage] = {
             "status": "done",

@@ -9,7 +9,7 @@ reports the posterior mean with its predicted standard deviation attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -49,52 +49,63 @@ class ModelWeights:
         return self.spec.method
 
 
-def _fc_stack_shapes(spec: EncoderSpec):
+def _param_table(spec: EncoderSpec) -> List[Tuple[str, tuple, str]]:
+    """Every parameter in draw order: (name, shape, init), where init is
+    "glorot" (a (fan_in, fan_out) matrix), "he" (a (c_out, c_in, kh, kw)
+    kernel) or "zeros" (a bias)."""
+    table = []
+
+    def fc(name, fan_in, fan_out):
+        table.append((f"{name}_w", (fan_in, fan_out), "glorot"))
+        table.append((f"{name}_b", (fan_out,), "zeros"))
+
+    def conv(name, c_in, c_out):
+        table.append((f"{name}_w", (c_out, c_in, 3, 3), "he"))
+        table.append((f"{name}_b", (c_out,), "zeros"))
+
+    if spec.method is Method.SAE:
+        c1 = spec.sae_conv1_channels
+        c2 = spec.sae_channels
+        conv("conv0", 1, c1)
+        conv("conv1", c1, c2)
+        half = spec.image_size // 2
+        fc("dec0", 2 * c2, spec.sae_decoder_hidden)
+        fc("out", spec.sae_decoder_hidden, half * half)
+        return table
+
     h1, h2 = spec.hidden
-    d = spec.latent
-    n = spec.input_dim
-    enc = [("enc0", n, h1), ("enc1", h1, h2)]
-    dec = [("dec0", d, h2), ("dec1", h2, h1), ("out", h1, n)]
-    return enc, dec, h2, d
+    n, d = spec.input_dim, spec.latent
+    fc("enc0", n, h1)
+    fc("enc1", h1, h2)
+    if spec.method is Method.AE:
+        fc("lat", h2, d)
+    else:
+        fc("mu", h2, d)
+        fc("logvar", h2, d)
+    fc("dec0", d, h2)
+    fc("dec1", h2, h1)
+    fc("out", h1, n)
+    return table
 
 
 def init_params(spec: EncoderSpec) -> Dict[str, Tensor]:
     """Seeded Glorot/He initialization; deterministic per spec.seed."""
     rng = np.random.default_rng(spec.seed)
     params: Dict[str, Tensor] = {}
-
-    def fc(name, fan_in, fan_out):
-        params[f"{name}_w"] = ad.parameter(ad.glorot_uniform(rng, fan_in, fan_out,
-                                                             (fan_in, fan_out)))
-        params[f"{name}_b"] = ad.parameter(np.zeros(fan_out, dtype=np.float32))
-
-    if spec.method is Method.SAE:
-        c1 = spec.sae_conv1_channels
-        c2 = spec.sae_channels
-        params["conv0_w"] = ad.parameter(ad.he_uniform(rng, 9, (c1, 1, 3, 3)))
-        params["conv0_b"] = ad.parameter(np.zeros(c1, dtype=np.float32))
-        params["conv1_w"] = ad.parameter(ad.he_uniform(rng, 9 * c1, (c2, c1, 3, 3)))
-        params["conv1_b"] = ad.parameter(np.zeros(c2, dtype=np.float32))
-        half = spec.image_size // 2
-        fc("dec0", 2 * c2, spec.sae_decoder_hidden)
-        fc("out", spec.sae_decoder_hidden, half * half)
-        return params
-
-    enc, dec, h2, d = _fc_stack_shapes(spec)
-    for name, fi, fo in enc:
-        fc(name, fi, fo)
-    if spec.method is Method.AE:
-        fc("lat", h2, d)
-    else:
-        fc("mu", h2, d)
-        fc("logvar", h2, d)
-    for name, fi, fo in dec:
-        fc(name, fi, fo)
+    for name, shape, init in _param_table(spec):
+        if init == "glorot":
+            data = ad.glorot_uniform(rng, shape[0], shape[1], shape)
+        elif init == "he":
+            data = ad.he_uniform(rng, int(np.prod(shape[1:])), shape)
+        else:
+            data = np.zeros(shape, dtype=np.float32)
+        params[name] = ad.parameter(data)
     return params
 
 
 def expected_shapes(spec: EncoderSpec) -> Dict[str, tuple]:
-    return {k: v.data.shape for k, v in init_params(spec).items()}
+    """Each parameter's shape, as ``init_params`` makes it; draws nothing."""
+    return {name: shape for name, shape, _ in _param_table(spec)}
 
 
 def _as_batch(images: np.ndarray, spec: EncoderSpec) -> np.ndarray:

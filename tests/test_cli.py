@@ -1,6 +1,7 @@
 """Config validation, manifest caching, subcommand wiring, exit codes."""
 
 import configparser
+import hashlib
 import io
 import json
 import os
@@ -15,7 +16,7 @@ from latentservo.cli import config
 from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
 from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
-from latentservo.cli.manifest import ManifestError, RunManifest
+from latentservo.cli.manifest import ManifestError, RunManifest, content_digest
 from latentservo.plain import plain
 from latentservo.representations import ConfigError
 
@@ -330,14 +331,19 @@ class TestConfig:
         no_run = RunManifest.open(tmp_path / "no-run", "")
 
         def keys(text):
-            cfg = load_config(write_config(tmp_path, text))
-            return {stage: stage_key(cfg, no_run, stage) for stage in STAGE_TABLE}
+            tree = plain(load_config(write_config(tmp_path, text)))
+            return {stage: stage_key(tree, no_run, stage) for stage in STAGE_TABLE}
 
         before = keys(base)
         if key == "schema_version":
             monkeypatch.setattr(config, "SCHEMA_VERSION", 2)
         after = keys(_edit_one_key(base, section, key))
         assert [s for s in STAGE_TABLE if after[s] != before[s]]
+
+    def test_every_dependency_comes_first_in_the_table(self):
+        order = list(STAGE_TABLE)
+        for stage, (_, deps, _) in STAGE_TABLE.items():
+            assert all(order.index(dep) < order.index(stage) for dep in deps), stage
 
     def test_every_stage_read_names_a_config_value(self, tmp_path):
         base = EVERY_KEY.format(out=tmp_path / "run").replace(
@@ -348,7 +354,87 @@ class TestConfig:
                 assert _lookup(tree, path) is not None, (stage, path)
 
 
+def rglob_digest(path):
+    """``content_digest`` as it was first written, with ``Path.rglob``: the
+    reference that the faster directory walk must equal."""
+    if path.is_file():
+        return hashlib.sha256(path.read_bytes()).hexdigest()
+    if not path.is_dir():
+        return None
+    h = hashlib.sha256()
+    for rel, file in sorted((p.relative_to(path).as_posix(), p)
+                            for p in path.rglob("*") if p.is_file()):
+        h.update(rel.encode() + b"\0" + bytes.fromhex(rglob_digest(file)))
+    return h.hexdigest()
+
+
+# Directory trees, each a list of (relative path, bytes); None makes a directory.
+DIGEST_TREES = {
+    "nested": [("a/b/c/deep.bin", b"\x00\x01"), ("a/top.txt", b"t"), ("z.txt", b"z")],
+    "empty-subdir": [("kept.txt", b"k"), ("hollow", None), ("a/hollow", None)],
+    "path-vs-string-order": [("a/b", b"1"), ("a-b", b"2"), ("a.b", b"3"), ("a0", b"4"),
+                             ("a/b-c", b"5"), ("a/b.d/e", b"6"), ("A", b"7")],
+    "non-ascii": [("é/ü.pgm", b"P5"), ("日本/語", b""), ("e/u.pgm", b"P5")],
+    "empty-dir": [],
+}
+
+
 class TestManifest:
+    @pytest.mark.parametrize("files", DIGEST_TREES.values(), ids=DIGEST_TREES.keys())
+    def test_content_digest_equals_the_rglob_walk(self, tmp_path, files):
+        root = tmp_path / "out"
+        root.mkdir()
+        for rel, data in files:
+            if data is None:
+                (root / rel).mkdir(parents=True, exist_ok=True)
+            else:
+                (root / rel).parent.mkdir(parents=True, exist_ok=True)
+                (root / rel).write_bytes(data)
+        assert content_digest(root) == rglob_digest(root)
+        assert content_digest(str(root)) == rglob_digest(root)
+        for rel, data in files:
+            if data is not None:
+                assert content_digest(root / rel) == rglob_digest(root / rel)
+
+    def test_content_digest_follows_rglob_over_links(self, tmp_path):
+        root, outside = tmp_path / "out", tmp_path / "outside"
+        (root / "sub").mkdir(parents=True)
+        outside.mkdir()
+        (outside / "far.txt").write_text("far")
+        (root / "sub" / "near.txt").write_text("near")
+        (root / "file-link").symlink_to(outside / "far.txt")
+        (root / "dir-link").symlink_to(outside, target_is_directory=True)
+        (root / "dangling").symlink_to(tmp_path / "nothing")
+        assert content_digest(root) == rglob_digest(root)
+
+    def test_content_digest_of_a_missing_path(self, tmp_path):
+        assert content_digest(tmp_path / "ghost") is None
+        assert rglob_digest(tmp_path / "ghost") is None
+
+    @pytest.mark.parametrize("rel", ["../victim", "models/../../victim", "..",
+                                     "/etc/victim", "//victim", "", ".", "./"])
+    def test_an_output_outside_the_run_directory_is_refused(self, tmp_path, rel):
+        out = tmp_path / "run"
+        out.mkdir()
+        (out / "manifest.json").write_text(json.dumps({"stages": {"embodiment": {
+            "status": "done", "key": "k", "outputs": {rel: "d"}}}}))
+        with pytest.raises(ManifestError, match="outside the run directory"):
+            RunManifest.open(out, "d")
+
+    def test_a_rerun_removes_nothing_outside_the_run_directory(self, tmp_path, capsys):
+        out, victim = tmp_path / "run", tmp_path / "victim"
+        victim.mkdir()
+        (victim / "keep.txt").write_text("keep")
+        ini = write_config(tmp_path, MINIMAL.format(out=out))
+        assert main(["demo-gen", "--config", str(ini)]) == EXIT_OK
+        manifest = json.loads((out / "manifest.json").read_text())
+        manifest["stages"]["embodiment"] = {"status": "done", "key": "stale",
+                                            "outputs": {"../victim": "d"}}
+        (out / "manifest.json").write_text(json.dumps(manifest))
+        assert main(["embodiment", "--config", str(ini)]) == EXIT_IO
+        assert "outside the run directory" in capsys.readouterr().err
+        assert (victim / "keep.txt").read_text() == "keep"
+
     def test_round_trip_and_caching(self, tmp_path):
         model = tmp_path / "models" / "x.lsrv"
         model.parent.mkdir()
@@ -487,6 +573,14 @@ class TestPipeline:
                      "--out", str(pipeline_run)]) == EXIT_OK
         outp = capsys.readouterr().out
         assert "skipping" in outp and "running" not in outp
+
+    def test_warm_call_checks_each_upstream_stage_once(self, pipeline_run, capsys):
+        capsys.readouterr()
+        assert main(["evaluate", "--config", str(TINY),
+                     "--out", str(pipeline_run)]) == EXIT_OK
+        assert capsys.readouterr().out.splitlines() == [
+            f"[{stage}] up to date, skipping" for stage in
+            ("demo-gen", "train", "factors", "servo", "reinforce", "evaluate")]
 
     def test_embodiment_covers_trained_methods(self, pipeline_run):
         report = json.loads((pipeline_run / "analysis" / "embodiment.json").read_text())
@@ -743,6 +837,28 @@ class TestExitCodes:
         assert "2 * channels" in capsys.readouterr().err
         assert not (out / "models").exists()
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--method", "sae"], ["--latent-dim", "8"]])
+    @pytest.mark.parametrize("stage", ["servo", "demo-gen", "report"])
+    def test_train_flags_on_another_stage(self, stage, flags, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([stage, "--config", str(TINY), *flags])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "apply to train only" in capsys.readouterr().err
+
+    def test_unknown_stage(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["deploy", "--config", str(TINY)])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "invalid choice" in capsys.readouterr().err
+
+    def test_train_help_lists_its_flags(self, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main(["train", "--help"])
+        assert exit_.value.code == EXIT_OK
+        help_text = capsys.readouterr().out
+        for flag in ("--method", "--latent-dim", "--config", "--force", "--seed", "--out"):
+            assert flag in help_text
 
     def test_report_without_anything(self):
         assert main(["report"]) == EXIT_CONFIG

@@ -14,6 +14,7 @@ from latentservo.representations import (
     compute_beta,
     downsample_half,
     encode,
+    expected_shapes,
     init_params,
     load,
     loss,
@@ -307,3 +308,31 @@ class TestPersistence:
         save(self._model(Method.AE), p)
         with pytest.raises(WeightFormatError, match="mismatch"):
             load(p, expect_method=Method.SAE)
+
+
+class TestExpectedShapes:
+    @staticmethod
+    def _no_draws(monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("a weight was drawn")
+        monkeypatch.setattr(ad, "glorot_uniform", refuse)
+        monkeypatch.setattr(ad, "he_uniform", refuse)
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_equal_to_init_shapes_without_drawing(self, method, monkeypatch):
+        spec = tiny_spec(method, **({"alpha": 0.5} if method is Method.BVAE else {}))
+        made = {name: p.data.shape for name, p in init_params(spec).items()}
+        self._no_draws(monkeypatch)
+        shapes = expected_shapes(spec)
+        assert shapes == made
+        assert list(shapes) == list(made)  # the draw order
+
+    @pytest.mark.parametrize("method", [Method.BVAE, Method.SAE])
+    def test_load_draws_no_weights(self, method, tmp_path, monkeypatch):
+        spec = tiny_spec(method, **({"alpha": 0.5} if method is Method.BVAE else {}))
+        model = ModelWeights(spec=spec, params=init_params(spec))
+        save(model, tmp_path / "m.lsrv")
+        self._no_draws(monkeypatch)
+        back = load(tmp_path / "m.lsrv")
+        for name, p in model.params.items():
+            assert back.params[name].data.tobytes() == p.data.tobytes()
