@@ -26,14 +26,16 @@ def _same_pad(size: int, kernel: int, stride: int) -> tuple:
 
 
 def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
-    """Patch columns (C, kh, kw, N, OH, OW) of the zero-bordered input xp (N, C, ., .)."""
+    """Patch columns (C, kh, kw, N, OH, OW) of the zero-bordered input xp (N, C, ., .).
+
+    One copy of a strided view: column (c, i, j, n, y, x) reads
+    xp[n, c, i + stride * y, j + stride * x].
+    """
     n, c = xp.shape[:2]
-    xt = xp.transpose(1, 0, 2, 3)
-    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, i, j] = xt[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
-    return cols
+    sn, sc, sh, sw = xp.strides
+    view = np.ndarray((c, kh, kw, n, oh, ow), dtype=xp.dtype, buffer=xp,
+                      strides=(sc, sh, sw, sn, stride * sh, stride * sw))
+    return view.copy()
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -116,9 +118,9 @@ def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
         raise ShapeError(f"spatial_softmax: need (C,H,W) or (N,C,H,W), got {x.shape}")
     n, c, h, w = data.shape
     flat = (data.reshape(n, c, h * w) / temperature).astype(np.float64)
-    flat = flat - flat.max(axis=2, keepdims=True)
-    e = np.exp(flat)
-    p = e / e.sum(axis=2, keepdims=True)                  # (N,C,HW) float64
+    flat -= np.maximum.reduce(flat, axis=2, keepdims=True)
+    p = np.exp(flat, out=flat)
+    p /= np.add.reduce(p, axis=2, keepdims=True)          # (N,C,HW) float64
     grid_x, grid_y = _coord_grids(h, w)
     ex = p @ grid_x                                       # (N,C)
     ey = p @ grid_y

@@ -17,7 +17,15 @@ import numpy as np
 
 DEFAULT_DTYPE = np.float32
 
-_state = threading.local()
+
+class _TapeStack(threading.local):
+    """Each thread's stack of active tapes, made empty on the thread's first use."""
+
+    def __init__(self):
+        self.tapes = []
+
+
+_state = _TapeStack()
 
 
 class ShapeError(ValueError):
@@ -89,10 +97,7 @@ class Tape:
     _used: bool = False
 
     def __enter__(self) -> "Tape":
-        stack = getattr(_state, "tapes", None)
-        if stack is None:
-            stack = _state.tapes = []
-        stack.append(self)
+        _state.tapes.append(self)
         return self
 
     def __exit__(self, *exc) -> None:
@@ -134,15 +139,15 @@ class Tape:
 
 
 def active_tape() -> Optional[Tape]:
-    stack = getattr(_state, "tapes", None)
+    stack = _state.tapes
     return stack[-1] if stack else None
 
 
 def _record(output: Tensor, inputs: tuple, backward, name: str) -> Tensor:
-    tape = active_tape()
-    if tape is not None and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
+    stack = _state.tapes
+    if stack and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
         output.requires_grad = True
-        tape.record(Node(inputs=inputs, output=output, backward=backward, name=name))
+        stack[-1].record(Node(inputs=inputs, output=output, backward=backward, name=name))
     return output
 
 
@@ -243,8 +248,7 @@ def tanh(a: Tensor) -> Tensor:
 
 def relu(a: Tensor) -> Tensor:
     out = Tensor(np.maximum(a.data, 0))
-    mask = a.data > 0
-    return _record(out, (a,), lambda g: (g * mask,), "relu")
+    return _record(out, (a,), lambda g: (g * (a.data > 0),), "relu")
 
 
 def sigmoid(a: Tensor) -> Tensor:

@@ -236,7 +236,10 @@ def _read(path: Path) -> Dict[str, dict]:
         if section not in _SCHEMA:
             raise ConfigError(f"unknown config section [{section}]")
         present[section] = {}
-        for key, raw in parser[section].items():
+        # one map per section: a SectionProxy builds a ChainMap for each key it reads
+        values = dict(parser.items(section))
+        for key in parser.options(section):     # the section's own keys first
+            raw = values[key]
             if key not in _SCHEMA[section]:
                 raise ConfigError(f"unknown key '{key}' in section [{section}]")
             try:

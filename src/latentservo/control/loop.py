@@ -18,7 +18,7 @@ from typing import Callable, List, Sequence
 
 import numpy as np
 
-from ..toyenv import TaskSpec, WorldState, as_positions, random_start, step
+from ..toyenv import TaskSpec, WorldState, as_positions, norm64, random_start, step
 from .sensors import Sensor
 
 
@@ -41,7 +41,10 @@ def reward(z_v: np.ndarray, z_star: np.ndarray, eps_goal: float,
     z_star = np.asarray(z_star, dtype=np.float64)
     if z_v.shape != z_star.shape:
         raise ValueError(f"factor lengths differ: {z_v.shape} vs {z_star.shape}")
-    err = float(np.linalg.norm(z_v - z_star))
+    return _reward(norm64((z_v - z_star).ravel()), eps_goal, r_goal)
+
+
+def _reward(err: float, eps_goal: float, r_goal: float) -> float:
     return -err + (r_goal if err < eps_goal else 0.0)
 
 
@@ -87,9 +90,12 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
     z_star = np.asarray(z_star, dtype=np.float64)
     states = [WorldState(position=p) for p in starts]
     z0 = sensor(np.stack([s.position for s in states]))
+    if np.shape(z0)[1:] != z_star.shape:
+        raise ValueError(f"factor lengths differ: sensor rows {np.shape(z0)[1:]} "
+                         f"vs z* {z_star.shape}")
     episodes = []
     for controller, state, z in zip(controllers, states, z0):
-        err = float(np.linalg.norm(z - z_star))
+        err = norm64(z - z_star)
         episodes.append(_Episode(controller, state, z, [err], success=err < eps_goal))
     active = [e for e in episodes if not e.success]
     for e in active:
@@ -99,7 +105,7 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
         moved = []
         for e in active:
             action = np.asarray(e.controller.act(e.z, z_star), dtype=np.float64)
-            if not np.all(np.isfinite(action)):
+            if not np.isfinite(action).all():
                 e.aborted = True
                 continue
             e.state = step(e.state, action, spec)
@@ -107,13 +113,13 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
             moved.append(e)
         if not moved:
             break
-        z_new = sensor(np.stack([e.state.position for e in moved]))
+        z_new = sensor(np.array([e.state.position for e in moved]))
         for e, z in zip(moved, z_new):
             e.controller.observe(e.z, e.actions[-1], z)
-            e.rewards.append(reward(z, z_star, eps_goal, r_goal))
+            err = norm64(z - z_star)
+            e.rewards.append(_reward(err, eps_goal, r_goal))
             e.zs.append(z)
             e.z = z
-            err = float(np.linalg.norm(z - z_star))
             e.errors.append(err)
             e.success = err < eps_goal
         active = [e for e in moved if not e.success]

@@ -38,7 +38,7 @@ class JacobianEstimate:
 
     def __post_init__(self):
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
-        if not np.all(np.isfinite(self.matrix)):
+        if not np.isfinite(self.matrix).all():
             raise ValueError("Jacobian entries must be finite")
         if self.damping <= 0:
             raise ValueError("damping must be positive")
@@ -95,7 +95,7 @@ def uvs_step(jac: JacobianEstimate, error: np.ndarray, gain: float,
     except np.linalg.LinAlgError:
         jac.degenerate = True
         return np.zeros(m)
-    if not np.all(np.isfinite(dq)):
+    if not np.isfinite(dq).all():
         jac.degenerate = True
         return np.zeros(m)
     return clip_action(dq, a_max)
@@ -109,7 +109,8 @@ def broyden_update(jac: JacobianEstimate, dq: np.ndarray,
     denom = float(dq @ dq)
     if denom < MIN_UPDATE_NORM:
         return jac
-    J = jac.matrix + np.outer(dz - jac.matrix @ dq, dq) / denom
+    # (u[:, None] * dq) is how np.outer(u, dq) multiplies, without its call cost
+    J = jac.matrix + (dz - jac.matrix @ dq)[:, None] * dq / denom
     return JacobianEstimate(matrix=J, damping=jac.damping, degenerate=jac.degenerate)
 
 

@@ -4,6 +4,7 @@ from .task import (
     WorldState,
     as_positions,
     clip_action,
+    norm64,
     random_start,
     render,
     step,
@@ -15,5 +16,5 @@ from .sampling import grid_positions
 __all__ = [
     "DemoSequence", "Pattern", "SpriteKind", "TaskSpec", "WorldState",
     "as_positions", "clip_action", "generate_demo", "grid_positions", "load_demo",
-    "random_start", "render", "save_demo", "step", "to_pixels",
+    "norm64", "random_start", "render", "save_demo", "step", "to_pixels",
 ]

@@ -83,7 +83,12 @@ class WorldState:
         pos = np.asarray(self.position, dtype=np.float64)
         if pos.shape != (2,):
             raise ValueError(f"position must be 2-D, got shape {pos.shape}")
-        object.__setattr__(self, "position", np.clip(pos, WORKSPACE_LO, WORKSPACE_HI))
+        object.__setattr__(self, "position", _clamp(pos))
+
+
+def _clamp(positions: np.ndarray) -> np.ndarray:
+    """``np.clip`` to the workspace, bit for bit (-0.0 and NaN kept), at less call cost."""
+    return np.minimum(np.maximum(WORKSPACE_LO, positions), WORKSPACE_HI)
 
 
 def to_pixels(position, spec: TaskSpec) -> tuple:
@@ -94,15 +99,25 @@ def to_pixels(position, spec: TaskSpec) -> tuple:
     return pixels[..., 0], pixels[..., 1]
 
 
+def _unit_clip(x: np.ndarray) -> np.ndarray:
+    """``np.clip(x, 0.0, 1.0)`` in place, with the same bits (see ``_clamp``)."""
+    np.maximum(0.0, x, out=x)
+    return np.minimum(x, 1.0, out=x)
+
+
 def _disc_coverage(cols, rows, cx, cy, radius):
     d = np.hypot(cols - cx, rows - cy)
-    return np.clip(radius - d + 0.5, 0.0, 1.0)
+    np.subtract(radius, d, out=d)
+    d += 0.5
+    return _unit_clip(d)
 
 
 def _rect_coverage(cols, rows, cx, cy, half_w, half_h):
-    u = np.clip(half_w - np.abs(cols - cx) + 0.5, 0.0, 1.0)
-    v = np.clip(half_h - np.abs(rows - cy) + 0.5, 0.0, 1.0)
-    return u * v
+    u = half_w - np.abs(cols - cx)
+    u += 0.5
+    v = half_h - np.abs(rows - cy)
+    v += 0.5
+    return _unit_clip(u) * _unit_clip(v)
 
 
 @lru_cache(maxsize=32)
@@ -133,11 +148,8 @@ def as_positions(positions) -> np.ndarray:
 
 
 def render(positions, spec: TaskSpec) -> np.ndarray:
-    """One observation frame per position: (N, 2) -> float32 (N, H, W), values k/255.
-
-    Clipped as ``WorldState`` clips, by min/max: ``np.clip`` costs more on one row.
-    """
-    pos = np.minimum(np.maximum(as_positions(positions), WORKSPACE_LO), WORKSPACE_HI)
+    """One observation frame per position: (N, 2) -> float32 (N, H, W), values k/255."""
+    pos = _clamp(as_positions(positions))
     cols, rows = _grids(spec.image_size)
     cx, cy = to_pixels(pos[:, None, None, :], spec)  # (N, 1, 1) sprite centres
     if spec.sprite is SpriteKind.TEACHER:
@@ -145,13 +157,28 @@ def render(positions, spec: TaskSpec) -> np.ndarray:
     else:
         half = spec.sprite_radius * math.sqrt(math.pi) / 2.0  # equal area to the disc
         sprite = _rect_coverage(cols, rows, cx, cy, half, half)
-    img = np.maximum(_target_layer(spec), sprite)
-    return (np.round(img * 255.0) / 255.0).astype(np.float32)
+    img = np.maximum(_target_layer(spec), sprite, out=sprite)
+    img *= 255.0
+    np.rint(img, out=img)     # what np.round does at 0 decimals
+    img /= 255.0
+    return img.astype(np.float32)
+
+
+def norm64(d: np.ndarray) -> float:
+    """``float(np.linalg.norm(d))`` of a 1-D float64 ``d``, without its call cost.
+
+    ``norm`` takes ``sqrt(d.dot(d))``, and ``math.sqrt`` rounds as ``np.sqrt``
+    does in float64; in another dtype the two square roots differ.
+    """
+    return math.sqrt(d.dot(d))
 
 
 def clip_action(a: np.ndarray, a_max: float) -> np.ndarray:
     """``a`` scaled down to Euclidean norm ``a_max`` if longer; else ``a`` itself."""
-    norm = float(np.linalg.norm(a))
+    if a.dtype == np.float64 and a.ndim == 1:
+        norm = norm64(a)
+    else:
+        norm = float(np.linalg.norm(a))
     return a * (a_max / norm) if norm > a_max else a
 
 
@@ -162,8 +189,8 @@ def step(state: WorldState, action, spec: TaskSpec) -> WorldState:
         raise ValueError(f"action must have dim {spec.dof}, got shape {a.shape}")
     a = clip_action(a, spec.a_max)
     delta = np.array([a[0], 0.0]) if spec.dof == 1 else a
-    new_pos = np.clip(state.position + delta, WORKSPACE_LO, WORKSPACE_HI)
-    return WorldState(position=new_pos, step_count=state.step_count + 1)
+    # WorldState clamps the new position to the workspace
+    return WorldState(position=state.position + delta, step_count=state.step_count + 1)
 
 
 def random_start(spec: TaskSpec, rng: np.random.Generator,

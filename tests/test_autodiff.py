@@ -235,6 +235,37 @@ class TestConvWithoutPad:
         self._check(n, stride, hw, seed=1000 * n + stride * 100 + hw[0])
 
 
+def _nine_slice_im2col(xp, kh, kw, stride, oh, ow):
+    """Patch columns by one strided slice copy per kernel offset: the reference."""
+    n, c = xp.shape[:2]
+    xt = xp.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=xp.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xt[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+    return cols
+
+
+class TestIm2col:
+    @pytest.mark.parametrize("n", [1, 16])
+    @pytest.mark.parametrize("c", [1, 8])
+    @pytest.mark.parametrize("stride", [1, 2])
+    @pytest.mark.parametrize("hw", [(5, 7), (9, 4), (16, 16)])
+    @pytest.mark.parametrize("kernel", [(3, 3), (2, 5)])
+    def test_matches_nine_slice_copies(self, n, c, stride, hw, kernel):
+        from latentservo.autodiff.nn import _im2col, _same_pad
+        (kh, kw), (h, w) = kernel, hw
+        oh, pt, pb = _same_pad(h, kh, stride)
+        ow, pl, pr = _same_pad(w, kw, stride)
+        rng = np.random.default_rng(n * 1000 + c * 100 + stride * 10 + h)
+        xp = rng.standard_normal((n, c, pt + h + pb, pl + w + pr)).astype(np.float32)
+        got = _im2col(xp, kh, kw, stride, oh, ow)
+        want = _nine_slice_im2col(xp, kh, kw, stride, oh, ow)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        assert got.flags.c_contiguous and not np.shares_memory(got, xp)
+        assert got.tobytes() == want.tobytes()
+
+
 def _masked_sigmoid(x):
     """The two-sided sigmoid through boolean masks: the reference."""
     out = np.empty_like(x)

@@ -191,6 +191,40 @@ class TestReward:
         assert a == pytest.approx(b, rel=1e-12)
 
 
+def _norm_reward(z_v, z_star, eps_goal, r_goal):
+    """The reward through ``np.linalg.norm``: the reference."""
+    err = float(np.linalg.norm(np.asarray(z_v, dtype=np.float64)
+                               - np.asarray(z_star, dtype=np.float64)))
+    return -err + (r_goal if err < eps_goal else 0.0)
+
+
+class TestRewardAgainstLinalgNorm:
+    @staticmethod
+    def _same(z_v, z_star, eps_goal, r_goal=10.0):
+        got = reward(z_v, z_star, eps_goal, r_goal)
+        want = _norm_reward(z_v, z_star, eps_goal, r_goal)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+
+    def test_random_factor_rows(self):
+        rng = np.random.default_rng(31)
+        for _ in range(3000):
+            k = int(rng.integers(1, 5))
+            z, z_star = rng.standard_normal((2, k)) * 10.0 ** rng.integers(-4, 2)
+            self._same(z, z_star, eps_goal=float(rng.choice([1e-3, 0.05, 1.0])))
+
+    def test_float32_rows(self):
+        rng = np.random.default_rng(32)
+        for _ in range(500):
+            z, z_star = rng.standard_normal((2, 2)).astype(np.float32)
+            self._same(z, z_star, eps_goal=0.5)
+
+    def test_zero_error_and_error_exactly_at_the_tolerance(self):
+        z = np.array([0.3, 0.4])
+        self._same(z, z, eps_goal=0.01)
+        self._same(np.array([3.0, 4.0]), np.zeros(2), eps_goal=5.0)   # err == eps: no bonus
+        assert reward(np.array([3.0, 4.0]), np.zeros(2), 5.0, 10.0) == -5.0
+
+
 class TestGuidance:
     def test_clip_to_unit(self):
         a = guidance_action(np.array([3.0, 4.0]), np.zeros(2), a_max=1.0, k_gain=1.0)
@@ -258,6 +292,52 @@ class TestPolicy:
         a_hat = np.array([0.01, -0.02])
         a, raw = sample_action(policy, z, a_hat, np.random.default_rng(1), spec.a_max)
         np.testing.assert_allclose(raw, a_hat, atol=1e-9)
+
+
+class TestTapeFreePolicyForward:
+    """``mean_action`` runs ``mean_correction``'s ops without a tape; the bits agree."""
+
+    @staticmethod
+    def _policies():
+        fresh = Policy.create(k=3, dof=2, hidden=16, seed=4)
+        trained = Policy.create(k=3, dof=2, hidden=16, seed=5)
+        rng = np.random.default_rng(6)
+        for p in trained.params.values():       # non-zero heads and log-std
+            p.data[...] = (rng.standard_normal(p.data.shape) * 0.5).astype(np.float32)
+        return fresh, trained
+
+    @staticmethod
+    def _taped_mean(policy, z, a_hat):
+        import latentservo.autodiff as ad
+        with ad.Tape() as tape:
+            mu = policy.mean_correction(ad.Tensor(z[None].astype(np.float32)))
+        assert tape.nodes     # the parameters were recorded: the training forward
+        return a_hat + mu.data[0].astype(np.float64)
+
+    def test_mean_action_equals_the_taped_forward(self):
+        rng = np.random.default_rng(7)
+        for policy in self._policies():
+            for _ in range(300):
+                z = rng.standard_normal(3) * 10.0 ** rng.integers(-3, 1)
+                a_hat = rng.standard_normal(2) * 0.05
+                want = self._taped_mean(policy, z, a_hat)
+                got = policy.mean_action(z, a_hat)
+                assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+
+    def test_seeded_sample_action_equals_the_taped_forward(self):
+        rng = np.random.default_rng(8)
+        for policy in self._policies():
+            draws, noise = np.random.default_rng(9), np.random.default_rng(9)
+            for _ in range(300):
+                z = rng.standard_normal(3)
+                a_hat = rng.standard_normal(2) * 0.05
+                action, raw = sample_action(policy, z, a_hat, draws, 0.05)
+                want_raw = (self._taped_mean(policy, z, a_hat)
+                            + policy.std() * noise.standard_normal(2))
+                norm = float(np.linalg.norm(want_raw))
+                want = want_raw * (0.05 / norm) if norm > 0.05 else want_raw
+                assert raw.tobytes() == want_raw.tobytes()
+                assert action.tobytes() == want.tobytes()
 
 
 class TestReinforceUpdate:

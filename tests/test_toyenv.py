@@ -1,5 +1,7 @@
 """Rendering, stepping, demo patterns, and PGM persistence."""
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -8,6 +10,7 @@ from latentservo.toyenv import (
     SpriteKind,
     TaskSpec,
     WorldState,
+    clip_action,
     generate_demo,
     grid_positions,
     load_demo,
@@ -141,6 +144,67 @@ class TestStep:
         spec = TaskSpec(dof=1)
         s = step(WorldState(position=np.array([0.5, 0.3])), [0.02], spec)
         np.testing.assert_allclose(s.position, [0.52, 0.3])
+
+
+def _norm_clip(a, a_max):
+    """The action clip through ``np.linalg.norm``: the reference."""
+    norm = float(np.linalg.norm(a))
+    return a * (a_max / norm) if norm > a_max else a
+
+
+class TestClipAction:
+    def test_matches_the_linalg_norm_form(self):
+        rng = np.random.default_rng(21)
+        for _ in range(3000):
+            a = rng.standard_normal(rng.integers(1, 4)) * 10.0 ** rng.integers(-4, 2)
+            a_max = float(rng.choice([0.05, 0.5, 1.0]))
+            assert clip_action(a, a_max).tobytes() == _norm_clip(a, a_max).tobytes()
+
+    def test_float32_input_keeps_its_float32_norm(self):
+        rng = np.random.default_rng(22)
+        differs = 0
+        for _ in range(3000):
+            a = (rng.standard_normal(2) * 0.1).astype(np.float32)
+            norm32 = float(np.linalg.norm(a))
+            differs += norm32 != float(np.linalg.norm(a.astype(np.float64)))
+            for a_max in (0.05, norm32):   # at its own float32 norm: not clipped
+                got, want = clip_action(a, a_max), _norm_clip(a, a_max)
+                assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+        assert differs > 100   # the two norms do differ on these inputs
+
+    def test_zero_vector_passes_unchanged(self):
+        a = np.zeros(2)
+        assert clip_action(a, 0.05) is a
+
+    @pytest.mark.parametrize("a, a_max", [([0.05, 0.0], 0.05), ([0.0, -0.05], 0.05),
+                                          ([3.0, 4.0], 5.0), ([-0.5], 0.5)])
+    def test_norm_exactly_at_the_limit_passes_unchanged(self, a, a_max):
+        a = np.asarray(a, dtype=np.float64)
+        assert float(np.linalg.norm(a)) == a_max
+        assert clip_action(a, a_max) is a
+
+
+class TestWorkspaceClamp:
+    EDGES = [-0.0, 0.0, 1.0, 0.5, -1e-300, 5e-324, np.nextafter(1.0, 2.0),
+             -0.5, 1.5, np.inf, -np.inf, np.nan]
+
+    def test_world_state_matches_np_clip(self):
+        for a, b in itertools.product(self.EDGES, self.EDGES):
+            p = np.array([a, b])
+            assert WorldState(position=p).position.tobytes() == np.clip(p, 0.0, 1.0).tobytes()
+
+    def test_step_matches_np_clip(self, spec):
+        rng = np.random.default_rng(23)
+        starts = [[0.0, 1.0], [1.0, 0.0], [0.01, 0.99], [0.5, 0.5], [-0.0, 0.0]]
+        actions = [[-0.05, 0.05], [0.05, -0.05], [0.2, 0.0], [0.0, 0.0], [-0.0, -0.0],
+                   [np.nan, 0.0], [np.inf, 0.0]] + list(rng.uniform(-0.1, 0.1, (20, 2)))
+        for start, action in itertools.product(starts, actions):
+            state = WorldState(position=np.array(start))
+            a = np.asarray(action, dtype=np.float64)
+            with np.errstate(invalid="ignore"):    # the infinite action scales to NaN
+                want = np.clip(state.position + _norm_clip(a, spec.a_max), 0.0, 1.0)
+                got = step(state, a, spec).position
+            assert got.tobytes() == want.tobytes()
 
 
 class TestDemos:
