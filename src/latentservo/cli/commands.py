@@ -118,22 +118,13 @@ def load_model(cfg: ExperimentConfig, name: str) -> ModelWeights:
     return load_weights(path, expect_method=Method(name))
 
 
-def stage_train(cfg: ExperimentConfig, out: StageOutputs,
-                only_method: Optional[str] = None,
-                latent_dims: Optional[Sequence[int]] = None) -> None:
+def stage_train(cfg: ExperimentConfig, out: StageOutputs) -> None:
     demos = load_demo_set(cfg, "teacher")
     for name, mc in cfg.methods.items():
-        if only_method is not None and name != only_method:
-            continue
-        if latent_dims and name == "sae":
-            continue  # an SAE's latent width is 2 * channels, not a sweep axis
-        for dim in latent_dims or [None]:
-            spec = mc.spec if dim is None else replace(mc.spec, latent_dim=dim)
-            model, curve = train_model(spec, demos, mc.train)
-            tag = name if dim is None else f"{name}_d{dim}"
-            save_weights(model, out.path(f"models/{tag}.lsrv"))
-            out.write(f"models/{tag}_loss.csv", "epoch,loss\n" + "".join(
-                f"{i},{v:.8g}\n" for i, v in enumerate(curve)))
+        model, curve = train_model(mc.spec, demos, mc.train)
+        save_weights(model, out.path(f"models/{name}.lsrv"))
+        out.write(f"models/{name}_loss.csv", "epoch,loss\n" + "".join(
+            f"{i},{v:.8g}\n" for i, v in enumerate(curve)))
 
 
 # ------------------------------------------------------------------ analysis
@@ -372,10 +363,9 @@ def stage_report(out: StageOutputs, manifest: RunManifest,
                 for p in map(Path, manifest.outputs(stage))
                 if p.suffix == ".json" and p.is_file()}
 
-    partial = sorted(set(manifest.stages) - set(STAGE_TABLE) - {"report"})
     stages = [(stage, status.get(stage, "SKIPPED"), "<br>".join(
         Path(o).name for o in manifest.stages.get(stage, {}).get("outputs", [])))
-        for stage in list(STAGE_TABLE) + partial]
+        for stage in STAGE_TABLE]
     factors = [(stem.replace("factors_", ""), len(data["all"]["indices"]),
                 data["all"]["indices"]) for stem, data in results("factors").items()]
     geometry = [(name, f"{m['monotonicity']['x']:.3f}", f"{m['monotonicity']['y']:.3f}",
@@ -444,13 +434,11 @@ def _lookup(tree, path: str):
     return tree
 
 
-def stage_key(tree: dict, manifest: RunManifest, stage: str,
-              args: Optional[dict] = None) -> str:
+def stage_key(tree: dict, manifest: RunManifest, stage: str) -> str:
     """The cache key ``stage`` runs under: its config reads out of ``tree``
-    (``plain(cfg)``), its arguments and its inputs' recorded keys and
-    output digests."""
+    (``plain(cfg)``) and its inputs' recorded keys and output digests."""
     _, deps, reads = STAGE_TABLE[stage]
-    return manifest.key({path: _lookup(tree, path) for path in reads}, args or {}, deps)
+    return manifest.key({path: _lookup(tree, path) for path in reads}, deps)
 
 
 def _upstream(stage: str) -> List[str]:
@@ -463,18 +451,11 @@ def _upstream(stage: str) -> List[str]:
 
 
 def ensure_stage(cfg: ExperimentConfig, tree: dict, manifest: RunManifest,
-                 stage: str, force: bool = False, log=print, **kwargs) -> List[str]:
+                 stage: str, force: bool = False, log=print) -> None:
     """Bring each upstream stage up to date once, in table order, then
-    ``stage`` itself; returns ``stage``'s output paths. ``tree`` is
-    ``plain(cfg)``."""
-    for dep in _upstream(stage):
-        runner = STAGE_TABLE[dep][0]
-        run_stage(manifest, dep, stage_key(tree, manifest, dep), False,
+    ``stage`` itself, which ``force`` re-runs. ``tree`` is ``plain(cfg)``."""
+    for name in _upstream(stage) + [stage]:
+        runner = STAGE_TABLE[name][0]
+        run_stage(manifest, name, stage_key(tree, manifest, name),
+                  force and name == stage,
                   lambda out, runner=runner: runner(cfg, out), log=log)
-    # A partial run (train --method / --latent-dim) is cached under its own
-    # entry, so it never stands in for the whole stage.
-    args = {k: v for k, v in sorted(kwargs.items()) if v}
-    entry = stage + "".join(f"[{k}={v}]" for k, v in args.items())
-    runner = STAGE_TABLE[stage][0]
-    return run_stage(manifest, entry, stage_key(tree, manifest, stage, args), force,
-                     lambda out: runner(cfg, out, **kwargs), log=log)

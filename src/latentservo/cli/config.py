@@ -12,6 +12,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Dict, List, Optional, Tuple
@@ -179,11 +180,19 @@ _SAE_FIELDS = {"channels": "sae_channels", "conv1_channels": "sae_conv1_channels
 _TRAIN_FIELDS = {f.name for f in fields(TrainConfig)}
 
 
+def _parse_float(raw: str) -> float:
+    """A float; ``nan`` and ``inf`` are refused, as every range check compares."""
+    value = float(raw)
+    if not math.isfinite(value):
+        raise ConfigError(f"expected a finite number, got {raw!r}")
+    return value
+
+
 def _parse_point(raw: str) -> Tuple[float, float]:
     parts = [p.strip() for p in raw.split(",")]
     if len(parts) != 2:
         raise ConfigError(f"expected 'x, y', got {raw!r}")
-    return float(parts[0]), float(parts[1])
+    return _parse_float(parts[0]), _parse_float(parts[1])
 
 
 def _parse_starts(raw: str) -> Optional[List[Tuple[float, float]]]:
@@ -214,11 +223,11 @@ def _parse_names(raw: str) -> Tuple[str, ...]:
 
 
 _KINDS = {
-    "int": int, "float": float, "str": str.strip, "bool": _parse_bool,
+    "int": int, "float": _parse_float, "str": str.strip, "bool": _parse_bool,
     "point": _parse_point, "starts": _parse_starts, "pattern": _parse_pattern,
     "names": _parse_names,
     "ints": lambda raw: tuple(int(x) for x in _parse_names(raw)),
-    "floats": lambda raw: tuple(float(x) for x in _parse_names(raw)),
+    "floats": lambda raw: tuple(_parse_float(x) for x in _parse_names(raw)),
 }
 
 
@@ -274,6 +283,8 @@ def load_config(path, seed_override: Optional[int] = None,
         raise ConfigError(
             f"config schema_version must be {SCHEMA_VERSION}, got {version}")
     seed = seed_override if seed_override is not None else meta["seed"]
+    if seed < 0:
+        raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_override if out_override is not None else meta["out_dir"])
 
     task = built["task"] = _library(TaskSpec, keys("task"))

@@ -1,7 +1,6 @@
 """Command-line entry point.
 
     latentservo <stage> --config experiment.ini [--force] [--seed N] [--out DIR]
-    latentservo train --config experiment.ini [--method NAME] [--latent-dim D,...]
     latentservo report [--config experiment.ini | --out RUN_DIR]
 
 Exit codes: 0 success, 2 configuration error, 3 stage failure, 4 I/O error.
@@ -40,28 +39,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--out", type=Path, default=None,
                         help="override the config's output directory "
                              "(for report: the run directory)")
-    parser.add_argument("--method", choices=["ae", "vae", "bvae", "sae"],
-                        default=None, help="train only: train a single method")
-    parser.add_argument("--latent-dim", default=None,
-                        help="train only: comma-separated list for a dimension "
-                             "sweep (ae, vae and bvae)")
     return parser
-
-
-def _train_args(args, cfg) -> dict:
-    """``train``'s --method and --latent-dim, checked before any stage runs."""
-    if args.method is not None and args.method not in cfg.methods:
-        raise ConfigError(f"--method {args.method} is not in [methods] train")
-    try:
-        dims = None if args.latent_dim is None else [
-            int(d) for d in args.latent_dim.split(",")]
-    except ValueError:
-        raise ConfigError("--latent-dim expects comma-separated integers, "
-                          f"got {args.latent_dim!r}") from None
-    if dims is not None and args.method == "sae":
-        raise ConfigError("--latent-dim applies to ae, vae and bvae; an SAE's "
-                          "latent width is 2 * channels")
-    return {"only_method": args.method, "latent_dims": dims}
 
 
 def _report_only(out_dir: Path) -> int:
@@ -79,11 +57,7 @@ def _report_only(out_dir: Path) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.stage != "train" and (args.method, args.latent_dim) != (None, None):
-        parser.error("--method and --latent-dim apply to train only")
-
+    args = build_parser().parse_args(argv)
     if args.config is None:
         if args.stage == "report" and args.out is not None:
             try:
@@ -116,9 +90,6 @@ def main(argv=None) -> int:
         if args.stage == "report":
             run_stage(manifest, "report", None, True,
                       lambda out: stage_report(out, manifest, tree))
-        elif args.stage == "train":
-            ensure_stage(cfg, tree, manifest, "train", force=args.force,
-                         **_train_args(args, cfg))
         else:
             ensure_stage(cfg, tree, manifest, args.stage, force=args.force)
     except ConfigError as exc:

@@ -2,8 +2,8 @@
 
 The manifest is rewritten atomically (temp file + rename) at every stage
 boundary. Each finished stage records a ``key`` (a sha256 over what the
-stage read: its config paths, its arguments, and its inputs' recorded key
-and output digests) and the content digest of every output, by path
+stage read: its config paths and its inputs' recorded key and output
+digests) and the content digest of every output, by path
 relative to the run directory. A stage is current iff its recorded key
 equals the key it would run under now and every recorded output still has
 its recorded digest; otherwise it runs again.
@@ -107,14 +107,15 @@ class RunManifest:
     def run_dir(self) -> Path:
         return self.path.parent
 
-    def key(self, reads: dict, args: dict, inputs: Iterable[str]) -> str:
-        """sha256 over the config values a stage reads, its arguments, and
-        each input stage's recorded key and output digests."""
+    def key(self, reads: dict, inputs: Iterable[str]) -> str:
+        """sha256 over the config values a stage reads and each input
+        stage's recorded key and output digests."""
         recorded = {}
         for stage in inputs:
             entry = self.stages.get(stage) or {}
             recorded[stage] = {"key": entry.get("key"), "outputs": entry.get("outputs")}
-        blob = json.dumps({"reads": reads, "args": args, "inputs": recorded},
+        # "args" is always empty; it stays so that existing runs keep their keys.
+        blob = json.dumps({"reads": reads, "args": {}, "inputs": recorded},
                           sort_keys=True)
         return hashlib.sha256(blob.encode()).hexdigest()
 
@@ -197,8 +198,8 @@ class StageOutputs:
 
 def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool,
               action: Callable[[StageOutputs], None],
-              log: Callable[[str], None] = print) -> List[str]:
-    """Execute one cached stage under ``key``; returns its output paths.
+              log: Callable[[str], None] = print) -> None:
+    """Execute one cached stage under ``key``.
 
     ``action`` writes every output through the ``StageOutputs`` it is
     given, so the manifest records exactly what the stage wrote. A stage
@@ -207,7 +208,7 @@ def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool
     """
     if not force and manifest.is_current(stage, key):
         log(f"[{stage}] up to date, skipping")
-        return manifest.outputs(stage)
+        return
     log(f"[{stage}] running")
     t0 = time.perf_counter()
     try:
@@ -220,4 +221,3 @@ def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool
         raise
     manifest.record(stage, key, out.paths, time.perf_counter() - t0)
     log(f"[{stage}] done ({time.perf_counter() - t0:.1f}s)")
-    return out.paths

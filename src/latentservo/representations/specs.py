@@ -59,8 +59,12 @@ class EncoderSpec:
                 raise ConfigError("BVAE requires alpha > 0")
         elif self.alpha is not None:
             raise ConfigError(f"alpha is a BVAE hyperparameter, not {self.method.value}")
+        if len(self.hidden) != 2 or min(self.hidden) < 1:
+            raise ConfigError(f"hidden must be two positive widths, got {self.hidden}")
         if self.method is Method.SAE and self.sae_channels < 1:
             raise ConfigError("SAE needs at least one feature channel")
+        if min(self.sae_conv1_channels, self.sae_decoder_hidden) < 1:
+            raise ConfigError("SAE conv1_channels and decoder_hidden must be >= 1")
         if self.temperature <= 0:
             raise ConfigError("spatial-softmax temperature must be > 0")
 

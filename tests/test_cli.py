@@ -276,10 +276,29 @@ class TestConfig:
         ("analysis", "alpha_sweep_epochs = 0", "alpha_sweep_epochs must be >= 1"),
         ("analysis", "alpha_sweep = 0.1, 0", "alpha_sweep values must be positive"),
         ("task", "dof = 1\n\n[demos]\npattern = arc", "arc needs task.dof = 2"),
+        ("uvs", "eps_explore = nan", r"\[uvs\] eps_explore = 'nan': expected a finite"),
+        ("reinforce", "learning_rate = nan", r"\[reinforce\] learning_rate"),
+        ("task", "a_max = inf", r"\[task\] a_max = 'inf': expected a finite"),
+        ("task", "target = 0.5, nan", r"\[task\] target"),
+        ("analysis", "alpha_sweep = 0.1, -inf", r"\[analysis\] alpha_sweep"),
+        ("method.ae", "hidden = 8", r"hidden must be two positive widths, got \(8,\)"),
+        ("method.ae", "hidden = 8, 0", "hidden must be two positive widths"),
+        ("methods", "train = bvae\n\n[method.bvae]\nhidden = 8, 4, 2",
+         "hidden must be two positive widths"),
+        ("methods", "train = sae\n\n[method.sae]\nconv1_channels = 0",
+         "conv1_channels and decoder_hidden must be >= 1"),
+        ("methods", "train = sae\n\n[method.sae]\ndecoder_hidden = 0",
+         "conv1_channels and decoder_hidden must be >= 1"),
+        ("meta", "seed = -1", "seed must be >= 0, got -1"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, section, line, message):
-        bad = MINIMAL.format(out=tmp_path / "run") + f"\n[{section}]\n{line}\n"
-        p = write_config(tmp_path, bad)
+        # Each row's lines overlay MINIMAL's, into its sections or new ones.
+        parser = configparser.ConfigParser(interpolation=None)
+        parser.read_string(MINIMAL.format(out=tmp_path / "run"))
+        parser.read_string(f"[{section}]\n{line}\n")
+        text = io.StringIO()
+        parser.write(text)
+        p = write_config(tmp_path, text.getvalue())
         with pytest.raises(ConfigError, match=message):
             load_config(p)
         assert main(["demo-gen", "--config", str(p)]) == EXIT_CONFIG
@@ -290,6 +309,13 @@ class TestConfig:
         assert cfg.seed == 42
         assert cfg.out_dir == tmp_path / "b"
         assert cfg.methods["ae"].spec.seed == 42
+
+    def test_negative_seed_flag_is_a_config_error(self, tmp_path):
+        p = write_config(tmp_path, MINIMAL.format(out=tmp_path / "run"))
+        with pytest.raises(ConfigError, match="seed must be >= 0, got -2"):
+            load_config(p, seed_override=-2)
+        assert main(["demo-gen", "--config", str(p), "--seed", "-2"]) == EXIT_CONFIG
+        assert not (tmp_path / "run").exists()
 
     def test_digest_stable_and_seed_sensitive(self, tmp_path):
         p = write_config(tmp_path, MINIMAL.format(out=tmp_path / "run"))
@@ -472,20 +498,25 @@ class TestManifest:
         (demo / "frame_0001.pgm").write_bytes(b"P5 frame")
         assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
 
-    def test_key_covers_reads_args_and_inputs(self, tmp_path):
+    def test_key_covers_reads_and_inputs(self, tmp_path):
         m = RunManifest.open(tmp_path, "d")
-        key = m.key({"seed": 1}, {}, ["up"])
-        assert key == RunManifest.open(tmp_path, "other").key({"seed": 1}, {}, ["up"])
-        assert m.key({"seed": 2}, {}, ["up"]) != key
-        assert m.key({"seed": 1}, {"only_method": "sae"}, ["up"]) != key
+        key = m.key({"seed": 1}, ["up"])
+        assert key == RunManifest.open(tmp_path, "other").key({"seed": 1}, ["up"])
+        assert m.key({"seed": 2}, ["up"]) != key
         out = tmp_path / "up.csv"
         out.write_text("a")
         m.record("up", "k", [str(out)], 1.0)
-        after_up = m.key({"seed": 1}, {}, ["up"])
+        after_up = m.key({"seed": 1}, ["up"])
         assert after_up != key
         out.write_text("b")
         m.record("up", "k", [str(out)], 1.0)
-        assert m.key({"seed": 1}, {}, ["up"]) != after_up
+        assert m.key({"seed": 1}, ["up"]) != after_up
+
+    def test_key_format_unchanged(self, tmp_path):
+        # A stage key that changes re-runs that stage in every existing run directory.
+        manifest = RunManifest.open(tmp_path, "d")
+        key = stage_key(plain(load_config(TINY)), manifest, "demo-gen")
+        assert key == "122d3092166d1b39ea93447ea50b834e51e78dc3c6c38fca3af1afeed8e3de3e"
 
     def test_old_format_entry_is_not_current(self, tmp_path, capsys):
         out = tmp_path / "run"
@@ -594,14 +625,6 @@ class TestPipeline:
         assert main(["report", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
         text = (out / "report.md").read_text()
         assert "SKIPPED" in text
-
-    def test_partial_train_does_not_satisfy_train(self, tmp_path):
-        out = tmp_path / "partial"
-        assert main(["train", "--config", str(TINY), "--out", str(out),
-                     "--method", "sae"]) == EXIT_OK
-        assert not (out / "models" / "bvae.lsrv").exists()
-        assert main(["factors", "--config", str(TINY), "--out", str(out)]) == EXIT_OK
-        assert (out / "models" / "bvae.lsrv").exists()
 
     def test_missing_model_reruns_train(self, tmp_path, capsys):
         out = tmp_path / "lost"
@@ -749,24 +772,6 @@ class TestPipeline:
                    for p in (pipeline_run / "models").glob("*.lsrv")}
         assert len(digests) == 1 and digests != {""}
 
-    def test_latent_dim_sweep_writes_variants(self, pipeline_run):
-        rc = main(["train", "--config", str(TINY), "--out", str(pipeline_run),
-                   "--method", "bvae", "--latent-dim", "8,12", "--force"])
-        assert rc == EXIT_OK
-        assert (pipeline_run / "models" / "bvae_d8.lsrv").exists()
-        assert (pipeline_run / "models" / "bvae_d12.lsrv").exists()
-        assert (pipeline_run / "models" / "bvae_d8_loss.csv").exists()
-
-    def test_sweep_without_method_leaves_the_sae(self, pipeline_run):
-        sae = pipeline_run / "models" / "sae.lsrv"
-        before = sae.stat().st_mtime_ns
-        rc = main(["train", "--config", str(TINY), "--out", str(pipeline_run),
-                   "--latent-dim", "10"])
-        assert rc == EXIT_OK
-        assert (pipeline_run / "models" / "bvae_d10.lsrv").exists()
-        assert not (pipeline_run / "models" / "sae_d10.lsrv").exists()
-        assert sae.stat().st_mtime_ns == before
-
     def test_failed_episode_trace_still_written(self, pipeline_run):
         stats = json.loads(
             (pipeline_run / "control" / "servo_sae_stats.json").read_text())
@@ -816,35 +821,14 @@ class TestExitCodes:
         if stage == "report":
             assert main([stage, "--out", str(out)]) == EXIT_IO
 
-    def test_train_method_missing_from_config(self, tmp_path):
+    def test_removed_train_flags_are_refused(self, tmp_path):
         out = tmp_path / "run"
-        assert main(["train", "--config", str(TINY), "--out", str(out),
-                     "--method", "ae"]) == EXIT_CONFIG
-        assert not (out / "models").exists()
-        assert not (out / "manifest.json").exists()  # no stage ran or was recorded
-
-    @pytest.mark.parametrize("dims", ["abc", "8,x", ","])
-    def test_latent_dim_not_an_int_list(self, tmp_path, dims):
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(TINY), "--out", str(out),
-                     "--latent-dim", dims]) == EXIT_CONFIG
-        assert not (out / "models").exists()
-
-    def test_latent_dim_rejected_for_sae(self, tmp_path, capsys):
-        out = tmp_path / "run"
-        assert main(["train", "--config", str(TINY), "--out", str(out),
-                     "--method", "sae", "--latent-dim", "8"]) == EXIT_CONFIG
-        assert "2 * channels" in capsys.readouterr().err
-        assert not (out / "models").exists()
+        for stage in ("train", "servo"):
+            for flags in (["--method", "sae"], ["--latent-dim", "8"]):
+                with pytest.raises(SystemExit) as exit_:
+                    main([stage, "--config", str(TINY), "--out", str(out), *flags])
+                assert exit_.value.code == EXIT_CONFIG
         assert not (out / "manifest.json").exists()
-
-    @pytest.mark.parametrize("flags", [["--method", "sae"], ["--latent-dim", "8"]])
-    @pytest.mark.parametrize("stage", ["servo", "demo-gen", "report"])
-    def test_train_flags_on_another_stage(self, stage, flags, capsys):
-        with pytest.raises(SystemExit) as exit_:
-            main([stage, "--config", str(TINY), *flags])
-        assert exit_.value.code == EXIT_CONFIG
-        assert "apply to train only" in capsys.readouterr().err
 
     def test_unknown_stage(self, capsys):
         with pytest.raises(SystemExit) as exit_:
@@ -857,7 +841,7 @@ class TestExitCodes:
             main(["train", "--help"])
         assert exit_.value.code == EXIT_OK
         help_text = capsys.readouterr().out
-        for flag in ("--method", "--latent-dim", "--config", "--force", "--seed", "--out"):
+        for flag in ("--config", "--force", "--seed", "--out"):
             assert flag in help_text
 
     def test_report_without_anything(self):
