@@ -823,12 +823,19 @@ class TestExitCodes:
 
     def test_removed_train_flags_are_refused(self, tmp_path):
         out = tmp_path / "run"
-        for stage in ("train", "servo"):
-            for flags in (["--method", "sae"], ["--latent-dim", "8"]):
-                with pytest.raises(SystemExit) as exit_:
-                    main([stage, "--config", str(TINY), "--out", str(out), *flags])
-                assert exit_.value.code == EXIT_CONFIG
+        for flags in (["--method", "sae"], ["--latent-dim", "8"]):
+            with pytest.raises(SystemExit) as exit_:
+                main(["train", "--config", str(TINY), "--out", str(out), *flags])
+            assert exit_.value.code == EXIT_CONFIG
         assert not (out / "manifest.json").exists()
+
+    @pytest.mark.parametrize("flags", [["--method", "sae"], ["--latent-dim", "8"]])
+    @pytest.mark.parametrize("stage", ["servo", "demo-gen", "report"])
+    def test_train_flags_on_another_stage(self, stage, flags, capsys):
+        with pytest.raises(SystemExit) as exit_:
+            main([stage, "--config", str(TINY), *flags])
+        assert exit_.value.code == EXIT_CONFIG
+        assert "unrecognized arguments" in capsys.readouterr().err
 
     def test_unknown_stage(self, capsys):
         with pytest.raises(SystemExit) as exit_:
