@@ -12,7 +12,7 @@ from __future__ import annotations
 import io
 import math
 from dataclasses import dataclass
-from typing import Callable, Dict
+from typing import Callable
 
 import numpy as np
 
@@ -114,53 +114,26 @@ def injectivity_metric(field: LatentFieldMap, eps: float) -> float:
     """Fraction of cell pairs that collide in factor space yet sit far apart.
 
     A collision is z-distance < eps with task-space distance beyond four
-    grid spacings. Candidate pairs come from spatial hashing of the first
-    (up to) two factor dims with cell size eps, never an all-pairs scan.
+    grid spacings. Such a pair is also within eps on factor 0, so candidate
+    pairs come from a sweep over the cells sorted on that factor, never an
+    all-pairs scan.
     """
     if eps <= 0:
         raise ValueError(f"eps must be > 0, got {eps}")
-    z = field.values.astype(np.float64)
-    pos = field.positions
+    order = np.argsort(field.values[:, 0], kind="stable")
+    z = field.values.astype(np.float64)[order]
+    pos = field.positions[order]
     n = z.shape[0]
-    total_pairs = n * (n - 1) // 2
     far = 4.0 * field.spacing
-
-    hash_dims = min(2, z.shape[1])
-    keys = np.floor(z[:, :hash_dims] / eps).astype(np.int64)
-    cells: Dict[tuple, list] = {}
-    for i, key in enumerate(map(tuple, keys)):
-        cells.setdefault(key, []).append(i)
-
-    if hash_dims == 1:
-        half_neighborhood = [(0,), (1,)]
-    else:
-        half_neighborhood = [(0, 0), (0, 1), (1, -1), (1, 0), (1, 1)]
-
-    def count_batch(ii: np.ndarray, jj: np.ndarray) -> int:
-        zd = np.linalg.norm(z[ii] - z[jj], axis=1)
-        pd = np.linalg.norm(pos[ii] - pos[jj], axis=1)
-        return int(np.count_nonzero((zd < eps) & (pd > far)))
-
+    # sorted cells i .. i + reach[i] - 1 lie within eps of cell i on factor 0
+    reach = np.searchsorted(z[:, 0], z[:, 0] + eps, side="right") - np.arange(n)
     collisions = 0
-    chunk = 1 << 20
-    for key, members in cells.items():
-        a = np.asarray(members)
-        for off in half_neighborhood:
-            if all(o == 0 for o in off):
-                if len(a) > 1:
-                    iu, ju = np.triu_indices(len(a), k=1)
-                    for s in range(0, iu.size, chunk):
-                        collisions += count_batch(a[iu[s:s + chunk]], a[ju[s:s + chunk]])
-                continue
-            other = cells.get(tuple(k + o for k, o in zip(key, off)))
-            if not other:
-                continue
-            b = np.asarray(other)
-            ii = np.repeat(a, len(b))
-            jj = np.tile(b, len(a))
-            for s in range(0, ii.size, chunk):
-                collisions += count_batch(ii[s:s + chunk], jj[s:s + chunk])
-    return collisions / total_pairs
+    for d in range(1, int(reach.max())):
+        i = np.flatnonzero(reach > d)
+        zd = np.linalg.norm(z[i] - z[i + d], axis=1)
+        pd = np.linalg.norm(pos[i] - pos[i + d], axis=1)
+        collisions += int(np.count_nonzero((zd < eps) & (pd > far)))
+    return collisions / (n * (n - 1) // 2)
 
 
 def suggest_collision_eps(field: LatentFieldMap, fraction: float = 0.02) -> float:

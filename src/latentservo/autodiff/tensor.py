@@ -36,10 +36,8 @@ class GraphError(RuntimeError):
     """Backward-pass contract violation (non-scalar loss, reused tape...)."""
 
 
-def _coerce(data, dtype=None) -> np.ndarray:
+def _coerce(data) -> np.ndarray:
     arr = np.asarray(data)
-    if dtype is not None:
-        return arr.astype(dtype, copy=False)
     if arr.dtype in (np.float32, np.float64):
         return arr
     return arr.astype(DEFAULT_DTYPE)
@@ -50,8 +48,8 @@ class Tensor:
 
     __slots__ = ("data", "requires_grad")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        self.data = _coerce(data, dtype)
+    def __init__(self, data, requires_grad: bool = False):
+        self.data = _coerce(data)
         self.requires_grad = bool(requires_grad)
 
     @property
@@ -71,8 +69,8 @@ class Tensor:
         return f"Tensor(shape={self.shape}, requires_grad={self.requires_grad})"
 
 
-def parameter(data, dtype=None) -> Tensor:
-    return Tensor(data, requires_grad=True, dtype=dtype)
+def parameter(data) -> Tensor:
+    return Tensor(data, requires_grad=True)
 
 
 @dataclass

@@ -43,6 +43,9 @@ class DemoConfig:
             raise ValueError(
                 f"demos.starts lists {len(self.starts)} points but count is "
                 f"{self.count}")
+        for start in self.starts or ():
+            if not all(0.0 <= c <= 1.0 for c in start):
+                raise ValueError(f"demos.starts point {start} is outside [0, 1]^2")
         if self.steps < 1:
             raise ValueError("demos.steps must be >= 1")
         if self.pattern is Pattern.ARC and self.arc_bulge <= 0:

@@ -186,15 +186,11 @@ def reinforce_update(episodes: Sequence[TrainEpisode], policy: Policy,
 
 
 def train_policy(spec: TaskSpec, sensor: Sensor, z_star: np.ndarray,
-                 config: ReinforceConfig, eps_goal: float,
-                 policy: Optional[Policy] = None) -> Tuple[Policy, List[float]]:
+                 config: ReinforceConfig, eps_goal: float) -> Tuple[Policy, List[float]]:
     """Run the full training schedule; returns the policy and per-episode rewards."""
-    k = len(np.asarray(z_star).reshape(-1))
-    if policy is None:
-        policy = Policy.create(k, spec.dof, hidden=config.policy_hidden,
-                               init_log_std=config.init_log_std, seed=config.seed)
-    if k != policy.k:
-        raise ValueError(f"policy expects {policy.k} factors, target has {k}")
+    policy = Policy.create(len(np.asarray(z_star).reshape(-1)), spec.dof,
+                           hidden=config.policy_hidden,
+                           init_log_std=config.init_log_std, seed=config.seed)
     rng = np.random.default_rng(config.seed)
     rewards_curve: List[float] = []
     batch: List[TrainEpisode] = []

@@ -44,10 +44,6 @@ class ModelWeights:
     config_digest: str = ""
     dataset_digest: str = ""
 
-    @property
-    def method(self) -> Method:
-        return self.spec.method
-
 
 def _param_table(spec: EncoderSpec) -> List[Tuple[str, tuple, str]]:
     """Every parameter in draw order: (name, shape, init), where init is
@@ -171,11 +167,11 @@ def downsample_half(batch: np.ndarray) -> np.ndarray:
 
 
 def loss(spec: EncoderSpec, params: Dict[str, Tensor], images: np.ndarray,
-         noise: Optional[np.ndarray] = None, beta: Optional[float] = None) -> Tensor:
+         noise: Optional[np.ndarray] = None) -> Tensor:
     """Scalar training objective for one batch, recorded on the active tape.
 
     VAE/BVAE need ``noise``: one standard-normal draw per datum for the
-    reparameterized sample. ``beta`` overrides the spec-resolved KL weight.
+    reparameterized sample.
     """
     batch = _as_batch(images, spec)
     n = batch.shape[0]
@@ -196,8 +192,6 @@ def loss(spec: EncoderSpec, params: Dict[str, Tensor], images: np.ndarray,
         recon = _decoder_forward(params, spec, z_or_mu)
         return ad.mse(recon, flat)
 
-    if beta is None:
-        beta = spec.beta()
     if noise is None:
         raise ConfigError(f"{spec.method.value} loss needs a noise draw per datum")
     eps = np.asarray(noise, dtype=np.float32)
@@ -212,4 +206,4 @@ def loss(spec: EncoderSpec, params: Dict[str, Tensor], images: np.ndarray,
     mu_flat = ad.reshape(z_or_mu, (n * spec.latent,))
     sigma_flat = ad.reshape(sigma, (n * spec.latent,))
     kl = ad.gaussian_kl(mu_flat, sigma_flat)
-    return ad.scale(ad.add(sse, ad.scale(kl, beta)), 1.0 / n)
+    return ad.scale(ad.add(sse, ad.scale(kl, spec.beta())), 1.0 / n)

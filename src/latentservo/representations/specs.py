@@ -63,6 +63,9 @@ class EncoderSpec:
             raise ConfigError(f"hidden must be two positive widths, got {self.hidden}")
         if self.method is Method.SAE and self.sae_channels < 1:
             raise ConfigError("SAE needs at least one feature channel")
+        if self.method is Method.SAE and self.image_size % 2:
+            # its reconstruction target is the image pooled 2x2
+            raise ConfigError(f"SAE needs an even image size, got {self.image_size}")
         if min(self.sae_conv1_channels, self.sae_decoder_hidden) < 1:
             raise ConfigError("SAE conv1_channels and decoder_hidden must be >= 1")
         if self.temperature <= 0:

@@ -10,9 +10,9 @@ from __future__ import annotations
 import enum
 import json
 import math
+import re
 from dataclasses import dataclass
 from pathlib import Path
-from typing import List
 
 import numpy as np
 
@@ -107,29 +107,20 @@ def _write_pgm(path: Path, frame: np.ndarray) -> None:
         f.write(data.tobytes())
 
 
+# The header _write_pgm writes: magic, width, height and maxval, then one
+# whitespace byte before the pixels.
+_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
+
+
 def _read_pgm(path: Path) -> np.ndarray:
     raw = path.read_bytes()
-    if not raw.startswith(b"P5"):
+    header = _PGM_HEADER.match(raw)
+    if header is None:
         raise ValueError(f"{path}: not a binary PGM")
-    fields: List[bytes] = []
-    i = 2
-    while len(fields) < 3:
-        while i < len(raw) and raw[i:i + 1].isspace():
-            i += 1
-        if raw[i:i + 1] == b"#":
-            while i < len(raw) and raw[i] != 0x0A:
-                i += 1
-            continue
-        j = i
-        while j < len(raw) and not raw[j:j + 1].isspace():
-            j += 1
-        fields.append(raw[i:j])
-        i = j
-    i += 1  # single whitespace after maxval
-    w, h, maxval = (int(x) for x in fields)
+    w, h, maxval = (int(x) for x in header.groups())
     if maxval != 255:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
-    pixels = np.frombuffer(raw[i:i + w * h], dtype=np.uint8)
+    pixels = np.frombuffer(raw[header.end():header.end() + w * h], dtype=np.uint8)
     if pixels.size != w * h:
         raise ValueError(f"{path}: truncated pixel payload")
     return (pixels.reshape(h, w).astype(np.float32)) / 255.0

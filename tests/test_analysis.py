@@ -204,6 +204,35 @@ class TestFieldMap:
                             factors=oracle_factors())
         assert injectivity_metric(fm, eps=0.05) > 0.9
 
+    @pytest.mark.parametrize("grid_n", [12, 33])
+    @pytest.mark.parametrize("shape", ["monotone", "folded", "noisy", "constant",
+                                       "one_factor", "three_factors", "ties_on_f0"])
+    @pytest.mark.parametrize("fraction", [0.01, 0.04, 0.2])
+    def test_injectivity_equals_an_all_pairs_count(self, grid_n, shape, fraction):
+        pos = grid_positions(grid_n)
+        x, y = pos[:, 0], pos[:, 1]
+        rng = np.random.default_rng(grid_n)
+        vals = {
+            "monotone": np.column_stack([x, y]),
+            "folded": np.column_stack([np.abs(x - 0.5), np.abs(y - 0.5)]),
+            "noisy": np.column_stack([x, y]) + rng.normal(0.0, 0.05, pos.shape),
+            "constant": np.zeros_like(pos),
+            "one_factor": np.abs(x - 0.5)[:, None],
+            "three_factors": rng.random((len(pos), 3)),
+            "ties_on_f0": np.column_stack([np.round(4 * x) / 4, np.sin(3 * y)]),
+        }[shape].astype(np.float32)
+        k = vals.shape[1]
+        fm = LatentFieldMap(grid_n=grid_n, positions=pos, values=vals,
+                            factors=FactorSet(indices=tuple(range(k)), tau=0.2,
+                                              spreads=np.ones(k)))
+        eps = suggest_collision_eps(fm, fraction)
+        # the reference: every pair, with the metric's distances and bounds
+        z = vals.astype(np.float64)
+        i, j = np.triu_indices(len(pos), k=1)
+        collide = ((np.linalg.norm(z[i] - z[j], axis=1) < eps)
+                   & (np.linalg.norm(pos[i] - pos[j], axis=1) > 4.0 * fm.spacing))
+        assert injectivity_metric(fm, eps) == np.count_nonzero(collide) / i.size
+
     def test_random_factor_has_low_rank_correlation(self):
         n = 64
         rng = np.random.default_rng(123)

@@ -185,6 +185,7 @@ policy_hidden = 16
 KEY_EDITS = {
     ("meta", "schema_version"): "2",
     ("task", "dof"): "1",
+    ("task", "image_size"): "34",  # the SAE refuses an odd size
     ("task", "target"): "0.3, 0.6",
     ("task", "a_max"): "0.1",
     ("demos", "pattern"): "arc",
@@ -290,6 +291,8 @@ class TestConfig:
         ("methods", "train = sae\n\n[method.sae]\ndecoder_hidden = 0",
          "conv1_channels and decoder_hidden must be >= 1"),
         ("meta", "seed = -1", "seed must be >= 0, got -1"),
+        ("demos", "count = 2\nstarts = 1.4, 0.1; 0.85, 0.2",
+         r"demos.starts point \(1.4, 0.1\) is outside"),
     ])
     def test_bad_value_is_a_config_error(self, tmp_path, section, line, message):
         # Each row's lines overlay MINIMAL's, into its sections or new ones.
@@ -302,6 +305,16 @@ class TestConfig:
         with pytest.raises(ConfigError, match=message):
             load_config(p)
         assert main(["demo-gen", "--config", str(p)]) == EXIT_CONFIG
+
+    def test_odd_image_size_is_refused_for_the_sae_only(self, tmp_path):
+        out = tmp_path / "run"
+        odd = MINIMAL.format(out=out) + "\n[task]\nimage_size = 31\n"
+        assert load_config(write_config(tmp_path, odd)).task.image_size == 31
+        p = write_config(tmp_path, odd.replace("train = ae", "train = ae, sae"))
+        with pytest.raises(ConfigError, match="SAE needs an even image size, got 31"):
+            load_config(p)
+        assert main(["train", "--config", str(p)]) == EXIT_CONFIG
+        assert not (out / "manifest.json").exists()
 
     def test_seed_and_out_overrides(self, tmp_path):
         cfg = load_config(write_config(tmp_path, MINIMAL.format(out=tmp_path / "a")),

@@ -20,6 +20,7 @@ from latentservo.toyenv import (
     step,
     to_pixels,
 )
+from latentservo.toyenv.demos import _read_pgm, _write_pgm
 
 
 @pytest.fixture
@@ -272,6 +273,21 @@ class TestPersistence:
         f.write_bytes(f.read_bytes()[:-10])
         with pytest.raises(ValueError, match="truncated"):
             load_demo(tmp_path / "d2")
+
+    def test_non_square_frame_round_trip(self, tmp_path):
+        frame = np.arange(15, dtype=np.float32).reshape(3, 5) / 255.0
+        _write_pgm(tmp_path / "f.pgm", frame)
+        back = _read_pgm(tmp_path / "f.pgm")
+        assert back.shape == (3, 5) and back.tobytes() == frame.tobytes()
+
+    @pytest.mark.parametrize("header, message", [
+        (b"P2\n5 3\n255\n", "not a binary PGM"),
+        (b"P5\n5 3\n65535\n", "expected maxval 255, got 65535"),
+    ])
+    def test_pgm_reader_refuses_other_formats(self, tmp_path, header, message):
+        (tmp_path / "f.pgm").write_bytes(header + bytes(30))
+        with pytest.raises(ValueError, match=message):
+            _read_pgm(tmp_path / "f.pgm")
 
 
 class TestSampling:
