@@ -191,27 +191,33 @@ def _broadcasting(op: str, fn, a: Tensor, b: Tensor) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_broadcasting("add", np.add, a, b))
+    need_ga, need_gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_ga else None,
+                _unbroadcast(g, b.shape) if need_gb else None)
 
     return _record(out, (a, b), bwd, "add")
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_broadcasting("sub", np.subtract, a, b))
+    need_ga, need_gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
+        return (_unbroadcast(g, a.shape) if need_ga else None,
+                _unbroadcast(-g, b.shape) if need_gb else None)
 
     return _record(out, (a, b), bwd, "sub")
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     out = Tensor(_broadcasting("mul", np.multiply, a, b))
+    need_ga, need_gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
-        return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
+        return (_unbroadcast(g * b.data, a.shape) if need_ga else None,
+                _unbroadcast(g * a.data, b.shape) if need_gb else None)
 
     return _record(out, (a, b), bwd, "mul")
 
@@ -302,10 +308,12 @@ def mse(a: Tensor, b: Tensor) -> Tensor:
     diff = a.data - b.data
     n = diff.size
     out = Tensor(np.asarray(np.mean(diff.astype(np.float64) ** 2), dtype=diff.dtype))
+    need_ga, need_gb = a.requires_grad, b.requires_grad
 
     def bwd(g):
         scale_g = g * (2.0 / n)
-        return scale_g * diff, -scale_g * diff
+        return (scale_g * diff if need_ga else None,
+                -scale_g * diff if need_gb else None)
 
     return _record(out, (a, b), bwd, "mse")
 

@@ -167,11 +167,15 @@ def downsample_half(batch: np.ndarray) -> np.ndarray:
 
 
 def loss(spec: EncoderSpec, params: Dict[str, Tensor], images: np.ndarray,
-         noise: Optional[np.ndarray] = None) -> Tensor:
+         noise: Optional[np.ndarray] = None,
+         target: Optional[np.ndarray] = None) -> Tensor:
     """Scalar training objective for one batch, recorded on the active tape.
 
     VAE/BVAE need ``noise``: one standard-normal draw per datum for the
-    reparameterized sample.
+    reparameterized sample.  The SAE takes its target, the flattened
+    ``downsample_half`` of the batch, from ``target`` when given; a fit
+    pools the whole dataset once and passes each batch's rows (the same
+    bits as pooling the batch).
     """
     batch = _as_batch(images, spec)
     n = batch.shape[0]
@@ -182,8 +186,9 @@ def loss(spec: EncoderSpec, params: Dict[str, Tensor], images: np.ndarray,
         x = Tensor(batch[:, None, :, :])
         coords, _ = _encoder_forward(params, spec, x)
         recon = _decoder_forward(params, spec, coords)
-        target = Tensor(downsample_half(batch).reshape(n, -1))
-        return ad.mse(recon, target)
+        if target is None:
+            target = downsample_half(batch).reshape(n, -1)
+        return ad.mse(recon, Tensor(target))
 
     flat = Tensor(batch.reshape(n, -1))
     z_or_mu, sigma = _encoder_forward(params, spec, flat)

@@ -11,7 +11,7 @@ import numpy as np
 from .. import autodiff as ad
 from ..plain import plain
 from ..toyenv import DemoSequence
-from .models import ModelWeights, init_params, loss
+from .models import ModelWeights, downsample_half, init_params, loss
 from .specs import EncoderSpec, Method, TrainConfig
 
 
@@ -59,9 +59,11 @@ def train(spec: EncoderSpec, demos: Sequence[DemoSequence],
     opt = ad.Adam(lr=config.learning_rate)
     rng = np.random.default_rng(config.seed)
     needs_noise = spec.method in (Method.VAE, Method.BVAE)
+    m = frames.shape[0]
+    # the SAE's target, pooled once: each batch takes its rows
+    targets = downsample_half(frames).reshape(m, -1) if spec.method is Method.SAE else None
 
     curve: List[float] = []
-    m = frames.shape[0]
     for epoch in range(config.epochs):
         perm = rng.permutation(m)
         epoch_losses = []
@@ -71,7 +73,8 @@ def train(spec: EncoderSpec, demos: Sequence[DemoSequence],
             noise = rng.standard_normal((len(idx), spec.latent)).astype(np.float32) \
                 if needs_noise else None
             with ad.Tape():
-                value = loss(spec, params, batch, noise=noise)
+                value = loss(spec, params, batch, noise=noise,
+                             target=None if targets is None else targets[idx])
                 batch_loss = value.item()
                 if not np.isfinite(batch_loss):
                     raise TrainingDiverged(epoch, b0 // config.batch_size, batch_loss)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from latentservo import autodiff as ad
+from latentservo.autodiff.optim import _BLOCK
 
 
 def t(data, grad=False):
@@ -325,6 +326,32 @@ class TestUnneededInputGradients:
         for p in params.values():
             assert got[id(p)].tobytes() == want[id(p)].tobytes()
 
+    @pytest.mark.parametrize("op", ["add", "sub", "mul", "mse"])
+    @pytest.mark.parametrize("const", [0, 1])
+    def test_constant_operand_is_skipped(self, op, const):
+        """The operand ``const`` of a two-input op, once plain and once a
+        parameter: the other operand's gradient keeps its bits."""
+        rng = np.random.default_rng(23)
+        shapes = [(4, 5), (5,)] if op != "mse" else [(4, 5), (4, 5)]
+        if const == 0 and op != "mse":
+            shapes.reverse()                 # the constant is the broadcast operand
+        data = [rng.standard_normal(s).astype(np.float32) for s in shapes]
+        w = ad.parameter(rng.standard_normal((4, 5)).astype(np.float32))
+
+        def grads(c):
+            args = [None, None]
+            args[const] = c
+            with ad.Tape() as tape:
+                args[1 - const] = ad.mul(w, ad.Tensor(data[1 - const]))
+                out = getattr(ad, op)(*args)
+                loss = out if op == "mse" else ad.tsum(ad.mul(out, out))
+                return tape.backward(loss)
+
+        plain, needed = ad.Tensor(data[const]), ad.parameter(data[const])
+        got, want = grads(plain), grads(needed)
+        assert id(plain) not in got and id(needed) in want
+        assert got[id(w)].tobytes() == want[id(w)].tobytes()
+
 
 class TestOptimizers:
     def test_zero_gradient_leaves_params(self):
@@ -421,7 +448,9 @@ def _rows(g, rows, on):
 
 
 # name -> (initial shape, gradient at step k); k runs 1..50.  While fewer
-# than 40% of a parameter's rows are live, Adam updates the live rows only.
+# than 40% of a parameter's rows are live, Adam updates the live rows only
+# of a parameter of one block or more; a smaller one is updated whole, with
+# every other small parameter of its dtype.
 _ADAM_CASES = {
     # 2-D, larger than one block and not a multiple of it, every row live
     "wide_all_live": ((300, 701), lambda rng, k: rng.standard_normal((300, 701))),
@@ -491,6 +520,74 @@ class TestAdamExactness:
         for n, (want, m, v) in ref.items():
             assert params[n].data.tobytes() == want.tobytes()
             assert opt.m[n].tobytes() == m.tobytes() and opt.v[n].tobytes() == v.tobytes()
+
+    @staticmethod
+    def _mixed_params(rng):
+        """name -> (initial value, gradient at step k): small and ≥ one-block
+        parameters of both dtypes, one of them F-ordered."""
+        big = (_BLOCK // 256 + 44, 256)
+
+        def wide(rng, k):
+            # a third of the rows turn live at step 20, one more at step 40
+            g = _rows(rng.standard_normal(big), slice(0, big[0] * 2 // 3), k >= 20)
+            return _rows(g, slice(0, 1), k >= 40)
+
+        return {
+            "scalar": (np.asarray(rng.standard_normal(())),
+                       lambda rng, k: np.asarray(rng.standard_normal(()))),
+            "vector": (rng.standard_normal(13), lambda rng, k: _rows(
+                rng.standard_normal(13), slice(0, 4), k > 30)),
+            "kernel": (rng.standard_normal((6, 2, 3, 3)), lambda rng, k: _rows(
+                rng.standard_normal((6, 2, 3, 3)), slice(0, 4), k > 5)),
+            "f_order": (np.asfortranarray(rng.standard_normal((17, 9))),
+                        lambda rng, k: rng.standard_normal((17, 9))),
+            "wide": (rng.standard_normal(big), wide),
+            "vector64": (rng.standard_normal(7), lambda rng, k: rng.standard_normal(7)),
+            "matrix64": (rng.standard_normal((5, 11)), lambda rng, k: _rows(
+                rng.standard_normal((5, 11)), slice(2, 5), k > 10)),
+        }
+
+    @staticmethod
+    def _dtype(name):
+        return np.float64 if name.endswith("64") else np.float32
+
+    @pytest.mark.parametrize("absent", [None, "kernel"])
+    def test_mixed_parameters_match_reference(self, absent):
+        """One dict of every kind of parameter, each to the reference's bits;
+        with ``absent``, that parameter sits out every third step (bias
+        correction still counts every step)."""
+        rng = np.random.default_rng(47)
+        cases = self._mixed_params(rng)
+        params, ref = {}, {}
+        for name, (p0, _) in cases.items():
+            p0 = p0.astype(self._dtype(name), order="K")
+            params[name] = ad.parameter(p0.copy(order="K"))
+            ref[name] = (np.array(p0, order="C"), np.zeros(p0.shape, p0.dtype),
+                         np.zeros(p0.shape, p0.dtype))
+        assert params["f_order"].data.flags.f_contiguous
+        assert params["wide"].data.size >= _BLOCK > params["kernel"].data.size
+        opt = ad.Adam(lr=0.01)
+        for k in range(1, 51):
+            step = {n: p for n, p in params.items() if not (n == absent and k % 3 == 0)}
+            grads = {n: cases[n][1](rng, k).astype(self._dtype(n)) for n in step}
+            opt.step(step, grads)
+            for n, g in grads.items():
+                want, m, v = ref[n]
+                _reference_adam_step(want, g, m, v, k, lr=0.01)
+            if k == 30:
+                # a bad gradient moves no parameter and no state
+                before = {n: (p.data.tobytes(), opt.m[n].tobytes(), opt.v[n].tobytes())
+                          for n, p in params.items()}
+                bad = dict(grads, wide=np.ones((3, 3), dtype=np.float32))
+                with pytest.raises(ad.ShapeError):
+                    opt.step(step, bad)
+                assert opt.step_count == k
+                assert before == {n: (p.data.tobytes(), opt.m[n].tobytes(),
+                                      opt.v[n].tobytes()) for n, p in params.items()}
+        for n, (want, m, v) in ref.items():
+            assert params[n].data.dtype == want.dtype
+            assert params[n].data.tobytes(order="C") == want.tobytes(), n
+            assert opt.m[n].tobytes() == m.tobytes() and opt.v[n].tobytes() == v.tobytes(), n
 
     @pytest.mark.parametrize("kw", [{"lr": 0.0}, {"lr": -1e-3}, {"eps": 0.0}])
     def test_nonpositive_lr_or_eps_rejected(self, kw):

@@ -22,6 +22,7 @@ from latentservo.representations import (
     train,
 )
 from latentservo.toyenv import Pattern, TaskSpec, generate_demo
+from test_autodiff import _reference_adam_step
 
 
 def tiny_spec(method, **kw):
@@ -252,6 +253,62 @@ class TestTrain:
         model, _ = train(tiny_spec(Method.BVAE, alpha=0.1), tiny_demos, cfg)
         digests.add(model.dataset_digest)
         assert len(digests) == 1  # same data samples behind every method
+
+
+def _reference_train(spec, demos, cfg):
+    """``train`` as a plain loop: each SAE batch pooled on its own, each
+    parameter stepped on its own by the whole-array Adam reference."""
+    frames = np.concatenate([d.frames for d in demos])
+    params = init_params(spec)
+    state = {n: (np.zeros_like(p.data), np.zeros_like(p.data)) for n, p in params.items()}
+    rng = np.random.default_rng(cfg.seed)
+    curve, t = [], 0
+    for _ in range(cfg.epochs):
+        perm = rng.permutation(len(frames))
+        losses = []
+        for b0 in range(0, len(frames), cfg.batch_size):
+            idx = perm[b0:b0 + cfg.batch_size]
+            noise = rng.standard_normal((len(idx), spec.latent)).astype(np.float32) \
+                if spec.method in (Method.VAE, Method.BVAE) else None
+            with ad.Tape():
+                value = loss(spec, params, frames[idx], noise=noise)
+                grads = ad.backward(value, params)
+            losses.append(value.item())
+            if not curve:
+                curve.append(losses[0])    # fresh-weights loss, before any update
+            t += 1
+            for n, p in params.items():
+                _reference_adam_step(p.data, grads[n], *state[n], t, lr=cfg.learning_rate)
+        curve.append(float(np.mean(losses)))
+    return params, curve
+
+
+class TestTrainingPath:
+    """``train``'s pooled target and grouped Adam keep the plain loop's bits."""
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_weights_and_curve_match_reference_loop(self, method, tiny_demos):
+        spec = tiny_spec(method, alpha=0.1 if method is Method.BVAE else None)
+        cfg = TrainConfig(epochs=3, batch_size=5, learning_rate=3e-3, seed=4)
+        model, curve = train(spec, tiny_demos, cfg)
+        params, want = _reference_train(spec, tiny_demos, cfg)
+        assert curve == want
+        for n in params:
+            assert model.params[n].data.tobytes() == params[n].data.tobytes(), n
+
+    @pytest.mark.parametrize("size", [16, 32])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 16])
+    def test_pooled_target_rows_equal_batch_pooling(self, size, batch):
+        task = TaskSpec(image_size=size)
+        demos = [generate_demo(task, Pattern.STRAIGHT, s, 16)
+                 for s in [(0.1, 0.1), (0.9, 0.2), (0.2, 0.9)]]
+        frames = np.concatenate([d.frames for d in demos])
+        pooled = downsample_half(frames).reshape(len(frames), -1)
+        perm = np.random.default_rng(batch).permutation(len(frames))
+        for b0 in range(0, len(frames), batch):
+            idx = perm[b0:b0 + batch]
+            want = downsample_half(frames[idx]).reshape(len(idx), -1)
+            assert pooled[idx].tobytes() == want.tobytes()
 
 
 class TestPersistence:
