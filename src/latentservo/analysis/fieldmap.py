@@ -76,11 +76,12 @@ def _average_ranks(v: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def _line_rho(coord: np.ndarray, vals: np.ndarray) -> float:
-    """Spearman rank correlation; 0 for a constant line or one with a NaN."""
+def _line_rho(coord_ranks: np.ndarray, vals: np.ndarray) -> float:
+    """Spearman rank correlation of ``vals`` with the coordinate whose
+    ranks are given; 0 for a constant line or one with a NaN."""
     if np.isnan(vals).any() or np.ptp(vals) == 0.0:
         return 0.0
-    ranks = np.column_stack((_average_ranks(coord), _average_ranks(vals)))
+    ranks = np.column_stack((coord_ranks, _average_ranks(vals)))
     rho = np.corrcoef(ranks, rowvar=False)[1, 0]
     return 0.0 if math.isnan(rho) else float(rho)
 
@@ -99,12 +100,12 @@ def monotonicity_metric(field: LatentFieldMap) -> MonotonicityReport:
         raise ValueError("monotonicity needs grid_n >= 4")
     g = field.grid_view().astype(np.float64)
     n = field.grid_n
-    idx = np.arange(n, dtype=np.float64)
+    ranks = np.arange(1, n + 1, dtype=np.float64)  # a grid line's cell indices, ranked
     per_x = np.empty(field.k)
     per_y = np.empty(field.k)
     for f in range(field.k):
-        per_x[f] = np.mean([_line_rho(idx, g[iy, :, f]) for iy in range(n)])
-        per_y[f] = np.mean([_line_rho(idx, g[:, ix, f]) for ix in range(n)])
+        per_x[f] = np.mean([_line_rho(ranks, g[iy, :, f]) for iy in range(n)])
+        per_y[f] = np.mean([_line_rho(ranks, g[:, ix, f]) for ix in range(n)])
     return MonotonicityReport(per_factor_x=per_x, per_factor_y=per_y,
                               x=float(np.abs(per_x).max()),
                               y=float(np.abs(per_y).max()))

@@ -1,10 +1,8 @@
 from .tensor import (
     GraphError,
-    Node,
     ShapeError,
     Tape,
     Tensor,
-    active_tape,
     add,
     backward,
     exp,
@@ -29,9 +27,9 @@ from .optim import SGD, Adam
 from .gradcheck import finite_diff_check
 
 __all__ = [
-    "Adam", "GraphError", "Node", "SGD", "ShapeError", "Tape", "Tensor",
-    "active_tape", "add", "backward", "conv2d", "exp", "finite_diff_check",
-    "gaussian_kl", "glorot_uniform", "he_uniform", "linear", "log", "matmul",
-    "mse", "mul", "neg", "parameter", "relu", "reshape", "scale", "sigmoid",
+    "Adam", "GraphError", "SGD", "ShapeError", "Tape", "Tensor", "add",
+    "backward", "conv2d", "exp", "finite_diff_check", "gaussian_kl",
+    "glorot_uniform", "he_uniform", "linear", "log", "matmul", "mse", "mul",
+    "neg", "parameter", "relu", "reshape", "scale", "sigmoid",
     "spatial_softmax", "sub", "tanh", "tmean", "tsum",
 ]

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Callable, Optional
 
 import numpy as np
 
@@ -74,22 +73,11 @@ def parameter(data) -> Tensor:
 
 
 @dataclass
-class Node:
-    """One recorded operation: inputs, output, and its local gradient rule.
-
-    ``backward`` maps the output gradient to one gradient per input
-    (``None`` for inputs that do not need one).
-    """
-
-    inputs: tuple
-    output: Tensor
-    backward: Callable[[np.ndarray], tuple]
-    name: str = ""
-
-
-@dataclass
 class Tape:
-    """Ordered computation record; every node's inputs precede it."""
+    """Ordered computation record: one ``(inputs, output, backward, name)``
+    entry per op, after the entries that made its inputs. ``backward`` maps
+    the output gradient to one gradient per input (``None`` for an input
+    that needs none)."""
 
     nodes: list = field(default_factory=list)
     _used: bool = False
@@ -101,13 +89,10 @@ class Tape:
     def __exit__(self, *exc) -> None:
         _state.tapes.pop()
 
-    def record(self, node: Node) -> None:
-        self.nodes.append(node)
-
     def backward(self, loss: Tensor) -> dict:
         """Accumulate d(loss)/d(tensor) for every tensor on the tape.
 
-        Returns a map keyed by ``id(tensor)``.  Each node is visited exactly
+        Returns a map keyed by ``id(tensor)``.  Each entry is visited exactly
         once.  Tensors with no path to the loss simply never appear in the
         map (their total derivative is zero).
         """
@@ -118,34 +103,25 @@ class Tape:
         self._used = True
 
         grads: dict = {id(loss): np.ones_like(loss.data)}
-        for node in reversed(self.nodes):
-            g_out = grads.get(id(node.output))
+        for inputs, output, bwd, name in reversed(self.nodes):
+            g_out = grads.get(id(output))
             if g_out is None:
                 continue
-            g_inputs = node.backward(g_out)
-            for inp, g in zip(node.inputs, g_inputs):
-                if g is None or not isinstance(inp, Tensor):
+            for inp, g in zip(inputs, bwd(g_out)):
+                if g is None:
                     continue
                 if not np.isfinite(g).all():
-                    raise GraphError(f"non-finite gradient out of op '{node.name}'")
+                    raise GraphError(f"non-finite gradient out of op '{name}'")
                 key = id(inp)
-                if key in grads:
-                    grads[key] = grads[key] + g
-                else:
-                    grads[key] = g
+                grads[key] = grads[key] + g if key in grads else g
         return grads
-
-
-def active_tape() -> Optional[Tape]:
-    stack = _state.tapes
-    return stack[-1] if stack else None
 
 
 def _record(output: Tensor, inputs: tuple, backward, name: str) -> Tensor:
     stack = _state.tapes
-    if stack and any(isinstance(i, Tensor) and i.requires_grad for i in inputs):
+    if stack and any(i.requires_grad for i in inputs):
         output.requires_grad = True
-        stack[-1].record(Node(inputs=inputs, output=output, backward=backward, name=name))
+        stack[-1].nodes.append((inputs, output, backward, name))
     return output
 
 
@@ -155,10 +131,9 @@ def backward(loss: Tensor, params: dict) -> dict:
     Returns name -> gradient for ``params`` (name -> Tensor), with zeros
     for parameters that did not influence the loss.
     """
-    tape = active_tape()
-    if tape is None:
+    if not _state.tapes:
         raise GraphError("backward called with no active Tape")
-    grads = tape.backward(loss)
+    grads = _state.tapes[-1].backward(loss)
     out = {}
     for name, p in params.items():
         g = grads.get(id(p))

@@ -73,16 +73,11 @@ class StageFailure(RuntimeError):
 
 # --------------------------------------------------------------- demo layout
 
-def _demo_dirs(cfg: ExperimentConfig, sprite: str) -> List[Path]:
-    base = cfg.out_dir / "demos" / sprite
-    return sorted(base.glob("demo_*"))
-
-
 def load_demo_set(cfg: ExperimentConfig, sprite: str) -> List[DemoSequence]:
-    dirs = _demo_dirs(cfg, sprite)
-    if not dirs:
-        raise StageFailure(f"no {sprite} demos under {cfg.out_dir}")
-    return [load_demo(d) for d in dirs]
+    """The ``demos.count`` demos ``demo-gen`` recorded for ``sprite``, by
+    index: a directory beside them that it did not record is not read."""
+    return [load_demo(cfg.out_dir / "demos" / sprite / f"demo_{i:03d}")
+            for i in range(cfg.demos.count)]
 
 
 def _demo_starts(cfg: ExperimentConfig) -> List[np.ndarray]:
@@ -95,7 +90,8 @@ def _demo_starts(cfg: ExperimentConfig) -> List[np.ndarray]:
 
 def stage_demo_gen(cfg: ExperimentConfig, out: StageOutputs) -> None:
     starts = _demo_starts(cfg)
-    # load_demo_set globs these directories, so no demo of an earlier run may stay.
+    # A demo directory's digest covers every file in it, so no file of an
+    # earlier run may stay.
     shutil.rmtree(cfg.out_dir / "demos", ignore_errors=True)
     sprites = [("teacher", SpriteKind.TEACHER)]
     if cfg.demos.executor:
@@ -245,13 +241,20 @@ def _control_setup(cfg: ExperimentConfig, name: str):
     return sensor, z_star, eps_goal
 
 
+def _trials(cfg: ExperimentConfig, make_controller, sensor, z_star, eps_goal: float,
+            seed_label: str) -> SuccessStats:
+    """``[control] trials`` seeded episodes, one controller from
+    ``make_controller`` each."""
+    return evaluate_success(make_controller, cfg.task, sensor, z_star, eps_goal,
+                            cfg.control.max_steps, cfg.control.trials,
+                            seed=cfg.stage_seed(seed_label), r_goal=cfg.reinforce.r_goal)
+
+
 def stage_servo(cfg: ExperimentConfig, out: StageOutputs) -> None:
     for name in cfg.control.methods:
         sensor, z_star, eps_goal = _control_setup(cfg, name)
-        stats = evaluate_success(
-            lambda: UVSController(cfg.uvs, cfg.task), cfg.task, sensor, z_star,
-            eps_goal, cfg.control.max_steps, cfg.control.trials,
-            seed=cfg.stage_seed("servo"), r_goal=cfg.reinforce.r_goal)
+        stats = _trials(cfg, lambda: UVSController(cfg.uvs, cfg.task), sensor, z_star,
+                        eps_goal, "servo")
         out.write(f"control/servo_{name}_stats.json", _stats_json(stats, eps_goal))
         for i, ep in enumerate(stats.episodes):
             out.write(f"control/servo_{name}_trial{i:02d}.csv", episode_trace_csv(ep))
@@ -279,11 +282,9 @@ def stage_reinforce(cfg: ExperimentConfig, out: StageOutputs) -> None:
             x_label="episode", y_label="episode reward"))
         out.write(f"control/reinforce_{name}_policy.json",
                   json.dumps(_policy_to_json(policy), indent=1))
-        stats = evaluate_success(
-            lambda: GuidedReinforceController(policy, cfg.task, cfg.reinforce.k_gain),
-            cfg.task, sensor, z_star, eps_goal, cfg.control.max_steps,
-            cfg.control.trials, seed=cfg.stage_seed("reinforce-eval"),
-            r_goal=cfg.reinforce.r_goal)
+        stats = _trials(
+            cfg, lambda: GuidedReinforceController(policy, cfg.task, cfg.reinforce.k_gain),
+            sensor, z_star, eps_goal, "reinforce-eval")
         out.write(f"control/reinforce_{name}_stats.json", _stats_json(stats, eps_goal))
 
 
@@ -303,18 +304,15 @@ def stage_evaluate(cfg: ExperimentConfig, out: StageOutputs) -> None:
         sensor = oracle_sensor(cfg.task)
         z_star = target_factors(sensor, cfg.task)
         eps_goal = cfg.control.goal_workspace_tol
-        uvs_stats = evaluate_success(
-            lambda: UVSController(cfg.uvs, cfg.task), cfg.task, sensor, z_star,
-            eps_goal, cfg.control.max_steps, cfg.control.trials,
-            seed=cfg.stage_seed("oracle-eval"))
+        uvs_stats = _trials(cfg, lambda: UVSController(cfg.uvs, cfg.task), sensor,
+                            z_star, eps_goal, "oracle-eval")
         fresh = Policy.create(cfg.task.dof, cfg.task.dof,
                               hidden=cfg.reinforce.policy_hidden,
                               init_log_std=cfg.reinforce.init_log_std,
                               seed=cfg.reinforce.seed)
-        gr_stats = evaluate_success(
-            lambda: GuidedReinforceController(fresh, cfg.task, cfg.reinforce.k_gain),
-            cfg.task, sensor, z_star, eps_goal, cfg.control.max_steps,
-            cfg.control.trials, seed=cfg.stage_seed("oracle-eval"))
+        gr_stats = _trials(
+            cfg, lambda: GuidedReinforceController(fresh, cfg.task, cfg.reinforce.k_gain),
+            sensor, z_star, eps_goal, "oracle-eval")
         table["oracle"] = {"uvs": uvs_stats.success_rate,
                            "reinforce": gr_stats.success_rate}
     out.write("control/evaluate.json",

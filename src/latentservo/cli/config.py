@@ -241,7 +241,7 @@ def _read(path: Path) -> Dict[str, dict]:
     parser = configparser.ConfigParser(strict=True, interpolation=None)
     try:
         parser.read_string(path.read_text())
-    except configparser.Error as exc:
+    except (configparser.Error, UnicodeDecodeError) as exc:
         raise ConfigError(f"{path}: {exc}") from exc
     present: Dict[str, dict] = {}
     for section in parser.sections():

@@ -13,8 +13,8 @@ import sys
 from pathlib import Path
 
 from ..plain import plain
-from ..representations import ConfigError, WeightFormatError
-from .commands import STAGE_TABLE, StageFailure, ensure_stage, stage_report
+from ..representations import ConfigError
+from .commands import STAGE_TABLE, ensure_stage, stage_report
 from .config import load_config
 from .manifest import ManifestError, RunManifest, StageOutputs, run_stage
 
@@ -47,46 +47,23 @@ def _report_only(out_dir: Path) -> int:
     if not (out_dir / "manifest.json").exists():
         print(f"no manifest under {out_dir}", file=sys.stderr)
         return EXIT_IO
-    try:
-        manifest = RunManifest.open(out_dir, config_digest=None)
-    except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    stage_report(StageOutputs(out_dir), manifest)
+    stage_report(StageOutputs(out_dir), RunManifest.open(out_dir, config_digest=None))
     return EXIT_OK
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.config is None:
-        if args.stage == "report" and args.out is not None:
-            try:
-                return _report_only(Path(args.out))
-            except OSError as exc:
-                print(f"I/O error: {exc}", file=sys.stderr)
-                return EXIT_IO
-        print("--config is required", file=sys.stderr)
-        return EXIT_CONFIG
-
     try:
+        if args.config is None:
+            if args.stage == "report" and args.out is not None:
+                return _report_only(args.out)
+            print("--config is required", file=sys.stderr)
+            return EXIT_CONFIG
         cfg = load_config(args.config, seed_override=args.seed,
                           out_override=None if args.out is None else str(args.out))
-    except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-
-    tree = plain(cfg)
-    try:
+        tree = plain(cfg)
         cfg.out_dir.mkdir(parents=True, exist_ok=True)
         manifest = RunManifest.open(cfg.out_dir, cfg.digest(tree))
-    except ManifestError as exc:
-        print(f"manifest error: {exc}", file=sys.stderr)
-        return EXIT_IO
-    except OSError as exc:
-        print(f"I/O error: {exc}", file=sys.stderr)
-        return EXIT_IO
-
-    try:
         if args.stage == "report":
             run_stage(manifest, "report", None, True,
                       lambda out: stage_report(out, manifest, tree))
@@ -95,7 +72,12 @@ def main(argv=None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (StageFailure, WeightFormatError) as exc:
+    except ManifestError as exc:
+        print(f"manifest error: {exc}", file=sys.stderr)
+        return EXIT_IO
+    except (ValueError, RuntimeError) as exc:
+        # a stage failed on its data: StageFailure, a diverged fit, a bad
+        # weights file; a TypeError or KeyError is a bug and keeps its traceback
         print(f"stage failure: {exc}", file=sys.stderr)
         return EXIT_STAGE
     except OSError as exc:

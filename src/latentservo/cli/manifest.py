@@ -88,7 +88,7 @@ class RunManifest:
                     raise TypeError("the manifest and its stages must be objects")
                 if not all(isinstance(e, dict) for e in data["stages"].values()):
                     raise TypeError("every stage entry must be an object")
-            except (json.JSONDecodeError, KeyError, TypeError) as exc:
+            except (ValueError, KeyError, TypeError) as exc:  # undecodable bytes too
                 raise ManifestError(f"{path}: corrupted manifest ({exc})") from exc
             # A stage that re-runs removes its recorded outputs first, so each
             # must name something inside the run directory.

@@ -15,7 +15,7 @@ import pytest
 from latentservo.cli import config
 from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
 from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
-from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, main
+from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
 from latentservo.cli.manifest import ManifestError, RunManifest, content_digest
 from latentservo.plain import plain
 from latentservo.representations import ConfigError
@@ -47,6 +47,13 @@ def run_stages(ini, out, *stages):
         assert main([stage, "--config", str(ini), "--out", str(out)]) == EXIT_OK, stage
 
 
+def error_line(capsys):
+    """The one line a failed CLI call wrote to stderr."""
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and err.endswith("\n") and "Traceback" not in err, err
+    return err
+
+
 def ran(log):
     """The stages a CLI log says ran, in order."""
     return [line[1:line.index("]")] for line in log.splitlines()
@@ -66,9 +73,10 @@ SUMMARY_SECTIONS = ("## Time-varying factors", "## Field-map geometry", "## Alph
                     "## Embodiment transfer", "## Success rates")
 
 # A manifest.json of the wrong shape, by what is wrong with it.
-BAD_MANIFESTS = {"not-json": "{not json", "not-an-object": "[]",
-                 "stages-not-an-object": '{"stages": []}',
-                 "entry-not-an-object": '{"stages": {"train": "x"}}'}
+BAD_MANIFESTS = {"not-json": b"{not json", "not-an-object": b"[]",
+                 "stages-not-an-object": b'{"stages": []}',
+                 "entry-not-an-object": b'{"stages": {"train": "x"}}',
+                 "not-utf-8": b'{"stages": {"tr\xe9in": {}}}'}
 
 
 def artifact_bytes(run_dir):
@@ -546,7 +554,7 @@ class TestManifest:
 
     @pytest.mark.parametrize("text", BAD_MANIFESTS.values(), ids=BAD_MANIFESTS.keys())
     def test_corrupted_manifest_raises(self, tmp_path, text):
-        (tmp_path / "manifest.json").write_text(text)
+        (tmp_path / "manifest.json").write_bytes(text)
         with pytest.raises(ManifestError, match="corrupted"):
             RunManifest.open(tmp_path, "x")
 
@@ -686,6 +694,17 @@ class TestPipeline:
         # The re-trained model has its old bytes again, so nothing downstream re-runs.
         assert ran(capsys.readouterr().out) == ["train"]
         assert model.read_bytes() == good
+
+    def test_stray_demo_directory_is_not_read(self, cold_copy, capsys):
+        models = {p.name: p.read_bytes() for p in (cold_copy / "models").iterdir()}
+        teacher = cold_copy / "demos" / "teacher"
+        shutil.copytree(teacher / "demo_000", teacher / "demo_009")  # demo-gen never wrote it
+        assert main(["train", "--config", str(TINY), "--out", str(cold_copy),
+                     "--force"]) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in (cold_copy / "models").iterdir()} == models
+        capsys.readouterr()
+        run_stages(TINY, cold_copy, "factors")
+        assert ran(capsys.readouterr().out) == []
 
     @pytest.mark.parametrize("manifest", ["kept", "lost"])
     def test_demo_gen_leaves_no_demo_of_a_larger_run(self, cold_copy, tmp_path, manifest):
@@ -828,11 +847,41 @@ class TestExitCodes:
     def test_corrupted_manifest_io_error(self, tmp_path, text, stage):
         out = tmp_path / "run"
         out.mkdir()
-        (out / "manifest.json").write_text(text)
+        (out / "manifest.json").write_bytes(text)
         ini = write_config(tmp_path, MINIMAL.format(out=out))
         assert main([stage, "--config", str(ini)]) == EXIT_IO
         if stage == "report":
             assert main([stage, "--out", str(out)]) == EXIT_IO
+
+    def test_config_that_is_a_directory(self, tmp_path, capsys):
+        assert main(["train", "--config", str(tmp_path)]) == EXIT_IO
+        assert error_line(capsys).startswith("I/O error: ")
+
+    def test_config_that_is_not_utf8(self, tmp_path, capsys):
+        p = tmp_path / "exp.ini"
+        p.write_bytes(b"[meta]\nschema_version = 1\nout_dir = caf\xe9\n")
+        assert main(["train", "--config", str(p)]) == EXIT_CONFIG
+        assert error_line(capsys).startswith("config error: ")
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    def test_diverging_fit_is_a_stage_failure(self, tmp_path, capsys):
+        out = tmp_path / "run"
+        ini = tiny_with(tmp_path, ("epochs = 60\nbatch_size = 16\nlearning_rate = 2e-3",
+                                   "epochs = 3\nbatch_size = 16\nlearning_rate = 1e9"))
+        assert main(["train", "--config", str(ini), "--out", str(out)]) == EXIT_STAGE
+        assert error_line(capsys).startswith("stage failure: ")
+        stages = json.loads((out / "manifest.json").read_text())["stages"]
+        assert stages["demo-gen"]["status"] == "done"
+        assert stages["train"]["status"] == "failed"
+
+    def test_alpha_sweep_without_bvae_is_a_stage_failure(self, tmp_path, capsys):
+        text = TINY.read_text()
+        bvae = text[text.index("[method.bvae]"):text.index("[method.sae]")]
+        ini = tiny_with(tmp_path, ("train = bvae, sae", "train = sae"), (bvae, ""))
+        assert main(["alpha-sweep", "--config", str(ini),
+                     "--out", str(tmp_path / "run")]) == EXIT_STAGE
+        assert error_line(capsys) == "stage failure: alpha sweep needs a [method.bvae] section\n"
 
     def test_removed_train_flags_are_refused(self, tmp_path):
         out = tmp_path / "run"
