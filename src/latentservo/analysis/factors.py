@@ -13,9 +13,8 @@ from typing import Sequence, Tuple
 
 import numpy as np
 
-from ..representations import Method, ModelWeights
-from ..toyenv import DemoSequence
-from .taskmap import TaskMap, build_task_map
+from ..representations import Method
+from .taskmap import TaskMap
 
 DEFAULT_TAU = 0.2
 
@@ -117,15 +116,14 @@ def variance_smoothness(v: np.ndarray) -> float:
     return 1.0 / (1.0 + churn)
 
 
-def alpha_score(model: ModelWeights, demo: DemoSequence) -> float:
-    """Smoothness of the predicted-variance trajectory; in (0, 1], higher is smoother.
+def alpha_score(tm: TaskMap) -> float:
+    """Smoothness of a task map's predicted variance; in (0, 1], higher is smoother.
 
     Uses v_t = mean over dims of the predicted sigma at step t and
     penalizes its total second-difference magnitude.
     """
-    if model.spec.method not in (Method.VAE, Method.BVAE):
-        raise ValueError(f"{model.spec.method.value} predicts no variance")
-    if len(demo) < 3:
+    if tm.sigmas is None:
+        raise ValueError("alpha_score needs a task map with predicted variance")
+    if len(tm) < 3:
         raise ValueError("alpha_score needs at least 3 frames")
-    tm = build_task_map(model, demo)
     return variance_smoothness(tm.sigmas.astype(np.float64).mean(axis=1))

@@ -108,10 +108,8 @@ def stage_demo_gen(cfg: ExperimentConfig, out: StageOutputs) -> None:
 # -------------------------------------------------------------------- models
 
 def load_model(cfg: ExperimentConfig, name: str) -> ModelWeights:
-    path = cfg.out_dir / "models" / f"{name}.lsrv"
-    if not path.exists():
-        raise StageFailure(f"model {name} not trained yet ({path} missing)")
-    return load_weights(path, expect_method=Method(name))
+    return load_weights(cfg.out_dir / "models" / f"{name}.lsrv",
+                        expect_method=Method(name))
 
 
 def stage_train(cfg: ExperimentConfig, out: StageOutputs) -> None:
@@ -140,10 +138,7 @@ def stage_taskmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
 
 
 def load_factors(cfg: ExperimentConfig, name: str) -> Dict[str, FactorSet]:
-    path = cfg.out_dir / "analysis" / f"factors_{name}.json"
-    if not path.exists():
-        raise StageFailure(f"factors for {name} not extracted yet ({path} missing)")
-    data = json.loads(path.read_text())
+    data = json.loads((cfg.out_dir / "analysis" / f"factors_{name}.json").read_text())
     out = {"all": FactorSet.from_dict(data["all"])}
     if data.get("control") is not None:
         out["control"] = FactorSet.from_dict(data["control"])
@@ -176,8 +171,8 @@ def stage_alpha_sweep(cfg: ExperimentConfig, out: StageOutputs) -> None:
         spec = replace(base.spec, alpha=float(alpha))
         train_cfg = replace(base.train, epochs=cfg.analysis.alpha_sweep_epochs)
         model, _ = train_model(spec, demos, train_cfg)
-        score = float(np.mean([alpha_score(model, d) for d in demos]))
         maps = [build_task_map(model, d) for d in demos]
+        score = float(np.mean([alpha_score(tm) for tm in maps]))
         n_factors = len(extract_time_varying(maps, cfg.analysis.tau))
         rows.append({"alpha": float(alpha), "score": score,
                      "time_varying_factors": n_factors})
@@ -294,11 +289,8 @@ def stage_evaluate(cfg: ExperimentConfig, out: StageOutputs) -> None:
     for name in cfg.control.methods:
         row = {}
         for controller in ("servo", "reinforce"):
-            stats_path = out_dir / f"{controller}_{name}_stats.json"
-            if not stats_path.exists():
-                raise StageFailure(f"missing {stats_path}; run {controller} first")
-            row["uvs" if controller == "servo" else "reinforce"] = \
-                json.loads(stats_path.read_text())["success_rate"]
+            stats = json.loads((out_dir / f"{controller}_{name}_stats.json").read_text())
+            row["uvs" if controller == "servo" else "reinforce"] = stats["success_rate"]
         table[name] = row
     if cfg.control.include_oracle:
         sensor = oracle_sensor(cfg.task)

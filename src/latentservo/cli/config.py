@@ -3,8 +3,8 @@
 Every key is validated (type, range, allowed names) before any stage
 runs; unknown sections or keys are rejected so sweep provenance stays
 trustworthy. ``schema_version`` pins the layout. A key absent from the
-INI takes the default of the dataclass field that holds it, or the one
-in ``_DEFAULTS``; every key's value but ``out_dir`` enters the digest.
+INI takes the default of its dataclass field, of ``_DEFAULTS``, or one
+derived from another section; every key's value but ``out_dir`` enters the digest.
 """
 
 from __future__ import annotations
@@ -155,15 +155,11 @@ _SCHEMA: Dict[str, Dict[str, str]] = {
 }
 
 
-def _controllable(built: dict) -> Tuple[str, ...]:
-    return tuple(m for m in ("bvae", "sae") if m in built["methods"])
-
-
 _METHOD_DEFAULTS = {"epochs": 600, "learning_rate": 2e-3}
 
-# The defaults that are not the section dataclass's own: [meta] and
-# [methods] have none, some differ from the library's, and the callables
-# derive theirs from the sections built before them.
+# The constant defaults that are not the section dataclass's own: [meta]
+# and [methods] have none, and some differ from the library's. The defaults
+# derived from other sections are passed where their section is built.
 _DEFAULTS: Dict[str, dict] = {
     "meta": {"seed": 7, "out_dir": "runs/toy"},
     "methods": {"train": KNOWN_METHODS},
@@ -171,10 +167,6 @@ _DEFAULTS: Dict[str, dict] = {
     "method.vae": _METHOD_DEFAULTS,
     "method.bvae": {**_METHOD_DEFAULTS, "alpha": 0.12},
     "method.sae": {**_METHOD_DEFAULTS, "temperature": 4.0},
-    "analysis": {"fieldmap_methods": _controllable},
-    "control": {"methods": _controllable},
-    "uvs": {"eps_explore": lambda built: built["task"].a_max},
-    "reinforce": {"horizon": lambda built: built["control"].max_steps},
 }
 
 # [method.sae] keys under their EncoderSpec field names.
@@ -272,13 +264,10 @@ def _library(cls, keys: dict):
 def load_config(path, seed_override: Optional[int] = None,
                 out_override: Optional[str] = None) -> ExperimentConfig:
     present = _read(Path(path))
-    built: dict = {}
 
-    def keys(section: str) -> dict:
-        """The section's defaults from ``_DEFAULTS``, overlaid by its present keys."""
-        defaults = {key: value(built) if callable(value) else value
-                    for key, value in _DEFAULTS.get(section, {}).items()}
-        return {**defaults, **present.get(section, {})}
+    def keys(section: str, **derived) -> dict:
+        """The section's ``_DEFAULTS`` and ``derived`` defaults under its present keys."""
+        return {**_DEFAULTS.get(section, {}), **derived, **present.get(section, {})}
 
     meta = keys("meta")
     version = meta.get("schema_version")
@@ -290,7 +279,7 @@ def load_config(path, seed_override: Optional[int] = None,
         raise ConfigError(f"seed must be >= 0, got {seed}")
     out_dir = Path(out_override if out_override is not None else meta["out_dir"])
 
-    task = built["task"] = _library(TaskSpec, keys("task"))
+    task = _library(TaskSpec, keys("task"))
     demos = _library(DemoConfig, keys("demos"))
     if demos.pattern is Pattern.ARC and task.dof < 2:
         raise ConfigError("demos.pattern = arc needs task.dof = 2")
@@ -299,7 +288,7 @@ def load_config(path, seed_override: Optional[int] = None,
     for name in requested:
         if name not in KNOWN_METHODS:
             raise ConfigError(f"unknown method {name!r} in methods.train")
-    methods = built["methods"] = {}
+    methods = {}
     for name in requested:
         spec_keys = {_SAE_FIELDS.get(key, key): value
                      for key, value in keys(f"method.{name}").items()}
@@ -309,20 +298,22 @@ def load_config(path, seed_override: Optional[int] = None,
                            seed=seed, **spec_keys)
         methods[name] = MethodConfig(spec=spec, train=train)
 
-    analysis = _library(AnalysisConfig, keys("analysis"))
+    controllable = tuple(m for m in ("bvae", "sae") if m in methods)
+    analysis = _library(AnalysisConfig, keys("analysis", fieldmap_methods=controllable))
     for m in analysis.fieldmap_methods:
         if m not in methods:
             raise ConfigError(f"analysis.fieldmap_methods lists untrained method {m!r}")
 
-    control = built["control"] = _library(ControlConfig, keys("control"))
+    control = _library(ControlConfig, keys("control", methods=controllable))
     for m in control.methods:
         if m not in methods:
             raise ConfigError(f"control.methods lists untrained method {m!r}")
 
-    uvs = _library(UVSConfig, keys("uvs"))
+    uvs = _library(UVSConfig, keys("uvs", eps_explore=task.a_max))
     if uvs.eps_explore > task.a_max:
         raise ConfigError("uvs.eps_explore cannot exceed task.a_max")
-    reinforce = _library(ReinforceConfig, {**keys("reinforce"), "seed": seed})
+    reinforce = _library(ReinforceConfig,
+                         keys("reinforce", horizon=control.max_steps, seed=seed))
 
     return ExperimentConfig(
         schema_version=version, seed=seed, out_dir=out_dir, task=task,

@@ -16,7 +16,7 @@ from ..plain import plain
 from ..representations import ConfigError
 from .commands import STAGE_TABLE, ensure_stage, stage_report
 from .config import load_config
-from .manifest import ManifestError, RunManifest, StageOutputs, run_stage
+from .manifest import ManifestError, RunManifest, run_stage
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -42,28 +42,25 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _report_only(out_dir: Path) -> int:
-    """The report of a run directory alone: each stage's recorded status."""
-    if not (out_dir / "manifest.json").exists():
-        print(f"no manifest under {out_dir}", file=sys.stderr)
-        return EXIT_IO
-    stage_report(StageOutputs(out_dir), RunManifest.open(out_dir, config_digest=None))
-    return EXIT_OK
-
-
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if args.config is None:
-            if args.stage == "report" and args.out is not None:
-                return _report_only(args.out)
+        if args.config is not None:
+            cfg = load_config(args.config, seed_override=args.seed,
+                              out_override=None if args.out is None else str(args.out))
+            tree = plain(cfg)
+            cfg.out_dir.mkdir(parents=True, exist_ok=True)
+            manifest = RunManifest.open(cfg.out_dir, cfg.digest(tree))
+        elif args.stage == "report" and args.out is not None:
+            # the run directory alone: each stage shows the status it recorded
+            if not (args.out / "manifest.json").exists():
+                print(f"no manifest under {args.out}", file=sys.stderr)
+                return EXIT_IO
+            tree = None
+            manifest = RunManifest.open(args.out, config_digest=None)
+        else:
             print("--config is required", file=sys.stderr)
             return EXIT_CONFIG
-        cfg = load_config(args.config, seed_override=args.seed,
-                          out_override=None if args.out is None else str(args.out))
-        tree = plain(cfg)
-        cfg.out_dir.mkdir(parents=True, exist_ok=True)
-        manifest = RunManifest.open(cfg.out_dir, cfg.digest(tree))
         if args.stage == "report":
             run_stage(manifest, "report", None, True,
                       lambda out: stage_report(out, manifest, tree))

@@ -1,12 +1,12 @@
 """Run manifest: per-stage status, outputs, and content-addressed caching.
 
 The manifest is rewritten atomically (temp file + rename) at every stage
-boundary. Each finished stage records a ``key`` (a sha256 over what the
-stage read: its config paths and its inputs' recorded key and output
-digests) and the content digest of every output, by path
-relative to the run directory. A stage is current iff its recorded key
-equals the key it would run under now and every recorded output still has
-its recorded digest; otherwise it runs again.
+boundary. Each stage attempt, done or failed, records a ``key`` (a sha256
+over what the stage read: its config paths and its inputs' recorded key
+and output digests) and the content digest of every file it wrote, by path
+relative to the run directory. A stage is current iff it is done, its
+recorded key equals the key it would run under now and every recorded
+output still has its recorded digest; otherwise it runs again.
 """
 
 from __future__ import annotations
@@ -143,20 +143,21 @@ class RunManifest:
         return [os.path.join(run_dir, rel) for rel in outputs]
 
     def record(self, stage: str, key: Optional[str], outputs: List[str],
-               wall_clock_s: float) -> None:
+               wall_clock_s: float, error: Optional[str] = None) -> None:
+        """One attempt at ``stage``: done, or failed with ``error``. Either
+        way every file it wrote is recorded, so the next attempt removes it."""
         digests = {Path(o).relative_to(self.run_dir).as_posix(): content_digest(o)
                    for o in outputs}
-        self.stages[stage] = {
+        entry = self.stages[stage] = {
             "status": "done",
             "key": key,
             "outputs": dict(sorted(digests.items())),
             "wall_clock_s": round(wall_clock_s, 3),
         }
-        self.checked.add(stage)
-        self._write()
-
-    def record_failure(self, stage: str, error: str) -> None:
-        self.stages[stage] = {"status": "failed", "error": error}
+        if error is None:
+            self.checked.add(stage)
+        else:
+            entry.update(status="failed", error=error)
         self._write()
 
     def _write(self) -> None:
@@ -202,22 +203,24 @@ def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool
     """Execute one cached stage under ``key``.
 
     ``action`` writes every output through the ``StageOutputs`` it is
-    given, so the manifest records exactly what the stage wrote. A stage
-    that runs first removes the outputs it recorded last time, so a file
-    it no longer writes cannot outlive the change that dropped it.
+    given, so the manifest records exactly what the stage wrote, whether
+    it finishes or fails. A stage that runs first removes the outputs its
+    last attempt recorded, so a file it no longer writes cannot outlive the
+    change that dropped it.
     """
     if not force and manifest.is_current(stage, key):
         log(f"[{stage}] up to date, skipping")
         return
     log(f"[{stage}] running")
     t0 = time.perf_counter()
+    for path in manifest.outputs(stage):
+        _remove(Path(path))
+    out = StageOutputs(manifest.run_dir)
     try:
-        for path in manifest.outputs(stage):
-            _remove(Path(path))
-        out = StageOutputs(manifest.run_dir)
         action(out)
     except Exception as exc:
-        manifest.record_failure(stage, f"{type(exc).__name__}: {exc}")
+        manifest.record(stage, key, out.paths, time.perf_counter() - t0,
+                        error=f"{type(exc).__name__}: {exc}")
         raise
     manifest.record(stage, key, out.paths, time.perf_counter() - t0)
     log(f"[{stage}] done ({time.perf_counter() - t0:.1f}s)")

@@ -16,8 +16,10 @@ from .specs import EncoderSpec, Method, TrainConfig
 
 
 class TrainingDiverged(RuntimeError):
-    def __init__(self, epoch: int, batch: int, value: float):
-        super().__init__(f"non-finite loss {value} at epoch {epoch}, batch {batch}")
+    """A training step that failed on its numbers, named by where it failed."""
+
+    def __init__(self, epoch: int, batch: int, reason: str):
+        super().__init__(f"{reason} at epoch {epoch}, batch {batch}")
         self.epoch = epoch
         self.batch = batch
 
@@ -72,13 +74,17 @@ def train(spec: EncoderSpec, demos: Sequence[DemoSequence],
             batch = frames[idx]
             noise = rng.standard_normal((len(idx), spec.latent)).astype(np.float32) \
                 if needs_noise else None
-            with ad.Tape():
-                value = loss(spec, params, batch, noise=noise,
-                             target=None if targets is None else targets[idx])
-                batch_loss = value.item()
-                if not np.isfinite(batch_loss):
-                    raise TrainingDiverged(epoch, b0 // config.batch_size, batch_loss)
-                grads = ad.backward(value, params)
+            try:
+                with ad.Tape():
+                    value = loss(spec, params, batch, noise=noise,
+                                 target=None if targets is None else targets[idx])
+                    batch_loss = value.item()
+                    if not np.isfinite(batch_loss):
+                        raise ValueError(f"non-finite loss {batch_loss}")
+                    grads = ad.backward(value, params)
+            except (ValueError, ad.GraphError) as exc:
+                # e.g. a posterior sigma that underflowed to 0 in gaussian_kl
+                raise TrainingDiverged(epoch, b0 // config.batch_size, str(exc)) from exc
             if not curve:
                 curve.append(batch_loss)  # fresh-weights loss, before any update
             epoch_losses.append(batch_loss)

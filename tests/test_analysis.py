@@ -10,6 +10,7 @@ from latentservo.analysis import (
     LatentFieldMap,
     alpha_score,
     build_field_map,
+    build_task_map,
     embodiment_compare,
     extract_time_varying,
     field_map_csv,
@@ -166,7 +167,7 @@ class TestAlphaScore:
         model = ModelWeights(spec=spec, params=init_params(spec))
         task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
         demo = generate_demo(task, Pattern.STRAIGHT, (0.1, 0.1), 8)
-        s = alpha_score(model, demo)
+        s = alpha_score(build_task_map(model, demo))
         assert 0.0 < s <= 1.0
 
     def test_requires_variance_method(self):
@@ -175,7 +176,12 @@ class TestAlphaScore:
         task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
         demo = generate_demo(task, Pattern.STRAIGHT, (0.1, 0.1), 8)
         with pytest.raises(ValueError, match="variance"):
-            alpha_score(model, demo)
+            alpha_score(build_task_map(model, demo))
+
+    def test_requires_three_rows(self):
+        rows = np.ones((2, 4), dtype=np.float32)
+        with pytest.raises(ValueError, match="at least 3"):
+            alpha_score(TaskMap(values=rows, sigmas=rows))
 
 
 def oracle_factors():
@@ -293,7 +299,6 @@ class TestBuildTaskMap:
         return ModelWeights(spec=spec, params=init_params(spec))
 
     def test_constant_demo_gives_identical_rows(self):
-        from latentservo.analysis import build_task_map
         from latentservo.toyenv import DemoSequence, render
         task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
         pos = np.array([0.4, 0.4])
@@ -306,7 +311,6 @@ class TestBuildTaskMap:
             np.testing.assert_array_equal(row, tm.values[0])
 
     def test_shape_is_frames_by_latent(self):
-        from latentservo.analysis import build_task_map
         task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
         demo = generate_demo(task, Pattern.STRAIGHT, (0.1, 0.1), 16)
         tm = build_task_map(self._model(), demo)

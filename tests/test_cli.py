@@ -16,7 +16,7 @@ from latentservo.cli import config
 from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
 from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
-from latentservo.cli.manifest import ManifestError, RunManifest, content_digest
+from latentservo.cli.manifest import ManifestError, RunManifest, content_digest, run_stage
 from latentservo.plain import plain
 from latentservo.representations import ConfigError
 
@@ -77,6 +77,17 @@ BAD_MANIFESTS = {"not-json": b"{not json", "not-an-object": b"[]",
                  "stages-not-an-object": b'{"stages": []}',
                  "entry-not-an-object": b'{"stages": {"train": "x"}}',
                  "not-utf-8": b'{"stages": {"tr\xe9in": {}}}'}
+
+
+def unrecorded(run_dir):
+    """Every file of a run but its manifest.json that lies under no output
+    its manifest records."""
+    recorded = [rel for entry in json.loads((run_dir / "manifest.json").read_text())[
+        "stages"].values() for rel in entry["outputs"]]
+    files = [p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
+             if p.is_file() and p != run_dir / "manifest.json"]
+    return [f for f in files if not any(f == rel or f.startswith(rel + "/")
+                                        for rel in recorded)]
 
 
 def artifact_bytes(run_dir):
@@ -560,10 +571,31 @@ class TestManifest:
 
     def test_failure_recorded(self, tmp_path):
         m = RunManifest.open(tmp_path, "d")
-        m.record_failure("train", "boom")
+        m.record("train", None, [], 0.0, error="boom")
         assert not m.is_current("train", None)
         data = json.loads((tmp_path / "manifest.json").read_text())
         assert data["stages"]["train"]["status"] == "failed"
+
+    def test_failed_attempt_records_what_it_wrote(self, tmp_path):
+        m = RunManifest.open(tmp_path, "d")
+
+        def fail(out):
+            out.write("control/servo_sae_trial00.csv", "step\n")
+            raise ValueError("boom")
+
+        with pytest.raises(ValueError, match="boom"):
+            run_stage(m, "servo", "k", False, fail, log=lambda line: None)
+        entry = json.loads((tmp_path / "manifest.json").read_text())["stages"]["servo"]
+        assert (entry["status"], entry["key"], entry["error"]) == \
+            ("failed", "k", "ValueError: boom")
+        assert list(entry["outputs"]) == ["control/servo_sae_trial00.csv"]
+        assert not RunManifest.open(tmp_path, "d").is_current("servo", "k")
+        run_stage(m, "servo", "k", False,
+                  lambda out: out.write("control/servo_sae_stats.json", "{}"),
+                  log=lambda line: None)
+        assert not (tmp_path / "control" / "servo_sae_trial00.csv").exists()
+        assert unrecorded(tmp_path) == []
+        assert RunManifest.open(tmp_path, "d").is_current("servo", "k")
 
 
 @pytest.fixture(scope="module")
@@ -766,15 +798,21 @@ class TestPipeline:
         assert [s for s in SUMMARY_SECTIONS if s not in text] == []
 
     def test_every_file_is_a_recorded_output(self, cold_run):
-        recorded = [rel for entry in json.loads((cold_run / "manifest.json").read_text())[
-            "stages"].values() for rel in entry["outputs"]]
-        files = [p.relative_to(cold_run).as_posix() for p in cold_run.rglob("*")
-                 if p.is_file() and p != cold_run / "manifest.json"]
-        assert [f for f in files if not any(f == rel or f.startswith(rel + "/")
-                                            for rel in recorded)] == []
+        assert unrecorded(cold_run) == []
 
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK
+
+    def test_report_from_run_dir_is_recorded(self, tmp_path):
+        out = tmp_path / "run"
+        run_stages(TINY, out, "demo-gen")
+        digest = json.loads((out / "manifest.json").read_text())["config_digest"]
+        assert main(["report", "--out", str(out)]) == EXIT_OK
+        data = json.loads((out / "manifest.json").read_text())
+        assert data["config_digest"] == digest
+        assert (data["stages"]["report"]["status"], list(data["stages"]["report"]["outputs"])) \
+            == ("done", ["report.md"])
+        assert unrecorded(out) == []
 
     def test_report_references_every_artifact(self, pipeline_run):
         manifest = json.loads((pipeline_run / "manifest.json").read_text())
@@ -870,7 +908,8 @@ class TestExitCodes:
         ini = tiny_with(tmp_path, ("epochs = 60\nbatch_size = 16\nlearning_rate = 2e-3",
                                    "epochs = 3\nbatch_size = 16\nlearning_rate = 1e9"))
         assert main(["train", "--config", str(ini), "--out", str(out)]) == EXIT_STAGE
-        assert error_line(capsys).startswith("stage failure: ")
+        line = error_line(capsys)
+        assert line.startswith("stage failure: ") and "at epoch" in line
         stages = json.loads((out / "manifest.json").read_text())["stages"]
         assert stages["demo-gen"]["status"] == "done"
         assert stages["train"]["status"] == "failed"

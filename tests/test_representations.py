@@ -10,6 +10,7 @@ from latentservo.representations import (
     Method,
     ModelWeights,
     TrainConfig,
+    TrainingDiverged,
     WeightFormatError,
     compute_beta,
     downsample_half,
@@ -253,6 +254,19 @@ class TestTrain:
         model, _ = train(tiny_spec(Method.BVAE, alpha=0.1), tiny_demos, cfg)
         digests.add(model.dataset_digest)
         assert len(digests) == 1  # same data samples behind every method
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
+                                "ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("spec", [tiny_spec(Method.BVAE, alpha=0.1),
+                                      tiny_spec(Method.VAE), tiny_spec(Method.AE)],
+                             ids=["bvae", "vae", "ae"])
+    def test_a_fit_that_blows_up_names_its_epoch(self, spec):
+        task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
+        demos = [generate_demo(task, Pattern.STRAIGHT, s, 8) for s in [(0.1, 0.1), (0.9, 0.2)]]
+        cfg = TrainConfig(epochs=3, batch_size=8, learning_rate=1e9, seed=4)
+        with pytest.raises(TrainingDiverged, match=r"at epoch \d+, batch \d+$") as exc:
+            train(spec, demos, cfg)
+        assert (exc.value.epoch, exc.value.batch) == (0, 1)
 
 
 def _reference_train(spec, demos, cfg):
