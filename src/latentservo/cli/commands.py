@@ -75,8 +75,8 @@ class StageFailure(RuntimeError):
 
 def load_demo_set(cfg: ExperimentConfig, sprite: str) -> List[DemoSequence]:
     """The ``demos.count`` demos ``demo-gen`` recorded for ``sprite``, by
-    index: a directory beside them that it did not record is not read."""
-    return [load_demo(cfg.out_dir / "demos" / sprite / f"demo_{i:03d}")
+    index: a file beside them that it did not record is not read."""
+    return [load_demo(cfg.out_dir / "demos" / sprite / f"demo_{i:03d}.pgm")
             for i in range(cfg.demos.count)]
 
 
@@ -90,8 +90,7 @@ def _demo_starts(cfg: ExperimentConfig) -> List[np.ndarray]:
 
 def stage_demo_gen(cfg: ExperimentConfig, out: StageOutputs) -> None:
     starts = _demo_starts(cfg)
-    # A demo directory's digest covers every file in it, so no file of an
-    # earlier run may stay.
+    # No demo of an earlier run stays, even one no manifest records.
     shutil.rmtree(cfg.out_dir / "demos", ignore_errors=True)
     sprites = [("teacher", SpriteKind.TEACHER)]
     if cfg.demos.executor:
@@ -102,7 +101,7 @@ def stage_demo_gen(cfg: ExperimentConfig, out: StageOutputs) -> None:
             demo = generate_demo(spec, cfg.demos.pattern, start, cfg.demos.steps,
                                  seed=cfg.stage_seed(f"demo-{label}-{i}"),
                                  arc_bulge=cfg.demos.arc_bulge)
-            save_demo(demo, out.path(f"demos/{label}/demo_{i:03d}"))
+            save_demo(demo, out.path(f"demos/{label}/demo_{i:03d}.pgm"))
 
 
 # -------------------------------------------------------------------- models

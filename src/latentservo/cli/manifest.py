@@ -16,7 +16,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Iterable, List, Optional
 
@@ -27,34 +27,12 @@ class ManifestError(RuntimeError):
     """Unreadable or structurally invalid manifest."""
 
 
-def _files(root: str, prefix: str):
-    """(relative POSIX path, path) of every file under ``root``, as
-    ``Path.rglob`` finds them: a symlinked directory is not entered."""
-    with os.scandir(root) as entries:
-        for entry in entries:
-            if entry.is_dir():
-                if not entry.is_symlink():
-                    yield from _files(entry.path, prefix + entry.name + "/")
-            elif entry.is_file():
-                yield prefix + entry.name, entry.path
-
-
-def _file_digest(path) -> bytes:
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).digest()
-
-
 def content_digest(path) -> Optional[str]:
-    """sha256 of a file's bytes, or of a directory's files in sorted
-    relative-path order (each path, then its file's digest); None if absent."""
-    if os.path.isfile(path):
-        return _file_digest(path).hex()
-    if not os.path.isdir(path):
+    """sha256 of a regular file's bytes; None for anything else."""
+    if not os.path.isfile(path):
         return None
-    h = hashlib.sha256()
-    for rel, file in sorted(_files(os.fspath(path), "")):
-        h.update(rel.encode() + b"\0" + _file_digest(file))
-    return h.hexdigest()
+    with open(path, "rb") as f:
+        return hashlib.sha256(f.read()).hexdigest()
 
 
 def _beneath(rel: str) -> bool:
@@ -71,9 +49,6 @@ class RunManifest:
     config_digest: str  # provenance only; stage keys decide caching
     tool_version: str
     stages: dict
-    # Stages whose outputs were hashed (or written) by this process: each
-    # output is hashed at most once per CLI call.
-    checked: set = field(default_factory=set, repr=False, compare=False)
 
     @staticmethod
     def open(out_dir, config_digest: Optional[str]) -> "RunManifest":
@@ -123,16 +98,11 @@ class RunManifest:
         """Done under ``key``, and every recorded output still has its digest."""
         entry = self.stages.get(stage) or {}
         outputs = entry.get("outputs")
-        if entry.get("status") != "done" or entry.get("key") != key \
-                or not isinstance(outputs, dict):
-            return False
-        if stage not in self.checked:
-            run_dir = str(self.run_dir)
-            if any(content_digest(os.path.join(run_dir, rel)) != digest
-                   for rel, digest in outputs.items()):
-                return False
-            self.checked.add(stage)
-        return True
+        run_dir = str(self.run_dir)
+        return entry.get("status") == "done" and entry.get("key") == key \
+            and isinstance(outputs, dict) \
+            and all(content_digest(os.path.join(run_dir, rel)) == digest
+                    for rel, digest in outputs.items())
 
     def outputs(self, stage: str) -> List[str]:
         """The stage's recorded output paths, under the run directory."""
@@ -154,9 +124,7 @@ class RunManifest:
             "outputs": dict(sorted(digests.items())),
             "wall_clock_s": round(wall_clock_s, 3),
         }
-        if error is None:
-            self.checked.add(stage)
-        else:
+        if error is not None:
             entry.update(status="failed", error=error)
         self._write()
 
@@ -173,6 +141,8 @@ class RunManifest:
 
 
 def _remove(path: Path) -> None:
+    # A run directory written before demos became single files records each
+    # demo as a directory.
     if path.is_dir():
         shutil.rmtree(path)
     elif path.exists():

@@ -1,8 +1,9 @@
 """Demonstration sequences: pattern generators and on-disk persistence.
 
-A demo directory holds ``manifest.json`` (task spec, pattern, ground-truth
-positions) plus one binary PGM per frame; re-rendering the stored
-positions reproduces the stored frames bit-exactly.
+A demo file is one binary PGM: the frames stacked top to bottom, with the
+task spec, pattern and ground-truth positions as a JSON record in the
+header's comment line. Re-rendering the stored positions reproduces the
+stored frames bit-exactly.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ import numpy as np
 from ..plain import plain
 from .task import TaskSpec, render
 
-MANIFEST_SCHEMA = 1
+DEMO_SCHEMA = 2
 
 
 class Pattern(enum.Enum):
@@ -99,57 +100,50 @@ def generate_demo(spec: TaskSpec, pattern: Pattern, start, steps: int,
 
 # ------------------------------------------------------------- persistence
 
-def _write_pgm(path: Path, frame: np.ndarray) -> None:
-    h, w = frame.shape
-    data = np.round(frame * 255.0).astype(np.uint8)
-    with open(path, "wb") as f:
-        f.write(f"P5\n{w} {h}\n255\n".encode("ascii"))
-        f.write(data.tobytes())
+# The header save_demo writes. The record line is optional here only so
+# that a plain PGM is refused by name.
+_HEADER = re.compile(rb"P5\n(?:# ([^\n]*)\n)?(\d+) (\d+)\n(\d+)\n")
 
 
-# The header _write_pgm writes: magic, width, height and maxval, then one
-# whitespace byte before the pixels.
-_PGM_HEADER = re.compile(rb"P5\s+(\d+)\s+(\d+)\s+(\d+)\s")
-
-
-def _read_pgm(path: Path) -> np.ndarray:
-    raw = path.read_bytes()
-    header = _PGM_HEADER.match(raw)
-    if header is None:
-        raise ValueError(f"{path}: not a binary PGM")
-    w, h, maxval = (int(x) for x in header.groups())
-    if maxval != 255:
-        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
-    pixels = np.frombuffer(raw[header.end():header.end() + w * h], dtype=np.uint8)
-    if pixels.size != w * h:
-        raise ValueError(f"{path}: truncated pixel payload")
-    return (pixels.reshape(h, w).astype(np.float32)) / 255.0
-
-
-def save_demo(demo: DemoSequence, directory) -> None:
-    directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
-    manifest = {
-        "schema_version": MANIFEST_SCHEMA,
+def save_demo(demo: DemoSequence, path) -> None:
+    record = json.dumps({
+        "schema_version": DEMO_SCHEMA,
         "task": plain(demo.spec),
         "pattern": demo.pattern.value,
         "positions": [[float(x), float(y)] for x, y in demo.positions],
-        "frame_count": len(demo),
-    }
-    (directory / "manifest.json").write_text(json.dumps(manifest, indent=1, sort_keys=True))
-    for i, frame in enumerate(demo.frames):
-        _write_pgm(directory / f"frame_{i:04d}.pgm", frame)
+    }, sort_keys=True)
+    _, h, w = demo.frames.shape
+    pixels = np.round(demo.frames * 255.0).astype(np.uint8)
+    with open(path, "wb") as f:
+        f.write(f"P5\n# {record}\n{w} {len(demo) * h}\n255\n".encode("ascii"))
+        f.write(pixels.tobytes())
 
 
-def load_demo(directory) -> DemoSequence:
-    directory = Path(directory)
-    manifest = json.loads((directory / "manifest.json").read_text())
-    if manifest.get("schema_version") != MANIFEST_SCHEMA:
-        raise ValueError(f"{directory}: unsupported demo schema "
-                         f"{manifest.get('schema_version')}")
-    spec = TaskSpec.from_dict(manifest["task"])
-    positions = np.asarray(manifest["positions"], dtype=np.float64)
-    frames = np.stack([_read_pgm(directory / f"frame_{i:04d}.pgm")
-                       for i in range(manifest["frame_count"])])
+def load_demo(path) -> DemoSequence:
+    raw = Path(path).read_bytes()
+    header = _HEADER.match(raw)
+    if header is None:
+        raise ValueError(f"{path}: not a binary PGM")
+    record, w, rows, maxval = header.groups()
+    w, rows, maxval = int(w), int(rows), int(maxval)
+    if maxval != 255:
+        raise ValueError(f"{path}: expected maxval 255, got {maxval}")
+    if record is None:
+        raise ValueError(f"{path}: no demo record in the header")
+    record = json.loads(record)
+    if record.get("schema_version") != DEMO_SCHEMA:
+        raise ValueError(f"{path}: unsupported demo schema "
+                         f"{record.get('schema_version')}")
+    spec = TaskSpec.from_dict(record["task"])
+    positions = np.asarray(record["positions"], dtype=np.float64)
+    pixels = np.frombuffer(raw, dtype=np.uint8, offset=header.end())
+    if pixels.size != w * rows:
+        raise ValueError(f"{path}: pixel payload of {pixels.size} bytes "
+                         f"is not {w} x {rows}")
+    size = spec.image_size
+    if (w, rows) != (size, len(positions) * size):
+        raise ValueError(f"{path}: {w} x {rows} pixels do not hold "
+                         f"{len(positions)} frames of {size} x {size}")
+    frames = pixels.reshape(len(positions), size, size).astype(np.float32) / 255.0
     return DemoSequence(frames=frames, positions=positions, spec=spec,
-                        pattern=Pattern(manifest["pattern"]))
+                        pattern=Pattern(record["pattern"]))

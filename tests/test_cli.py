@@ -80,14 +80,13 @@ BAD_MANIFESTS = {"not-json": b"{not json", "not-an-object": b"[]",
 
 
 def unrecorded(run_dir):
-    """Every file of a run but its manifest.json that lies under no output
-    its manifest records."""
-    recorded = [rel for entry in json.loads((run_dir / "manifest.json").read_text())[
-        "stages"].values() for rel in entry["outputs"]]
+    """Every file of a run but its manifest.json that no stage records as
+    an output."""
+    recorded = {rel for entry in json.loads((run_dir / "manifest.json").read_text())[
+        "stages"].values() for rel in entry["outputs"]}
     files = [p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
              if p.is_file() and p != run_dir / "manifest.json"]
-    return [f for f in files if not any(f == rel or f.startswith(rel + "/")
-                                        for rel in recorded)]
+    return [f for f in files if f not in recorded]
 
 
 def artifact_bytes(run_dir):
@@ -412,62 +411,10 @@ class TestConfig:
                 assert _lookup(tree, path) is not None, (stage, path)
 
 
-def rglob_digest(path):
-    """``content_digest`` as it was first written, with ``Path.rglob``: the
-    reference that the faster directory walk must equal."""
-    if path.is_file():
-        return hashlib.sha256(path.read_bytes()).hexdigest()
-    if not path.is_dir():
-        return None
-    h = hashlib.sha256()
-    for rel, file in sorted((p.relative_to(path).as_posix(), p)
-                            for p in path.rglob("*") if p.is_file()):
-        h.update(rel.encode() + b"\0" + bytes.fromhex(rglob_digest(file)))
-    return h.hexdigest()
-
-
-# Directory trees, each a list of (relative path, bytes); None makes a directory.
-DIGEST_TREES = {
-    "nested": [("a/b/c/deep.bin", b"\x00\x01"), ("a/top.txt", b"t"), ("z.txt", b"z")],
-    "empty-subdir": [("kept.txt", b"k"), ("hollow", None), ("a/hollow", None)],
-    "path-vs-string-order": [("a/b", b"1"), ("a-b", b"2"), ("a.b", b"3"), ("a0", b"4"),
-                             ("a/b-c", b"5"), ("a/b.d/e", b"6"), ("A", b"7")],
-    "non-ascii": [("é/ü.pgm", b"P5"), ("日本/語", b""), ("e/u.pgm", b"P5")],
-    "empty-dir": [],
-}
-
-
 class TestManifest:
-    @pytest.mark.parametrize("files", DIGEST_TREES.values(), ids=DIGEST_TREES.keys())
-    def test_content_digest_equals_the_rglob_walk(self, tmp_path, files):
-        root = tmp_path / "out"
-        root.mkdir()
-        for rel, data in files:
-            if data is None:
-                (root / rel).mkdir(parents=True, exist_ok=True)
-            else:
-                (root / rel).parent.mkdir(parents=True, exist_ok=True)
-                (root / rel).write_bytes(data)
-        assert content_digest(root) == rglob_digest(root)
-        assert content_digest(str(root)) == rglob_digest(root)
-        for rel, data in files:
-            if data is not None:
-                assert content_digest(root / rel) == rglob_digest(root / rel)
-
-    def test_content_digest_follows_rglob_over_links(self, tmp_path):
-        root, outside = tmp_path / "out", tmp_path / "outside"
-        (root / "sub").mkdir(parents=True)
-        outside.mkdir()
-        (outside / "far.txt").write_text("far")
-        (root / "sub" / "near.txt").write_text("near")
-        (root / "file-link").symlink_to(outside / "far.txt")
-        (root / "dir-link").symlink_to(outside, target_is_directory=True)
-        (root / "dangling").symlink_to(tmp_path / "nothing")
-        assert content_digest(root) == rglob_digest(root)
-
     def test_content_digest_of_a_missing_path(self, tmp_path):
         assert content_digest(tmp_path / "ghost") is None
-        assert rglob_digest(tmp_path / "ghost") is None
+        assert content_digest(tmp_path) is None  # a directory is no output
 
     @pytest.mark.parametrize("rel", ["../victim", "models/../../victim", "..",
                                      "/etc/victim", "//victim", "", ".", "./"])
@@ -517,17 +464,11 @@ class TestManifest:
         assert RunManifest.open(tmp_path, "d").is_current("train", "k")
 
     def test_changed_output_is_not_current(self, tmp_path):
-        demo = tmp_path / "demos" / "demo_000"
-        demo.mkdir(parents=True)
-        (demo / "frame_0000.pgm").write_bytes(b"P5 frame")
         model = tmp_path / "model.lsrv"
         model.write_bytes(b"weights")
-        RunManifest.open(tmp_path, "d").record("s", "k", [str(demo), str(model)], 1.0)
+        RunManifest.open(tmp_path, "d").record("s", "k", [str(model)], 1.0)
         assert RunManifest.open(tmp_path, "d").is_current("s", "k")
         model.write_bytes(b"weightz")
-        assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
-        model.write_bytes(b"weights")
-        (demo / "frame_0001.pgm").write_bytes(b"P5 frame")
         assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
 
     def test_key_covers_reads_and_inputs(self, tmp_path):
@@ -730,7 +671,7 @@ class TestPipeline:
     def test_stray_demo_directory_is_not_read(self, cold_copy, capsys):
         models = {p.name: p.read_bytes() for p in (cold_copy / "models").iterdir()}
         teacher = cold_copy / "demos" / "teacher"
-        shutil.copytree(teacher / "demo_000", teacher / "demo_009")  # demo-gen never wrote it
+        shutil.copy(teacher / "demo_000.pgm", teacher / "demo_009.pgm")  # demo-gen never wrote it
         assert main(["train", "--config", str(TINY), "--out", str(cold_copy),
                      "--force"]) == EXIT_OK
         assert {p.name: p.read_bytes() for p in (cold_copy / "models").iterdir()} == models
@@ -747,7 +688,35 @@ class TestPipeline:
         run_stages(ini, cold_copy, "demo-gen")
         for sprite in ("teacher", "executor"):
             demos = sorted(p.name for p in (cold_copy / "demos" / sprite).iterdir())
-            assert demos == ["demo_000"]
+            assert demos == ["demo_000.pgm"]
+
+    def test_a_run_with_demo_directories_is_upgraded(self, cold_copy, capsys):
+        # Written before demos became single files, each demo is a directory
+        # of frames and records a directory digest: demo-gen runs again, and
+        # so does every stage downstream of it.
+        models = {p.name: p.read_bytes() for p in (cold_copy / "models").iterdir()}
+        data = json.loads((cold_copy / "manifest.json").read_text())
+        outputs = data["stages"]["demo-gen"]["outputs"]
+        for rel in sorted(outputs):
+            old = rel.removesuffix(".pgm")
+            (cold_copy / rel).unlink()
+            (cold_copy / old).mkdir()
+            (cold_copy / old / "manifest.json").write_text("{}")
+            (cold_copy / old / "frame_0000.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(1024))
+            del outputs[rel]
+            outputs[old] = hashlib.sha256(old.encode()).hexdigest()
+        (cold_copy / "manifest.json").write_text(json.dumps(data))
+        manifest, tree = RunManifest.open(cold_copy, None), plain(load_config(TINY))
+        for stage in list(STAGE_TABLE)[1:]:  # each key as it was recorded then
+            manifest.stages[stage]["key"] = stage_key(tree, manifest, stage)
+        (cold_copy / "manifest.json").write_text(json.dumps(data | {"stages": manifest.stages}))
+        capsys.readouterr()
+        run_stages(TINY, cold_copy, "evaluate")
+        assert ran(capsys.readouterr().out) == ["demo-gen", "train", "factors", "servo",
+                                                "reinforce", "evaluate"]
+        assert [p for p in (cold_copy / "demos").glob("*/*") if not p.is_file()] == []
+        assert unrecorded(cold_copy) == []
+        assert {p.name: p.read_bytes() for p in (cold_copy / "models").iterdir()} == models
 
     def test_rerun_removes_the_outputs_it_no_longer_writes(self, cold_copy, tmp_path):
         ini = tiny_with(tmp_path, ("trials = 3", "trials = 2"))
@@ -799,6 +768,12 @@ class TestPipeline:
 
     def test_every_file_is_a_recorded_output(self, cold_run):
         assert unrecorded(cold_run) == []
+
+    def test_every_recorded_output_is_a_file(self, cold_run):
+        stages = json.loads((cold_run / "manifest.json").read_text())["stages"]
+        outputs = [rel for entry in stages.values() for rel in entry["outputs"]]
+        assert "demos/teacher/demo_000.pgm" in outputs
+        assert [rel for rel in outputs if not (cold_run / rel).is_file()] == []
 
     def test_report_from_run_dir_alone(self, pipeline_run):
         assert main(["report", "--out", str(pipeline_run)]) == EXIT_OK

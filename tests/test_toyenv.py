@@ -1,6 +1,7 @@
 """Rendering, stepping, demo patterns, and PGM persistence."""
 
 import itertools
+import json
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from latentservo.toyenv import (
     step,
     to_pixels,
 )
-from latentservo.toyenv.demos import _read_pgm, _write_pgm
+from latentservo.plain import plain
 
 
 @pytest.fixture
@@ -249,36 +250,73 @@ class TestDemos:
             generate_demo(spec, Pattern.STRAIGHT, (1.4, 0.0), 8)
 
 
+def rewrite_record(path, edit):
+    """Apply ``edit`` to the JSON record in a demo file's header, in place."""
+    magic, comment, rest = path.read_bytes().split(b"\n", 2)
+    record = json.loads(comment[2:])
+    edit(record)
+    path.write_bytes(magic + b"\n# " + json.dumps(record).encode() + b"\n" + rest)
+
+
 class TestPersistence:
     def test_round_trip_bit_exact(self, tmp_path, spec):
         demo = generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 8)
-        save_demo(demo, tmp_path / "d0")
-        back = load_demo(tmp_path / "d0")
+        save_demo(demo, tmp_path / "d0.pgm")
+        back = load_demo(tmp_path / "d0.pgm")
         assert back.frames.tobytes() == demo.frames.tobytes()
         np.testing.assert_array_equal(back.positions, demo.positions)
         assert back.pattern == demo.pattern
         assert back.spec == demo.spec
 
+    def test_one_frame_demo_round_trip(self, tmp_path, spec):
+        demo = generate_demo(spec, Pattern.STRAIGHT, spec.target, 8)
+        assert len(demo) == 1
+        save_demo(demo, tmp_path / "d.pgm")
+        back = load_demo(tmp_path / "d.pgm")
+        assert back.frames.tobytes() == demo.frames.tobytes()
+        assert back.positions.tobytes() == demo.positions.tobytes()
+
     def test_loaded_frames_match_rerender(self, tmp_path, spec):
         demo = generate_demo(spec, Pattern.ARC, (0.8, 0.2), 6, seed=4)
-        save_demo(demo, tmp_path / "d1")
-        back = load_demo(tmp_path / "d1")
-        for pos, frame in zip(back.positions, back.frames):
-            assert render(pos[None], back.spec)[0].tobytes() == frame.tobytes()
+        save_demo(demo, tmp_path / "d1.pgm")
+        back = load_demo(tmp_path / "d1.pgm")
+        assert render(back.positions, back.spec).tobytes() == back.frames.tobytes()
+
+    def test_positions_come_back_exactly(self, tmp_path):
+        spec = TaskSpec(sprite=SpriteKind.EXECUTOR, target=(1 / 3, 2 / 7))
+        demo = generate_demo(spec, Pattern.ARC, (0.9, 0.85), 11, seed=3, arc_bulge=0.3)
+        save_demo(demo, tmp_path / "d.pgm")
+        back = load_demo(tmp_path / "d.pgm")
+        assert back.positions.tobytes() == demo.positions.tobytes()
+        assert back.spec == spec and back.pattern is Pattern.ARC
+
+    def test_file_layout(self, tmp_path, spec):
+        demo = generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4)
+        save_demo(demo, tmp_path / "d.pgm")
+        raw = (tmp_path / "d.pgm").read_bytes()
+        magic, comment, size, maxval, pixels = raw.split(b"\n", 4)
+        assert (magic, size, maxval) == (b"P5", b"32 160", b"255")
+        record = json.loads(comment[2:])
+        assert comment == b"# " + json.dumps(record, sort_keys=True).encode("ascii")
+        assert record == {"schema_version": 2, "task": plain(spec), "pattern": "straight",
+                          "positions": demo.positions.tolist()}
+        assert pixels == np.round(demo.frames * 255.0).astype(np.uint8).tobytes()
 
     def test_truncated_frame_rejected(self, tmp_path, spec):
         demo = generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4)
-        save_demo(demo, tmp_path / "d2")
-        f = tmp_path / "d2" / "frame_0002.pgm"
+        save_demo(demo, tmp_path / "d2.pgm")
+        f = tmp_path / "d2.pgm"
         f.write_bytes(f.read_bytes()[:-10])
-        with pytest.raises(ValueError, match="truncated"):
-            load_demo(tmp_path / "d2")
+        with pytest.raises(ValueError, match="pixel payload of 5110 bytes is not 32 x 160"):
+            load_demo(f)
 
-    def test_non_square_frame_round_trip(self, tmp_path):
-        frame = np.arange(15, dtype=np.float32).reshape(3, 5) / 255.0
-        _write_pgm(tmp_path / "f.pgm", frame)
-        back = _read_pgm(tmp_path / "f.pgm")
-        assert back.shape == (3, 5) and back.tobytes() == frame.tobytes()
+    def test_overlong_payload_rejected(self, tmp_path, spec):
+        demo = generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4)
+        save_demo(demo, tmp_path / "d.pgm")
+        f = tmp_path / "d.pgm"
+        f.write_bytes(f.read_bytes() + b"\0")
+        with pytest.raises(ValueError, match="pixel payload of 5121 bytes is not 32 x 160"):
+            load_demo(f)
 
     @pytest.mark.parametrize("header, message", [
         (b"P2\n5 3\n255\n", "not a binary PGM"),
@@ -287,7 +325,30 @@ class TestPersistence:
     def test_pgm_reader_refuses_other_formats(self, tmp_path, header, message):
         (tmp_path / "f.pgm").write_bytes(header + bytes(30))
         with pytest.raises(ValueError, match=message):
-            _read_pgm(tmp_path / "f.pgm")
+            load_demo(tmp_path / "f.pgm")
+
+    def test_plain_pgm_without_record_rejected(self, tmp_path):
+        (tmp_path / "f.pgm").write_bytes(b"P5\n32 32\n255\n" + bytes(32 * 32))
+        with pytest.raises(ValueError, match="no demo record"):
+            load_demo(tmp_path / "f.pgm")
+
+    @pytest.mark.parametrize("version", [1, 3, None])
+    def test_unsupported_schema_rejected(self, tmp_path, spec, version):
+        save_demo(generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4), tmp_path / "d.pgm")
+        rewrite_record(tmp_path / "d.pgm", lambda r: r.update(schema_version=version))
+        with pytest.raises(ValueError, match=f"unsupported demo schema {version}"):
+            load_demo(tmp_path / "d.pgm")
+
+    @pytest.mark.parametrize("edit", [
+        lambda r: r["positions"].pop(),
+        lambda r: r["positions"].append([0.5, 0.5]),
+        lambda r: r["task"].update(image_size=16),
+    ], ids=["fewer-positions", "more-positions", "smaller-image"])
+    def test_frames_must_match_the_record(self, tmp_path, spec, edit):
+        save_demo(generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4), tmp_path / "d.pgm")
+        rewrite_record(tmp_path / "d.pgm", edit)
+        with pytest.raises(ValueError, match="32 x 160 pixels do not hold"):
+            load_demo(tmp_path / "d.pgm")
 
 
 class TestSampling:
