@@ -35,12 +35,6 @@ class FactorSet:
     def __len__(self) -> int:
         return len(self.indices)
 
-    @staticmethod
-    def from_dict(d: dict) -> "FactorSet":
-        return FactorSet(indices=tuple(d["indices"]), tau=float(d["tau"]),
-                         spreads=np.asarray(d["spreads"]),
-                         all_constant=bool(d.get("all_constant", False)))
-
 
 def extract_time_varying(maps: Sequence[TaskMap], tau: float = DEFAULT_TAU) -> FactorSet:
     """Select dimensions whose spread reaches tau times the maximum spread."""

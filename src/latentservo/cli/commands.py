@@ -46,7 +46,7 @@ from ..control import (
     target_factors,
     train_policy,
 )
-from ..plain import plain
+from ..plain import plain, unplain
 from ..representations import (
     Method,
     ModelWeights,
@@ -138,9 +138,9 @@ def stage_taskmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
 
 def load_factors(cfg: ExperimentConfig, name: str) -> Dict[str, FactorSet]:
     data = json.loads((cfg.out_dir / "analysis" / f"factors_{name}.json").read_text())
-    out = {"all": FactorSet.from_dict(data["all"])}
+    out = {"all": unplain(FactorSet, data["all"])}
     if data.get("control") is not None:
-        out["control"] = FactorSet.from_dict(data["control"])
+        out["control"] = unplain(FactorSet, data["control"])
     return out
 
 
@@ -323,8 +323,8 @@ def _table(title: str, header: Sequence[str], rows: Sequence[Sequence]) -> List[
 
 def _statuses(manifest: RunManifest, tree: Optional[dict]) -> Dict[str, str]:
     """Each recorded stage's status. Given the config's ``plain`` tree, a
-    done stage is STALE when its recorded key is not the one it would run
-    under now or one of its dependencies is stale; only keys are compared."""
+    done stage is STALE when its next call would run it again (its key
+    changed or an output is missing or edited) or a dependency is stale."""
     status = {stage: str(entry.get("status", "?")).upper()
               for stage, entry in manifest.stages.items()}
     if tree is not None:
@@ -332,7 +332,7 @@ def _statuses(manifest: RunManifest, tree: Optional[dict]) -> Dict[str, str]:
             if status.get(stage) != "DONE":
                 continue
             if any(status.get(dep) == "STALE" for dep in deps) or \
-                    manifest.stages[stage].get("key") != stage_key(tree, manifest, stage):
+                    not manifest.is_current(stage, stage_key(tree, manifest, stage)):
                 status[stage] = "STALE"
     return status
 

@@ -174,9 +174,9 @@ def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool
 
     ``action`` writes every output through the ``StageOutputs`` it is
     given, so the manifest records exactly what the stage wrote, whether
-    it finishes or fails. A stage that runs first removes the outputs its
-    last attempt recorded, so a file it no longer writes cannot outlive the
-    change that dropped it.
+    it finishes, fails or is interrupted. A stage that runs first removes
+    the outputs its last attempt recorded, so a file it no longer writes
+    cannot outlive the change that dropped it.
     """
     if not force and manifest.is_current(stage, key):
         log(f"[{stage}] up to date, skipping")
@@ -188,7 +188,7 @@ def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool
     out = StageOutputs(manifest.run_dir)
     try:
         action(out)
-    except Exception as exc:
+    except BaseException as exc:  # Ctrl-C too: what it wrote is recorded
         manifest.record(stage, key, out.paths, time.perf_counter() - t0,
                         error=f"{type(exc).__name__}: {exc}")
         raise

@@ -76,11 +76,13 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
                  max_steps: int, r_goal: float = 10.0) -> List[EpisodeResult]:
     """One episode per (controller, start row), stepped together.
 
-    Every episode gives the result it would give on its own: controllers
-    keep their one-episode ``begin``/``act``/``observe`` interface and only
-    sensing is stacked. An episode leaves the group when it reaches the
-    goal, when its controller emits a non-finite action (it aborts; the
-    others go on) or when the budget runs out.
+    Controllers keep their one-episode ``begin``/``act``/``observe``
+    interface and only sensing is stacked, so on a row-stable sensor (the
+    oracle or the SAE) every episode gives the result it would give on its
+    own; a dense encoder's rows differ in their last bits with the stack
+    size. An episode leaves the group when it reaches the goal, when its
+    controller emits a non-finite action (it aborts; the others go on) or
+    when the budget runs out.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

@@ -9,13 +9,12 @@ from .models import (
     init_params,
     loss,
 )
-from .train import TrainingDiverged, config_digest, dataset_digest, dataset_frames, train
+from .train import TrainingDiverged, dataset_frames, train
 from .weights_io import WeightFormatError, load, save
 
 __all__ = [
     "ConfigError", "EncoderSpec", "LatentVector", "Method", "ModelWeights",
     "TrainConfig", "TrainingDiverged", "WeightFormatError", "compute_beta",
-    "config_digest", "dataset_digest", "dataset_frames", "downsample_half",
-    "encode", "encode_batch", "expected_shapes", "init_params", "load",
-    "loss", "save", "train",
+    "dataset_frames", "downsample_half", "encode", "encode_batch",
+    "expected_shapes", "init_params", "load", "loss", "save", "train",
 ]

@@ -41,8 +41,6 @@ class ModelWeights:
 
     spec: EncoderSpec
     params: Dict[str, Tensor]
-    config_digest: str = ""
-    dataset_digest: str = ""
 
 
 def _param_table(spec: EncoderSpec) -> List[Tuple[str, tuple, str]]:

@@ -89,21 +89,6 @@ class EncoderSpec:
             return compute_beta(self.alpha, self.input_dim, self.latent)
         raise ConfigError(f"{self.method.value} has no KL term")
 
-    @staticmethod
-    def from_dict(d: dict) -> "EncoderSpec":
-        return EncoderSpec(
-            method=Method(d["method"]),
-            image_size=int(d["image_size"]),
-            latent_dim=int(d["latent_dim"]),
-            sae_channels=int(d["sae_channels"]),
-            alpha=None if d.get("alpha") is None else float(d["alpha"]),
-            hidden=tuple(int(h) for h in d["hidden"]),
-            sae_conv1_channels=int(d["sae_conv1_channels"]),
-            sae_decoder_hidden=int(d["sae_decoder_hidden"]),
-            temperature=float(d["temperature"]),
-            seed=int(d["seed"]),
-        )
-
 
 @dataclass(frozen=True)
 class TrainConfig:

@@ -2,14 +2,11 @@
 
 from __future__ import annotations
 
-import hashlib
-import json
 from typing import List, Sequence, Tuple
 
 import numpy as np
 
 from .. import autodiff as ad
-from ..plain import plain
 from ..toyenv import DemoSequence
 from .models import ModelWeights, downsample_half, init_params, loss
 from .specs import EncoderSpec, Method, TrainConfig
@@ -28,20 +25,6 @@ def dataset_frames(demos: Sequence[DemoSequence]) -> np.ndarray:
     if not demos:
         raise ValueError("empty dataset")
     return np.concatenate([d.frames for d in demos], axis=0)
-
-
-def dataset_digest(demos: Sequence[DemoSequence]) -> str:
-    h = hashlib.sha256()
-    for d in demos:
-        h.update(d.frames.tobytes())
-        h.update(d.positions.tobytes())
-    return h.hexdigest()
-
-
-def config_digest(spec: EncoderSpec, config: TrainConfig, data_digest: str) -> str:
-    blob = json.dumps({"spec": plain(spec), "train": plain(config),
-                       "dataset": data_digest}, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()
 
 
 def train(spec: EncoderSpec, demos: Sequence[DemoSequence],
@@ -90,8 +73,4 @@ def train(spec: EncoderSpec, demos: Sequence[DemoSequence],
             epoch_losses.append(batch_loss)
             opt.step(params, grads)
         curve.append(float(np.mean(epoch_losses)))
-
-    data_digest = dataset_digest(demos)
-    digest = config_digest(spec, config, data_digest)
-    return ModelWeights(spec=spec, params=params, config_digest=digest,
-                        dataset_digest=data_digest), curve
+    return ModelWeights(spec=spec, params=params), curve

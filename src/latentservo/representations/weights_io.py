@@ -2,7 +2,7 @@
 
 Layout (all integers little-endian):
   magic "LSRV" | u16 version | u8 method tag | u32 header length + UTF-8
-  JSON header (encoder spec + config digest) | u32 parameter count |
+  JSON header {"spec": encoder spec} | u32 parameter count |
   records | u32 CRC32 over all parameter payload bytes.
 Each record: u16 name length + UTF-8 name | u8 rank | u32 per dim |
 float32 payload.
@@ -19,7 +19,7 @@ from typing import Optional
 import numpy as np
 
 from .. import autodiff as ad
-from ..plain import plain
+from ..plain import plain, unplain
 from .models import ModelWeights, expected_shapes
 from .specs import METHOD_TAGS, TAG_METHODS, EncoderSpec, Method
 
@@ -33,10 +33,7 @@ class WeightFormatError(ValueError):
 
 def save(model: ModelWeights, path) -> None:
     path = Path(path)
-    header = json.dumps({"spec": plain(model.spec),
-                         "config_digest": model.config_digest,
-                         "dataset_digest": model.dataset_digest},
-                        sort_keys=True).encode("utf-8")
+    header = json.dumps({"spec": plain(model.spec)}, sort_keys=True).encode("utf-8")
     names = sorted(model.params)
     crc = 0
     parts = [MAGIC, struct.pack("<H", VERSION),
@@ -93,11 +90,11 @@ def load(path, expect_method: Optional[Method] = None) -> ModelWeights:
         raise WeightFormatError(
             f"{path}: method tag mismatch — file holds {method.value}, "
             f"caller requested {expect_method.value}")
-    header_len = r.u("<I", "header length")
+    header = r.take(r.u("<I", "header length"), "header")
     try:
-        header = json.loads(r.take(header_len, "header").decode("utf-8"))
-        spec = EncoderSpec.from_dict(header["spec"])
-    except (ValueError, KeyError) as exc:
+        # Older files also hold two digests beside the spec; nothing reads them.
+        spec = unplain(EncoderSpec, json.loads(header.decode("utf-8"))["spec"])
+    except (ValueError, KeyError, TypeError) as exc:  # TypeError: not an object
         raise WeightFormatError(f"{path}: unreadable spec header ({exc})") from exc
     if spec.method is not method:
         raise WeightFormatError(
@@ -131,6 +128,4 @@ def load(path, expect_method: Optional[Method] = None) -> ModelWeights:
     missing = set(shapes) - set(params)
     if missing:
         raise WeightFormatError(f"{path}: missing parameters {sorted(missing)}")
-    return ModelWeights(spec=spec, params=params,
-                        config_digest=header.get("config_digest", ""),
-                        dataset_digest=header.get("dataset_digest", ""))
+    return ModelWeights(spec=spec, params=params)

@@ -17,7 +17,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ..plain import plain
+from ..plain import plain, unplain
 from .task import TaskSpec, render
 
 DEMO_SCHEMA = 2
@@ -134,7 +134,7 @@ def load_demo(path) -> DemoSequence:
     if record.get("schema_version") != DEMO_SCHEMA:
         raise ValueError(f"{path}: unsupported demo schema "
                          f"{record.get('schema_version')}")
-    spec = TaskSpec.from_dict(record["task"])
+    spec = unplain(TaskSpec, record["task"])
     positions = np.asarray(record["positions"], dtype=np.float64)
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=header.end())
     if pixels.size != w * rows:

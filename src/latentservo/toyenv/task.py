@@ -13,6 +13,7 @@ import enum
 import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
+from typing import Tuple
 
 import numpy as np
 
@@ -30,7 +31,7 @@ class TaskSpec:
     """Geometry of one task instance."""
 
     dof: int = 2
-    target: tuple = (0.7, 0.7)
+    target: Tuple[float, float] = (0.7, 0.7)
     image_size: int = 32
     sprite: SpriteKind = SpriteKind.TEACHER
     sprite_radius: float = 3.0       # pixels
@@ -43,6 +44,8 @@ class TaskSpec:
             raise ValueError(f"dof must be 1 or 2, got {self.dof}")
         if self.image_size < 16:
             raise ValueError(f"image_size must be >= 16, got {self.image_size}")
+        if len(self.target) != 2:
+            raise ValueError(f"target {self.target} is not a 2-D point")
         if not all(WORKSPACE_LO <= c <= WORKSPACE_HI for c in self.target):
             raise ValueError(f"target {self.target} outside workspace")
         if self.sprite_radius <= 0 or self.a_max <= 0:
@@ -59,19 +62,6 @@ class TaskSpec:
 
     def with_sprite(self, sprite: SpriteKind) -> "TaskSpec":
         return replace(self, sprite=sprite)
-
-    @staticmethod
-    def from_dict(d: dict) -> "TaskSpec":
-        return TaskSpec(
-            dof=int(d["dof"]),
-            target=tuple(float(c) for c in d["target"]),
-            image_size=int(d["image_size"]),
-            sprite=SpriteKind(d["sprite"]),
-            sprite_radius=float(d["sprite_radius"]),
-            target_intensity=float(d["target_intensity"]),
-            cross_arm=float(d["cross_arm"]),
-            a_max=float(d["a_max"]),
-        )
 
 
 @dataclass

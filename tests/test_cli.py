@@ -538,6 +538,20 @@ class TestManifest:
         assert unrecorded(tmp_path) == []
         assert RunManifest.open(tmp_path, "d").is_current("servo", "k")
 
+        # An interrupted attempt (Ctrl-C) is recorded the same way.
+        def interrupted(out):
+            out.write("control/servo_sae_trial01.csv", "step\n")
+            raise KeyboardInterrupt
+
+        with pytest.raises(KeyboardInterrupt):
+            run_stage(m, "servo", "k2", False, interrupted, log=lambda line: None)
+        entry = json.loads((tmp_path / "manifest.json").read_text())["stages"]["servo"]
+        assert (entry["status"], entry["key"], entry["error"]) == \
+            ("failed", "k2", "KeyboardInterrupt: ")
+        assert list(entry["outputs"]) == ["control/servo_sae_trial01.csv"]
+        assert not (tmp_path / "control" / "servo_sae_stats.json").exists()
+        assert unrecorded(tmp_path) == []
+
 
 @pytest.fixture(scope="module")
 def cold_run(tmp_path_factory):
@@ -766,6 +780,13 @@ class TestPipeline:
         assert set(report_statuses(text).values()) == {"DONE"}
         assert [s for s in SUMMARY_SECTIONS if s not in text] == []
 
+    def test_report_marks_a_stage_with_a_missing_output_stale(self, cold_copy):
+        (cold_copy / "control" / "servo_sae_stats.json").unlink()
+        run_stages(TINY, cold_copy, "report")
+        stale = {"servo", "evaluate"}
+        assert report_statuses((cold_copy / "report.md").read_text()) == {
+            stage: "STALE" if stage in stale else "DONE" for stage in STAGE_TABLE}
+
     def test_every_file_is_a_recorded_output(self, cold_run):
         assert unrecorded(cold_run) == []
 
@@ -810,12 +831,6 @@ class TestPipeline:
             (pipeline_run / "analysis" / "factors_sae.json").read_text())
         for dim in factors["control"]["indices"]:
             assert (pipeline_run / "analysis" / f"fieldmap_sae_f{dim}.svg").exists()
-
-    def test_weight_files_share_dataset_digest(self, pipeline_run):
-        from latentservo.representations import load as load_weights
-        digests = {load_weights(p).dataset_digest
-                   for p in (pipeline_run / "models").glob("*.lsrv")}
-        assert len(digests) == 1 and digests != {""}
 
     def test_failed_episode_trace_still_written(self, pipeline_run):
         stats = json.loads(

@@ -1,9 +1,13 @@
 """Encoder contracts: beta rule, encode purity, losses, training, persistence."""
 
+import json
+import struct
+
 import numpy as np
 import pytest
 
 from latentservo import autodiff as ad
+from latentservo.plain import plain
 from latentservo.representations import (
     ConfigError,
     EncoderSpec,
@@ -244,17 +248,6 @@ class TestTrain:
         with pytest.raises(ValueError, match="image size"):
             train(spec, tiny_demos, TrainConfig(epochs=1))
 
-    def test_all_methods_share_dataset_digest(self, tiny_demos):
-        cfg = TrainConfig(epochs=1, batch_size=8, learning_rate=1e-3, seed=2)
-        digests = set()
-        for method in (Method.AE, Method.VAE, Method.SAE):
-            model, _ = train(tiny_spec(method), tiny_demos, cfg)
-            assert model.dataset_digest
-            digests.add(model.dataset_digest)
-        model, _ = train(tiny_spec(Method.BVAE, alpha=0.1), tiny_demos, cfg)
-        digests.add(model.dataset_digest)
-        assert len(digests) == 1  # same data samples behind every method
-
     @pytest.mark.filterwarnings("ignore:overflow encountered:RuntimeWarning",
                                 "ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("spec", [tiny_spec(Method.BVAE, alpha=0.1),
@@ -325,11 +318,26 @@ class TestTrainingPath:
             assert pooled[idx].tobytes() == want.tobytes()
 
 
+def read_header(path):
+    """The JSON header of a weight file: it follows magic, version, method
+    tag (7 bytes) and its own u32 length."""
+    blob = path.read_bytes()
+    (length,) = struct.unpack("<I", blob[7:11])
+    return json.loads(blob[11:11 + length])
+
+
+def with_header(src, dst, header):
+    """Write weight file ``src`` to ``dst`` with ``header`` as its JSON header."""
+    blob = src.read_bytes()
+    (length,) = struct.unpack("<I", blob[7:11])
+    raw = json.dumps(header).encode()
+    dst.write_bytes(blob[:7] + struct.pack("<I", len(raw)) + raw + blob[11 + length:])
+
+
 class TestPersistence:
     def _model(self, method=Method.AE):
         spec = tiny_spec(method)
-        return ModelWeights(spec=spec, params=init_params(spec),
-                            config_digest="abc123", dataset_digest="dd42")
+        return ModelWeights(spec=spec, params=init_params(spec))
 
     def test_round_trip_bit_exact(self, tmp_path):
         model = self._model(Method.SAE)
@@ -337,8 +345,6 @@ class TestPersistence:
         save(model, p)
         back = load(p)
         assert back.spec == model.spec
-        assert back.config_digest == "abc123"
-        assert back.dataset_digest == "dd42"
         for k in model.params:
             assert back.params[k].data.tobytes() == model.params[k].data.tobytes()
 
@@ -379,6 +385,39 @@ class TestPersistence:
         save(self._model(Method.AE), p)
         with pytest.raises(WeightFormatError, match="mismatch"):
             load(p, expect_method=Method.SAE)
+
+    def test_header_holds_only_the_spec(self, tmp_path):
+        model = self._model()
+        save(model, tmp_path / "m.lsrv")
+        assert read_header(tmp_path / "m.lsrv") == {"spec": plain(model.spec)}
+
+    def test_header_with_digests_still_loads(self, tmp_path):
+        # Files written while the header also carried two digests.
+        model = self._model(Method.SAE)
+        save(model, tmp_path / "new.lsrv")
+        with_header(tmp_path / "new.lsrv", tmp_path / "old.lsrv", {
+            "spec": plain(model.spec), "config_digest": "ab" * 32, "dataset_digest": "cd" * 32})
+        back = load(tmp_path / "old.lsrv")
+        assert back.spec == model.spec
+        for k in model.params:
+            assert back.params[k].data.tobytes() == model.params[k].data.tobytes()
+
+    @pytest.mark.parametrize("header", [
+        lambda spec: {"spec": {**spec, "hidden": None}},
+        lambda spec: {"spec": {**spec, "image_size": None}},
+        lambda spec: {"spec": {**spec, "method": "pca"}},
+        lambda spec: {"spec": {k: v for k, v in spec.items() if k != "temperature"}},
+        lambda spec: {},
+        lambda spec: {"spec": []},
+        lambda spec: [],
+    ], ids=["null-hidden", "null-image_size", "unknown-method", "no-temperature",
+            "no-spec", "spec-not-an-object", "header-not-an-object"])
+    def test_malformed_spec_header(self, tmp_path, header):
+        model = self._model()
+        save(model, tmp_path / "m.lsrv")
+        with_header(tmp_path / "m.lsrv", tmp_path / "bad.lsrv", header(plain(model.spec)))
+        with pytest.raises(WeightFormatError, match="unreadable spec header"):
+            load(tmp_path / "bad.lsrv")
 
 
 class TestExpectedShapes:

@@ -350,6 +350,16 @@ class TestPersistence:
         with pytest.raises(ValueError, match="32 x 160 pixels do not hold"):
             load_demo(tmp_path / "d.pgm")
 
+    @pytest.mark.parametrize("edit, message", [
+        (lambda r: r["task"].pop("a_max"), "TaskSpec record lacks field 'a_max'"),
+        (lambda r: r["task"].update(target=None), "TaskSpec field 'target' is mistyped"),
+    ], ids=["no-a_max", "null-target"])
+    def test_malformed_task_record_rejected(self, tmp_path, spec, edit, message):
+        save_demo(generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4), tmp_path / "d.pgm")
+        rewrite_record(tmp_path / "d.pgm", edit)
+        with pytest.raises(ValueError, match=message):
+            load_demo(tmp_path / "d.pgm")
+
 
 class TestSampling:
     def test_grid_counts(self):
