@@ -1,4 +1,4 @@
-from .taskmap import TaskMap, build_task_map, task_map_csv
+from .taskmap import TaskMap, build_task_map
 from .factors import (
     DEFAULT_TAU,
     FactorSet,
@@ -13,7 +13,6 @@ from .fieldmap import (
     LatentFieldMap,
     MonotonicityReport,
     build_field_map,
-    field_map_csv,
     injectivity_metric,
     monotonicity_metric,
     suggest_collision_eps,
@@ -29,8 +28,7 @@ __all__ = [
     "DEFAULT_TAU", "EmbodimentReport", "FactorSet", "LatentFieldMap",
     "MonotonicityReport", "TaskMap", "alpha_score", "build_field_map",
     "build_task_map", "embodiment_compare", "extract_time_varying",
-    "field_map_csv", "injectivity_metric", "monotonicity_metric", "project",
+    "injectivity_metric", "monotonicity_metric", "project",
     "resample_trajectory", "select_control_factors", "select_sae_pair",
-    "shuffle_demo_frames", "suggest_collision_eps", "task_map_csv",
-    "variance_smoothness",
+    "shuffle_demo_frames", "suggest_collision_eps", "variance_smoothness",
 ]

@@ -9,7 +9,6 @@ far-apart cells that collide in factor space.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Callable
@@ -144,12 +143,3 @@ def suggest_collision_eps(field: LatentFieldMap, fraction: float = 0.02) -> floa
     if diag == 0.0:
         return 1e-6  # degenerate map: any positive radius collides everything
     return fraction * diag
-
-
-def field_map_csv(field: LatentFieldMap) -> str:
-    buf = io.StringIO()
-    cols = ",".join(f"f{idx}" for idx in field.factors.indices)
-    buf.write(f"x,y,{cols}\n")
-    for p, v in zip(field.positions, field.values):
-        buf.write(f"{p[0]:.6g},{p[1]:.6g}," + ",".join(f"{x:.6g}" for x in v) + "\n")
-    return buf.getvalue()

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass
 
 import numpy as np
@@ -29,12 +28,3 @@ class TaskMap:
 def build_task_map(model: ModelWeights, demo: DemoSequence) -> TaskMap:
     values, sigmas = encode_batch(model, demo.frames)
     return TaskMap(values=values, sigmas=sigmas)
-
-
-def task_map_csv(tm: TaskMap) -> str:
-    buf = io.StringIO()
-    dims = ",".join(f"dim_{i}" for i in range(tm.latent_dim))
-    buf.write(f"t,{dims}\n")
-    for t, row in enumerate(tm.values):
-        buf.write(str(t) + "," + ",".join(f"{v:.6g}" for v in row) + "\n")
-    return buf.getvalue()

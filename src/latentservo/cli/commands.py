@@ -25,13 +25,11 @@ from ..analysis import (
     build_task_map,
     embodiment_compare,
     extract_time_varying,
-    field_map_csv,
     injectivity_metric,
     monotonicity_metric,
     FactorSet,
     select_control_factors,
     suggest_collision_eps,
-    task_map_csv,
 )
 from ..control import (
     GuidedReinforceController,
@@ -39,7 +37,6 @@ from ..control import (
     SuccessStats,
     UVSController,
     calibrate_goal_tolerance,
-    episode_trace_csv,
     evaluate_success,
     model_sensor,
     oracle_sensor,
@@ -69,6 +66,11 @@ from .svgplot import heatmap, line_chart
 
 class StageFailure(RuntimeError):
     """A pipeline stage could not produce its artifacts."""
+
+
+def _g6(values) -> List[str]:
+    """Table cells of task maps, field maps and trial traces: six digits."""
+    return [f"{v:.6g}" for v in values]
 
 
 # --------------------------------------------------------------- demo layout
@@ -116,8 +118,8 @@ def stage_train(cfg: ExperimentConfig, out: StageOutputs) -> None:
     for name, mc in cfg.methods.items():
         model, curve = train_model(mc.spec, demos, mc.train)
         save_weights(model, out.path(f"models/{name}.lsrv"))
-        out.write(f"models/{name}_loss.csv", "epoch,loss\n" + "".join(
-            f"{i},{v:.8g}\n" for i, v in enumerate(curve)))
+        out.csv(f"models/{name}_loss.csv", ("epoch", "loss"),
+                ((i, f"{v:.8g}") for i, v in enumerate(curve)))
 
 
 # ------------------------------------------------------------------ analysis
@@ -127,7 +129,9 @@ def stage_taskmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
     for name in cfg.methods:
         model = load_model(cfg, name)
         tm = build_task_map(model, demos[0])
-        out.write(f"analysis/taskmap_{name}.csv", task_map_csv(tm))
+        out.csv(f"analysis/taskmap_{name}.csv",
+                ("t", *(f"dim_{d}" for d in range(tm.latent_dim))),
+                ((t, *_g6(row)) for t, row in enumerate(tm.values)))
         ts = list(range(len(tm)))
         series = [(f"dim {d}", ts, tm.values[:, d].tolist())
                   for d in range(min(tm.latent_dim, 16))]
@@ -156,8 +160,7 @@ def stage_factors(cfg: ExperimentConfig, out: StageOutputs) -> None:
             payload["control"] = plain(control)
         except ValueError as exc:
             payload["control_error"] = str(exc)
-        out.write(f"analysis/factors_{name}.json",
-                  json.dumps(payload, indent=1, sort_keys=True))
+        out.json(f"analysis/factors_{name}.json", payload)
 
 
 def stage_alpha_sweep(cfg: ExperimentConfig, out: StageOutputs) -> None:
@@ -176,10 +179,10 @@ def stage_alpha_sweep(cfg: ExperimentConfig, out: StageOutputs) -> None:
         rows.append({"alpha": float(alpha), "score": score,
                      "time_varying_factors": n_factors})
     rows.sort(key=lambda r: -r["score"])
-    out.write("analysis/alpha_sweep.csv", "alpha,score,time_varying_factors\n"
-              + "".join(f"{r['alpha']:.6g},{r['score']:.8g},{r['time_varying_factors']}\n"
-                        for r in rows))
-    out.write("analysis/alpha_sweep.json", json.dumps(rows, indent=1))
+    out.csv("analysis/alpha_sweep.csv", ("alpha", "score", "time_varying_factors"),
+            ((f"{r['alpha']:.6g}", f"{r['score']:.8g}", r["time_varying_factors"])
+             for r in rows))
+    out.json("analysis/alpha_sweep.json", rows)
 
 
 def stage_fieldmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
@@ -190,7 +193,9 @@ def stage_fieldmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
         factors = sets.get("control") or sets["all"]
         fm = build_field_map(model_sensor(model, factors, cfg.task), factors,
                              cfg.analysis.grid_n)
-        out.write(f"analysis/fieldmap_{name}.csv", field_map_csv(fm))
+        out.csv(f"analysis/fieldmap_{name}.csv",
+                ("x", "y", *(f"f{dim}" for dim in factors.indices)),
+                (_g6([*p, *v]) for p, v in zip(fm.positions, fm.values)))
         grid = fm.grid_view()
         for j, dim in enumerate(factors.indices):
             out.write(f"analysis/fieldmap_{name}_f{dim}.svg", heatmap(
@@ -203,8 +208,7 @@ def stage_fieldmap(cfg: ExperimentConfig, out: StageOutputs) -> None:
             "collision_fraction": injectivity_metric(fm, eps_c),
             "factor_indices": list(factors.indices),
         }
-    out.write("analysis/fieldmap_metrics.json",
-              json.dumps(metrics, indent=1, sort_keys=True))
+    out.json("analysis/fieldmap_metrics.json", metrics)
 
 
 def stage_embodiment(cfg: ExperimentConfig, out: StageOutputs) -> None:
@@ -215,8 +219,7 @@ def stage_embodiment(cfg: ExperimentConfig, out: StageOutputs) -> None:
     report = {name: embodiment_compare(load_model(cfg, name), teacher, executor,
                                        cfg.analysis.tau)
               for name in cfg.methods}
-    out.write("analysis/embodiment.json",
-              json.dumps(plain(report), indent=1, sort_keys=True))
+    out.json("analysis/embodiment.json", plain(report))
 
 
 # ------------------------------------------------------------------- control
@@ -249,13 +252,23 @@ def stage_servo(cfg: ExperimentConfig, out: StageOutputs) -> None:
         sensor, z_star, eps_goal = _control_setup(cfg, name)
         stats = _trials(cfg, lambda: UVSController(cfg.uvs, cfg.task), sensor, z_star,
                         eps_goal, "servo")
-        out.write(f"control/servo_{name}_stats.json", _stats_json(stats, eps_goal))
+        out.json(f"control/servo_{name}_stats.json", _stats(stats, eps_goal))
         for i, ep in enumerate(stats.episodes):
-            out.write(f"control/servo_{name}_trial{i:02d}.csv", episode_trace_csv(ep))
+            out.csv(f"control/servo_{name}_trial{i:02d}.csv",
+                    ("step", *(f"z{j}" for j in range(ep.zs.shape[1])),
+                     *(f"a{j}" for j in range(ep.actions.shape[1])), "reward"),
+                    ((t, *_g6([*z, *a, r])) for t, (z, a, r) in
+                     enumerate(zip(ep.zs, ep.actions, ep.rewards), 1)))
 
 
-def _stats_json(stats: SuccessStats, eps_goal: float) -> str:
-    return json.dumps({**stats.to_dict(), "eps_goal": eps_goal}, indent=1, sort_keys=True)
+def _stats(stats: SuccessStats, eps_goal: float) -> dict:
+    """A ``*_stats.json`` record: the rates and means, then every trial."""
+    return {"success_rate": stats.success_rate, "mean_steps": stats.mean_steps,
+            "mean_final_error": stats.mean_final_error, "eps_goal": eps_goal,
+            "trials": [{"success": e.success, "steps": e.steps,
+                        "final_latent_error": e.latent_errors[-1],
+                        "final_task_error": e.final_task_error, "aborted": e.aborted}
+                       for e in stats.episodes]}
 
 
 def _policy_to_json(policy: Policy) -> dict:
@@ -268,18 +281,17 @@ def stage_reinforce(cfg: ExperimentConfig, out: StageOutputs) -> None:
         sensor, z_star, eps_goal = _control_setup(cfg, name)
         policy, rewards = train_policy(cfg.task, sensor, z_star, cfg.reinforce,
                                        eps_goal)
-        out.write(f"control/reinforce_{name}_rewards.csv", "episode,reward\n"
-                  + "".join(f"{i},{r:.8g}\n" for i, r in enumerate(rewards)))
+        out.csv(f"control/reinforce_{name}_rewards.csv", ("episode", "reward"),
+                ((i, f"{r:.8g}") for i, r in enumerate(rewards)))
         out.write(f"control/reinforce_{name}_rewards.svg", line_chart(
             [("episode reward", list(range(len(rewards))), rewards)],
             title=f"guided policy-gradient training — {name}",
             x_label="episode", y_label="episode reward"))
-        out.write(f"control/reinforce_{name}_policy.json",
-                  json.dumps(_policy_to_json(policy), indent=1))
+        out.json(f"control/reinforce_{name}_policy.json", _policy_to_json(policy))
         stats = _trials(
             cfg, lambda: GuidedReinforceController(policy, cfg.task, cfg.reinforce.k_gain),
             sensor, z_star, eps_goal, "reinforce-eval")
-        out.write(f"control/reinforce_{name}_stats.json", _stats_json(stats, eps_goal))
+        out.json(f"control/reinforce_{name}_stats.json", _stats(stats, eps_goal))
 
 
 def stage_evaluate(cfg: ExperimentConfig, out: StageOutputs) -> None:
@@ -306,8 +318,7 @@ def stage_evaluate(cfg: ExperimentConfig, out: StageOutputs) -> None:
             sensor, z_star, eps_goal, "oracle-eval")
         table["oracle"] = {"uvs": uvs_stats.success_rate,
                            "reinforce": gr_stats.success_rate}
-    out.write("control/evaluate.json",
-              json.dumps({"success_rate": table}, indent=1, sort_keys=True))
+    out.json("control/evaluate.json", {"success_rate": table})
 
 
 # -------------------------------------------------------------------- report
@@ -392,7 +403,10 @@ def stage_report(out: StageOutputs, manifest: RunManifest,
 # stage -> (runner, dependencies, config reads). A dependency's key covers
 # everything upstream of it, so only the nearest stages are listed. A config path is dotted into
 # ``plain(cfg)``; a whole section is declared wherever a stage reads more
-# than a key or two of it.
+# than a key or two of it, unless a key it does not read would re-run it:
+# only evaluate reads ``control.include_oracle``.
+CONTROL_READS = ("control.methods", "control.trials", "control.max_steps",
+                 "control.goal_workspace_tol")
 STAGE_TABLE: Dict[str, Tuple[Callable[..., None], Tuple[str, ...], Tuple[str, ...]]] = {
     "demo-gen": (stage_demo_gen, (), ("schema_version", "seed", "task", "demos")),
     "train": (stage_train, ("demo-gen",), ("methods",)),
@@ -408,9 +422,9 @@ STAGE_TABLE: Dict[str, Tuple[Callable[..., None], Tuple[str, ...], Tuple[str, ..
     "embodiment": (stage_embodiment, ("train",),
                    ("methods", "demos.executor", "analysis.tau")),
     "servo": (stage_servo, ("factors",),
-              ("seed", "task", "control", "uvs", "reinforce.r_goal")),
+              ("seed", "task", *CONTROL_READS, "uvs", "reinforce.r_goal")),
     "reinforce": (stage_reinforce, ("factors",),
-                  ("seed", "task", "control", "reinforce")),
+                  ("seed", "task", *CONTROL_READS, "reinforce")),
     "evaluate": (stage_evaluate, ("servo", "reinforce"),
                  ("seed", "task", "control", "uvs", "reinforce")),
 }

@@ -18,7 +18,7 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional
+from typing import Callable, Iterable, List, Optional, Sequence
 
 from .. import __version__
 
@@ -165,6 +165,16 @@ class StageOutputs:
 
     def write(self, rel: str, text: str) -> None:
         self.path(rel).write_text(text)
+
+    def csv(self, rel: str, header: Sequence[str], rows: Iterable[Sequence]) -> None:
+        """A comma-separated table: ``header``, then one line per row, each
+        cell written with ``str`` (the caller formats its numbers)."""
+        self.write(rel, "".join(",".join(map(str, line)) + "\n"
+                                for line in [header, *rows]))
+
+    def json(self, rel: str, record) -> None:
+        """A JSON record, indented by one space, keys sorted."""
+        self.write(rel, json.dumps(record, indent=1, sort_keys=True))
 
 
 def run_stage(manifest: RunManifest, stage: str, key: Optional[str], force: bool,

@@ -25,14 +25,14 @@ from .reinforce import (
     sample_action,
     train_policy,
 )
-from .loop import (EpisodeResult, SuccessStats, control_loop, episode_trace_csv,
-                   evaluate_success, reward, run_episodes)
+from .loop import (EpisodeResult, SuccessStats, control_loop, evaluate_success,
+                   reward, run_episodes)
 
 __all__ = [
     "EpisodeResult", "GuidedReinforceController", "JacobianEstimate", "Policy",
     "ReinforceConfig", "Sensor", "SuccessStats", "TrainEpisode", "UVSConfig",
     "UVSController", "broyden_update", "calibrate_goal_tolerance", "control_loop",
-    "discounted_returns", "episode_trace_csv", "evaluate_success",
+    "discounted_returns", "evaluate_success",
     "guidance_action", "model_sensor", "oracle_sensor", "reinforce_update",
     "reward", "rollout", "run_episodes", "sample_action", "target_factors",
     "train_policy", "uvs_init_jacobian", "uvs_step",

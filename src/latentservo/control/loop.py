@@ -12,7 +12,6 @@ still sees only its own episode.
 
 from __future__ import annotations
 
-import io
 from dataclasses import dataclass, field
 from typing import Callable, List, Sequence
 
@@ -143,20 +142,6 @@ class SuccessStats:
     mean_final_error: float          # latent units
     episodes: List[EpisodeResult]
 
-    def to_dict(self) -> dict:
-        return {
-            "success_rate": self.success_rate,
-            "mean_steps": self.mean_steps,
-            "mean_final_error": self.mean_final_error,
-            "trials": [
-                {"success": e.success, "steps": e.steps,
-                 "final_latent_error": e.latent_errors[-1],
-                 "final_task_error": e.final_task_error,
-                 "aborted": e.aborted}
-                for e in self.episodes
-            ],
-        }
-
 
 def evaluate_success(controller_factory: Callable[[], object], spec: TaskSpec,
                      sensor: Sensor, z_star: np.ndarray, eps_goal: float,
@@ -174,19 +159,3 @@ def evaluate_success(controller_factory: Callable[[], object], spec: TaskSpec,
         mean_steps=float(np.mean([e.steps for e in episodes])),
         mean_final_error=float(np.mean([e.latent_errors[-1] for e in episodes])),
         episodes=episodes)
-
-
-def episode_trace_csv(episode: EpisodeResult) -> str:
-    buf = io.StringIO()
-    if not episode.steps:
-        buf.write("step\n")
-        return buf.getvalue()
-    zcols = ",".join(f"z{i}" for i in range(episode.zs.shape[1]))
-    acols = ",".join(f"a{i}" for i in range(episode.actions.shape[1]))
-    buf.write(f"step,{zcols},{acols},reward\n")
-    for i, (z, a, r) in enumerate(zip(episode.zs, episode.actions, episode.rewards), 1):
-        buf.write(f"{i},"
-                  + ",".join(f"{v:.6g}" for v in z) + ","
-                  + ",".join(f"{v:.6g}" for v in a)
-                  + f",{r:.6g}\n")
-    return buf.getvalue()

@@ -131,11 +131,21 @@ def load_demo(path) -> DemoSequence:
     if record is None:
         raise ValueError(f"{path}: no demo record in the header")
     record = json.loads(record)
+    if not isinstance(record, dict):
+        raise ValueError(f"{path}: the demo record is not a JSON object")
     if record.get("schema_version") != DEMO_SCHEMA:
         raise ValueError(f"{path}: unsupported demo schema "
                          f"{record.get('schema_version')}")
-    spec = unplain(TaskSpec, record["task"])
-    positions = np.asarray(record["positions"], dtype=np.float64)
+    try:
+        spec = unplain(TaskSpec, record["task"])
+        pattern = Pattern(record["pattern"])
+        positions = np.asarray(record["positions"], dtype=np.float64)
+        if positions.shape[1:] != (2,):
+            raise ValueError(f"positions of shape {positions.shape} are not (x, y) rows")
+    except KeyError as exc:
+        raise ValueError(f"{path}: the demo record lacks {exc}") from exc
+    except (TypeError, ValueError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
     pixels = np.frombuffer(raw, dtype=np.uint8, offset=header.end())
     if pixels.size != w * rows:
         raise ValueError(f"{path}: pixel payload of {pixels.size} bytes "
@@ -145,5 +155,4 @@ def load_demo(path) -> DemoSequence:
         raise ValueError(f"{path}: {w} x {rows} pixels do not hold "
                          f"{len(positions)} frames of {size} x {size}")
     frames = pixels.reshape(len(positions), size, size).astype(np.float32) / 255.0
-    return DemoSequence(frames=frames, positions=positions, spec=spec,
-                        pattern=Pattern(record["pattern"]))
+    return DemoSequence(frames=frames, positions=positions, spec=spec, pattern=pattern)

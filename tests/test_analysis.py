@@ -13,7 +13,6 @@ from latentservo.analysis import (
     build_task_map,
     embodiment_compare,
     extract_time_varying,
-    field_map_csv,
     injectivity_metric,
     monotonicity_metric,
     project,
@@ -22,7 +21,6 @@ from latentservo.analysis import (
     select_sae_pair,
     shuffle_demo_frames,
     suggest_collision_eps,
-    task_map_csv,
     variance_smoothness,
 )
 from latentservo.analysis.taskmap import TaskMap
@@ -272,24 +270,10 @@ class TestFieldMap:
         with pytest.raises(ValueError, match="non-empty"):
             build_field_map(oracle_sensor(TaskSpec()), fs, 4)
 
-    def test_csv_shape(self):
-        fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 4)
-        lines = field_map_csv(fm).strip().split("\n")
-        assert lines[0] == "x,y,f0,f1"
-        assert len(lines) == 17
-
     def test_collision_eps_scales_with_range(self):
         fm = build_field_map(oracle_sensor(TaskSpec()), oracle_factors(), 8)
         eps = suggest_collision_eps(fm, fraction=0.02)
         assert eps == pytest.approx(0.02 * np.sqrt(2.0), rel=1e-6)
-
-
-class TestTaskMapCsv:
-    def test_header_and_rows(self):
-        tm = fake_map(np.zeros((3, 4)))
-        lines = task_map_csv(tm).strip().split("\n")
-        assert lines[0] == "t,dim_0,dim_1,dim_2,dim_3"
-        assert len(lines) == 4
 
 
 class TestBuildTaskMap:

@@ -16,7 +16,8 @@ from latentservo.cli import config
 from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
 from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
-from latentservo.cli.manifest import ManifestError, RunManifest, content_digest, run_stage
+from latentservo.cli.manifest import (ManifestError, RunManifest, StageOutputs,
+                                      content_digest, run_stage)
 from latentservo.plain import plain
 from latentservo.representations import ConfigError
 
@@ -553,6 +554,29 @@ class TestManifest:
         assert unrecorded(tmp_path) == []
 
 
+class TestStageOutputs:
+    def test_csv_writes_header_then_rows(self, tmp_path):
+        out = StageOutputs(tmp_path)
+        out.csv("analysis/t.csv", ("t", "dim_0", "dim_1"),
+                ((t, f"{v:.6g}", v > 0) for t, v in enumerate([0.5, -1e-7])))
+        assert (tmp_path / "analysis" / "t.csv").read_text() == \
+            "t,dim_0,dim_1\n0,0.5,True\n1,-1e-07,False\n"
+        assert out.paths == [str(tmp_path / "analysis" / "t.csv")]
+
+    def test_csv_without_rows_is_its_header(self, tmp_path):
+        out = StageOutputs(tmp_path)
+        out.csv("trial.csv", ("step", "z0", "a0", "reward"), [])
+        assert (tmp_path / "trial.csv").read_text() == "step,z0,a0,reward\n"
+
+    def test_json_is_indented_and_key_sorted(self, tmp_path):
+        out = StageOutputs(tmp_path)
+        out.json("control/policy.json", {"k": 2, "dof": [1, 2], "params": {"w": 1, "b": None}})
+        assert (tmp_path / "control" / "policy.json").read_text() == (
+            '{\n "dof": [\n  1,\n  2\n ],\n "k": 2,\n'
+            ' "params": {\n  "b": null,\n  "w": 1\n }\n}')
+        assert out.paths == [str(tmp_path / "control" / "policy.json")]
+
+
 @pytest.fixture(scope="module")
 def cold_run(tmp_path_factory):
     """One cold tiny run of every stage; tests change copies of it, never it."""
@@ -665,6 +689,16 @@ class TestPipeline:
         capsys.readouterr()
         run_stages(ini, cold_copy, "evaluate")
         assert ran(capsys.readouterr().out) == ["reinforce", "evaluate"]
+
+    def test_include_oracle_edit_reruns_only_evaluate(self, cold_copy, tmp_path, capsys):
+        ini = tiny_with(tmp_path, ("include_oracle = true", "include_oracle = false"))
+        capsys.readouterr()
+        run_stages(ini, cold_copy, "evaluate")
+        log = capsys.readouterr().out
+        assert ran(log) == ["evaluate"]
+        assert "[servo] up to date" in log and "[reinforce] up to date" in log
+        table = json.loads((cold_copy / "control" / "evaluate.json").read_text())
+        assert set(table["success_rate"]) == {"sae"}
 
     def test_sae_epochs_edit_reruns_train_factors_servo(self, cold_copy, tmp_path, capsys):
         ini = tiny_with(tmp_path, ("epochs = 80", "epochs = 81"))
@@ -831,6 +865,39 @@ class TestPipeline:
             (pipeline_run / "analysis" / "factors_sae.json").read_text())
         for dim in factors["control"]["indices"]:
             assert (pipeline_run / "analysis" / f"fieldmap_sae_f{dim}.svg").exists()
+
+    def test_every_csv_row_fills_its_header(self, pipeline_run):
+        tables = sorted(pipeline_run.rglob("*.csv"))
+        assert len(tables) == 10
+        for path in tables:
+            header, *rows = path.read_text().splitlines()
+            assert [row for row in rows if row.count(",") != header.count(",")] == [], path
+
+    def test_every_json_artifact_is_indented_and_key_sorted(self, pipeline_run):
+        records = [p for p in sorted(pipeline_run.rglob("*.json"))
+                   if p != pipeline_run / "manifest.json"]
+        assert len(records) == 9
+        for path in records:
+            text = path.read_text()
+            assert text == json.dumps(json.loads(text), indent=1, sort_keys=True), path
+
+    def test_tables_name_their_columns(self, pipeline_run):
+        def shape(rel):
+            header, *rows = (pipeline_run / rel).read_text().splitlines()
+            return header, len(rows)
+
+        factors = json.loads((pipeline_run / "analysis" / "factors_sae.json").read_text())
+        dims = ",".join(f"dim_{d}" for d in range(len(factors["all"]["spreads"])))
+        control = ",".join(f"f{d}" for d in factors["control"]["indices"])
+        assert shape("models/sae_loss.csv") == ("epoch,loss", 1 + 80)  # untrained, epochs
+        assert shape("analysis/taskmap_sae.csv") == (f"t,{dims}", 9)  # 8 steps
+        assert shape("analysis/alpha_sweep.csv") == ("alpha,score,time_varying_factors", 2)
+        assert shape("analysis/fieldmap_sae.csv") == (f"x,y,{control}", 12 * 12)
+        assert shape("control/reinforce_sae_rewards.csv") == ("episode,reward", 16)
+        stats = json.loads((pipeline_run / "control" / "servo_sae_stats.json").read_text())
+        for i, trial in enumerate(stats["trials"]):
+            assert shape(f"control/servo_sae_trial{i:02d}.csv") == \
+                ("step,z0,z1,a0,a1,reward", trial["steps"])
 
     def test_failed_episode_trace_still_written(self, pipeline_run):
         stats = json.loads(

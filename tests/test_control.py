@@ -18,7 +18,6 @@ from latentservo.control import (
     calibrate_goal_tolerance,
     control_loop,
     discounted_returns,
-    episode_trace_csv,
     evaluate_success,
     guidance_action,
     model_sensor,
@@ -427,6 +426,19 @@ class TestControlLoop:
                            eps_goal=0.02, max_steps=10)
         assert res.success and res.steps == 0
 
+    def test_start_at_goal_records_empty_traces(self, spec):
+        # A trial's table header is built from these shapes, rows or not.
+        def sensor(positions):
+            positions = np.asarray(positions, dtype=np.float64)
+            return np.hstack([positions, positions[:, :1]])
+
+        z_star = target_factors(sensor, spec)
+        res = control_loop(UVSController(UVSConfig(), spec),
+                           WorldState(position=np.asarray(spec.target)), spec, sensor,
+                           z_star, eps_goal=0.02, max_steps=10)
+        assert res.steps == 0 and res.rewards == []
+        assert res.zs.shape == (0, 3) and res.actions.shape == (0, spec.dof)
+
     def test_budget_one_distant_goal(self, spec):
         sensor = oracle_sensor(spec)
         z_star = target_factors(sensor, spec)
@@ -475,19 +487,20 @@ class TestControlLoop:
             res = control_loop(UVSController(UVSConfig(), spec),
                                WorldState(position=np.array([0.2, 0.3])),
                                spec, sensor, z_star, eps_goal=0.02, max_steps=100)
-            return episode_trace_csv(res), res.success, res.steps
+            return (res.zs.tobytes(), res.actions.tobytes(),
+                    np.asarray(res.rewards).tobytes(), res.success, res.steps)
         assert run() == run()
 
     def test_trace_columns_hold_one_row_per_step(self, spec):
         sensor = oracle_sensor(spec)
+        z_star = target_factors(sensor, spec)
         res = control_loop(UVSController(UVSConfig(), spec),
                            WorldState(position=np.array([0.2, 0.3])), spec, sensor,
-                           target_factors(sensor, spec), eps_goal=0.02, max_steps=100)
+                           z_star, eps_goal=0.02, max_steps=100)
+        assert res.steps > 0 and len(res.rewards) == res.steps
         assert res.zs.shape == (res.steps, 2) and res.actions.shape == (res.steps, 2)
-        rows = episode_trace_csv(res).strip().split("\n")
-        assert rows[0] == "step,z0,z1,a0,a1,reward"
-        assert len(rows) == res.steps + 1
-        assert rows[-1].endswith(f",{res.rewards[-1]:.6g}")
+        # Row i holds step i's reading and the reward earned by it.
+        assert res.rewards[-1] == reward(res.zs[-1], z_star, 0.02, 10.0)
 
 
 def _one_episode(controller, start, spec, sensor, z_star, eps_goal, max_steps,

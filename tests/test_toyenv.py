@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import re
 
 import numpy as np
 import pytest
@@ -251,10 +252,14 @@ class TestDemos:
 
 
 def rewrite_record(path, edit):
-    """Apply ``edit`` to the JSON record in a demo file's header, in place."""
+    """Apply ``edit`` to the JSON record in a demo file's header, in place,
+    or write ``edit`` itself as the record if it is not a function."""
     magic, comment, rest = path.read_bytes().split(b"\n", 2)
     record = json.loads(comment[2:])
-    edit(record)
+    if callable(edit):
+        edit(record)
+    else:
+        record = edit
     path.write_bytes(magic + b"\n# " + json.dumps(record).encode() + b"\n" + rest)
 
 
@@ -353,12 +358,19 @@ class TestPersistence:
     @pytest.mark.parametrize("edit, message", [
         (lambda r: r["task"].pop("a_max"), "TaskSpec record lacks field 'a_max'"),
         (lambda r: r["task"].update(target=None), "TaskSpec field 'target' is mistyped"),
-    ], ids=["no-a_max", "null-target"])
+        ([], "the demo record is not a JSON object"),
+        (lambda r: r.pop("task"), "the demo record lacks 'task'"),
+        (lambda r: r.pop("pattern"), "the demo record lacks 'pattern'"),
+        (lambda r: r.pop("positions"), "the demo record lacks 'positions'"),
+        (lambda r: r.update(positions=None), r"positions of shape \(\) are not"),
+    ], ids=["no-a_max", "null-target", "list", "no-task", "no-pattern", "no-positions",
+            "null-positions"])
     def test_malformed_task_record_rejected(self, tmp_path, spec, edit, message):
-        save_demo(generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4), tmp_path / "d.pgm")
-        rewrite_record(tmp_path / "d.pgm", edit)
-        with pytest.raises(ValueError, match=message):
-            load_demo(tmp_path / "d.pgm")
+        path = tmp_path / "d.pgm"
+        save_demo(generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4), path)
+        rewrite_record(path, edit)
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: {message}"):
+            load_demo(path)
 
 
 class TestSampling:
