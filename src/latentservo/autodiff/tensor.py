@@ -232,11 +232,12 @@ def relu(a: Tensor) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     # numerically safe two-sided form without boolean masks: e = exp(-|x|)
-    # is exp(-x) where x >= 0 (-0.0 included) and exp(x) where x < 0
+    # is exp(-x) where x >= 0 (-0.0 included) and exp(x) where x < 0. As
+    # e <= 1, max(e, x >= 0) is 1 where x >= 0 and e elsewhere (NaN stays).
     x = a.data
     e = np.exp(-np.abs(x))
     d = 1.0 + e
-    out = Tensor(np.where(x >= 0, 1.0 / d, e / d))
+    out = Tensor(np.maximum(e, x >= 0) / d)
     return _record(out, (a,), lambda g: (g * out.data * (1.0 - out.data),), "sigmoid")
 
 

@@ -130,7 +130,10 @@ def load_demo(path) -> DemoSequence:
         raise ValueError(f"{path}: expected maxval 255, got {maxval}")
     if record is None:
         raise ValueError(f"{path}: no demo record in the header")
-    record = json.loads(record)
+    try:
+        record = json.loads(record)
+    except ValueError as exc:   # JSONDecodeError, or UnicodeDecodeError
+        raise ValueError(f"{path}: the demo record is not JSON: {exc}") from exc
     if not isinstance(record, dict):
         raise ValueError(f"{path}: the demo record is not a JSON object")
     if record.get("schema_version") != DEMO_SCHEMA:

@@ -4,7 +4,9 @@ The workspace is the unit square. An effector sprite (disc for TEACHER,
 equal-area square for EXECUTOR) moves under bounded position increments;
 a fixed cross marks the target. Rendering is a pure, noise-free function
 of (state, spec): anti-aliased coverage, max-blended, then quantized to
-256 gray levels so frames survive 8-bit persistence bit-exactly.
+256 gray levels so frames survive 8-bit persistence bit-exactly. Only the
+pixels around the sprite are computed per frame; the rest is a cached
+background with the same bytes.
 """
 
 from __future__ import annotations
@@ -95,36 +97,64 @@ def _unit_clip(x: np.ndarray) -> np.ndarray:
     return np.minimum(x, 1.0, out=x)
 
 
-def _disc_coverage(cols, rows, cx, cy, radius):
-    d = np.hypot(cols - cx, rows - cy)
+def _disc_coverage(dx, dy, radius):
+    d = np.hypot(dx, dy)
     np.subtract(radius, d, out=d)
     d += 0.5
     return _unit_clip(d)
 
 
-def _rect_coverage(cols, rows, cx, cy, half_w, half_h):
-    u = half_w - np.abs(cols - cx)
+def _rect_coverage(dx, dy, half_w, half_h):
+    u = half_w - np.abs(dx)
     u += 0.5
-    v = half_h - np.abs(rows - cy)
+    v = half_h - np.abs(dy)
     v += 0.5
     return _unit_clip(u) * _unit_clip(v)
 
 
-@lru_cache(maxsize=32)
-def _grids(size: int):
-    idx = np.arange(size, dtype=np.float64)
-    return np.meshgrid(idx, idx)  # cols, rows
+def _half_extent(spec: TaskSpec) -> float:
+    """Disc radius, or half-side of the equal-area square, in pixels."""
+    if spec.sprite is SpriteKind.TEACHER:
+        return spec.sprite_radius
+    return spec.sprite_radius * math.sqrt(math.pi) / 2.0
+
+
+def _quantize(img: np.ndarray) -> np.ndarray:
+    """Round float64 intensities, in place, to the nearest k/255; return float32."""
+    img *= 255.0
+    np.rint(img, out=img)     # what np.round does at 0 decimals
+    img /= 255.0
+    return img.astype(np.float32)
 
 
 @lru_cache(maxsize=32)
 def _target_layer(spec: TaskSpec) -> np.ndarray:
-    cols, rows = _grids(spec.image_size)
+    idx = np.arange(spec.image_size, dtype=np.float64)
     tx, ty = to_pixels(spec.target, spec)
-    bar_h = _rect_coverage(cols, rows, tx, ty, spec.cross_arm, 0.5)
-    bar_v = _rect_coverage(cols, rows, tx, ty, 0.5, spec.cross_arm)
+    dx, dy = idx - tx, (idx - ty)[:, None]
+    bar_h = _rect_coverage(dx, dy, spec.cross_arm, 0.5)
+    bar_v = _rect_coverage(dx, dy, 0.5, spec.cross_arm)
     layer = np.maximum(bar_h, bar_v) * spec.target_intensity
     layer.setflags(write=False)
     return layer
+
+
+@lru_cache(maxsize=32)
+def _window(spec: TaskSpec):
+    """The sprite window of ``spec`` and the quantized frame without a sprite.
+
+    Coverage falls to 0 at ``reach`` pixels from the sprite centre along
+    either axis (within rounding, far below half a gray level), so the
+    (2 * ceil(reach) + 1)-pixel square from ``floor(centre - reach)`` holds
+    every pixel a sprite changes. The pixel margin keeps it inside the frame.
+    """
+    reach = _half_extent(spec) + 0.5
+    idx = np.arange(2 * math.ceil(reach) + 1)
+    offsets = idx[:, None] * spec.image_size + idx  # window pixel -> flat frame index
+    strides = np.array([1.0, spec.image_size])      # (col, row) -> flat frame index
+    background = _quantize(np.maximum(_target_layer(spec), 0.0))
+    background.setflags(write=False)
+    return reach, idx.astype(np.float64), offsets, strides, background
 
 
 def as_positions(positions) -> np.ndarray:
@@ -138,20 +168,35 @@ def as_positions(positions) -> np.ndarray:
 
 
 def render(positions, spec: TaskSpec) -> np.ndarray:
-    """One observation frame per position: (N, 2) -> float32 (N, H, W), values k/255."""
+    """One observation frame per position: (N, 2) -> float32 (N, H, W), values k/255.
+
+    Each frame is the full-frame max-blend of target and sprite, quantized,
+    but computed on the sprite's window only. Quantizing is monotone, so
+    the max of the quantized background and quantized sprite has the same
+    bits as the quantized max. A NaN position raises ``ValueError``.
+    """
     pos = _clamp(as_positions(positions))
-    cols, rows = _grids(spec.image_size)
-    cx, cy = to_pixels(pos[:, None, None, :], spec)  # (N, 1, 1) sprite centres
+    reach, idx, offsets, strides, background = _window(spec)
+    n, size, m = len(pos), spec.image_size, spec.pixel_margin
+    centres = m + pos[:, :, None] * (size - 1 - 2 * m)  # (N, 2, 1), as to_pixels
+    lo = np.floor(centres - reach)                       # window corner (col, row)
+    delta = lo + idx
+    delta -= centres                                     # (N, 2, w) pixel - centre
+    dx, dy = delta[:, 0, None, :], delta[:, 1, :, None]
+    half = _half_extent(spec)
     if spec.sprite is SpriteKind.TEACHER:
-        sprite = _disc_coverage(cols, rows, cx, cy, spec.sprite_radius)
+        sprite = _quantize(_disc_coverage(dx, dy, half))
     else:
-        half = spec.sprite_radius * math.sqrt(math.pi) / 2.0  # equal area to the disc
-        sprite = _rect_coverage(cols, rows, cx, cy, half, half)
-    img = np.maximum(_target_layer(spec), sprite, out=sprite)
-    img *= 255.0
-    np.rint(img, out=img)     # what np.round does at 0 decimals
-    img /= 255.0
-    return img.astype(np.float32)
+        sprite = _quantize(_rect_coverage(dx, dy, half, half))
+    corner = lo[:, :, 0] @ strides + np.arange(0, n * size * size, size * size)
+    if math.isnan(corner.dot(corner)):  # cheaper than np.isnan(pos).any()
+        raise ValueError("a NaN position has no frame")
+    pixels = corner.astype(np.intp)[:, None, None] + offsets
+    frames = np.empty((n, size, size), np.float32)
+    frames[...] = background
+    flat = frames.reshape(-1)
+    flat[pixels] = np.maximum(flat[pixels], sprite, out=sprite)
+    return frames
 
 
 def norm64(d: np.ndarray) -> float:

@@ -277,8 +277,28 @@ def _masked_sigmoid(x):
     return out
 
 
+def _where_sigmoid(x):
+    """The two-sided sigmoid through ``np.where``: the reference."""
+    e = np.exp(-np.abs(x))
+    d = 1.0 + e
+    return np.where(x >= 0, 1.0 / d, e / d)
+
+
 class TestBranchlessSigmoid:
     EDGES = [0.0, -0.0, 20.0, -20.0, 100.0, -100.0, 1e4, -1e4]
+    EXTREMES = [np.inf, -np.inf, np.nan, -np.nan, 88.0, -88.0, 88.8, -88.8, 104.0,
+                -104.0, 3.4e38, -3.4e38, 1e-45, -1e-45]
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_matches_where_form_bit_for_bit(self, dtype):
+        rng = np.random.default_rng(37)
+        batches = [np.asarray(self.EDGES + self.EXTREMES, dtype=dtype)]
+        batches += [(rng.standard_normal((16, 1024)) * scale).astype(dtype)
+                    for scale in (1.0, 30.0, 200.0)]
+        for xd in batches:
+            got = ad.sigmoid(ad.Tensor(xd)).data
+            want = _where_sigmoid(xd)
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("dtype", [np.float32, np.float64])
     def test_matches_masked_form_bit_for_bit(self, dtype):

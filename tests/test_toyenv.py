@@ -2,6 +2,7 @@
 
 import itertools
 import json
+import math
 import re
 
 import numpy as np
@@ -46,6 +47,57 @@ class TestSpecValidation:
     def test_bad_dof(self):
         with pytest.raises(ValueError, match="dof"):
             TaskSpec(dof=3)
+
+
+def _full_frame_render(positions, spec):
+    """Coverage, max-blend and quantization over every pixel: the reference."""
+    pos = np.clip(np.asarray(positions, dtype=np.float64), 0.0, 1.0)
+    idx = np.arange(spec.image_size, dtype=np.float64)
+    cols, rows = np.meshgrid(idx, idx)
+
+    def box(dx, dy, half_w, half_h):
+        return (np.clip(half_w - np.abs(dx) + 0.5, 0.0, 1.0)
+                * np.clip(half_h - np.abs(dy) + 0.5, 0.0, 1.0))
+
+    cx, cy = to_pixels(pos[:, None, None, :], spec)
+    if spec.sprite is SpriteKind.TEACHER:
+        d = np.hypot(cols - cx, rows - cy)
+        sprite = np.clip(spec.sprite_radius - d + 0.5, 0.0, 1.0)
+    else:
+        half = spec.sprite_radius * math.sqrt(math.pi) / 2.0
+        sprite = box(cols - cx, rows - cy, half, half)
+    tx, ty = to_pixels(spec.target, spec)
+    arm = spec.cross_arm
+    target = np.maximum(box(cols - tx, rows - ty, arm, 0.5),
+                        box(cols - tx, rows - ty, 0.5, arm)) * spec.target_intensity
+    return (np.round(np.maximum(target, sprite) * 255.0) / 255.0).astype(np.float32)
+
+
+class TestRenderMatchesFullFrame:
+    EDGE_ROWS = [[0.0, 0.0], [1.0, 1.0], [0.0, 1.0], [1.0, 0.0], [-0.3, 0.5],
+                 [1.4, -2.0], [0.5, 1.2], [np.inf, -np.inf], [0.5, 0.5]]
+
+    @pytest.mark.parametrize("sprite", list(SpriteKind))
+    @pytest.mark.parametrize("size", [16, 17, 31, 32, 47, 64])
+    def test_bytes_equal_the_full_frame_render(self, sprite, size):
+        rng = np.random.default_rng(size)
+        positions = np.concatenate([self.EDGE_ROWS, rng.uniform(-0.2, 1.2, (191, 2))])
+        for radius, target in itertools.product([0.5, 1.0, 2.25, 3.0, 4.6, 7.0],
+                                                [(0.0, 0.0), (0.5, 0.5)]):
+            if 2 * (radius + 2.0) >= size - 1:      # TaskSpec refuses it
+                continue
+            spec = TaskSpec(image_size=size, sprite_radius=radius, sprite=sprite,
+                            target=target)
+            want = _full_frame_render(positions, spec)
+            stacks = [slice(i, i + 1) for i in range(len(self.EDGE_ROWS))]
+            for rows in stacks + [slice(0, n) for n in (2, 17, 200)]:
+                got = render(positions[rows], spec)
+                assert got.dtype == want.dtype and got.shape == want[rows].shape
+                assert got.tobytes() == want[rows].tobytes()
+
+    def test_nan_position_has_no_frame(self, spec):
+        with pytest.raises(ValueError, match="NaN position"):
+            render(np.array([[0.5, 0.5], [np.nan, 0.2]]), spec)
 
 
 class TestRender:
@@ -253,14 +305,17 @@ class TestDemos:
 
 def rewrite_record(path, edit):
     """Apply ``edit`` to the JSON record in a demo file's header, in place,
-    or write ``edit`` itself as the record if it is not a function."""
+    or write ``edit`` itself as the record if it is not a function (bytes
+    verbatim, anything else as JSON)."""
     magic, comment, rest = path.read_bytes().split(b"\n", 2)
     record = json.loads(comment[2:])
     if callable(edit):
         edit(record)
     else:
         record = edit
-    path.write_bytes(magic + b"\n# " + json.dumps(record).encode() + b"\n" + rest)
+    if not isinstance(record, bytes):
+        record = json.dumps(record).encode()
+    path.write_bytes(magic + b"\n# " + record + b"\n" + rest)
 
 
 class TestPersistence:
@@ -363,8 +418,10 @@ class TestPersistence:
         (lambda r: r.pop("pattern"), "the demo record lacks 'pattern'"),
         (lambda r: r.pop("positions"), "the demo record lacks 'positions'"),
         (lambda r: r.update(positions=None), r"positions of shape \(\) are not"),
+        (b'{"schema_version": 2,', "the demo record is not JSON"),
+        (b'{"schema_version": 2, "pattern": "\xff"}', "the demo record is not JSON"),
     ], ids=["no-a_max", "null-target", "list", "no-task", "no-pattern", "no-positions",
-            "null-positions"])
+            "null-positions", "truncated", "not-utf8"])
     def test_malformed_task_record_rejected(self, tmp_path, spec, edit, message):
         path = tmp_path / "d.pgm"
         save_demo(generate_demo(spec, Pattern.STRAIGHT, (0.1, 0.2), 4), path)
