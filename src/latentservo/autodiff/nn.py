@@ -38,6 +38,27 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.copy()
 
 
+def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
+                   stride: int = 1) -> tuple:
+    """``conv2d``'s forward arithmetic on arrays: the output (N, F, OH, OW)
+    and the patch columns (K, N*OH*OW) its backward reuses.
+
+    Each output channel is its own row of one einsum, so a kernel holding a
+    subset of the filters gives those channels' bits.
+    """
+    n, c, h, wd = x.shape
+    f, _, kh, kw = w.shape
+    oh, pt, pb = _same_pad(h, kh, stride)
+    ow, pl, pr = _same_pad(wd, kw, stride)
+    # zero-bordered copy: cheaper than np.pad, which dominates one-frame encodes
+    xp = np.zeros((n, c, pt + h + pb, pl + wd + pr), dtype=x.dtype)
+    xp[:, :, pt:pt + h, pl:pl + wd] = x
+    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(c * kh * kw, n * oh * ow)
+    out_fq = np.einsum("fk,kq->fq", w.reshape(f, cols.shape[0]), cols).reshape(f, n, oh, ow)
+    out = np.add(out_fq.transpose(1, 0, 2, 3), b.reshape(1, f, 1, 1), order="C")
+    return out, cols
+
+
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     """Zero-padded "same" convolution: x (N,C,H,W), w (F,C,kh,kw), b (F,).
 
@@ -54,17 +75,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     f, ck, kh, kw = w.shape
     if ck != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {ck}")
-    oh, pt, pb = _same_pad(h, kh, stride)
-    ow, pl, pr = _same_pad(wd, kw, stride)
-    # zero-bordered copy: cheaper than np.pad, which dominates one-frame encodes
-    xp = np.zeros((n, c, pt + h + pb, pl + wd + pr), dtype=x.data.dtype)
-    xp[:, :, pt:pt + h, pl:pl + wd] = x.data
+    out_data, cols = conv2d_forward(x.data, w.data, b.data, stride)
+    out = Tensor(out_data)
     need_gx = x.requires_grad
+    oh, ow = out_data.shape[2:]
     k, p = c * kh * kw, oh * ow
-    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(k, n * p)
     wf = w.data.reshape(f, k)
-    out_fq = np.einsum("fk,kq->fq", wf, cols).reshape(f, n, oh, ow)
-    out = Tensor(np.add(out_fq.transpose(1, 0, 2, 3), b.data.reshape(1, f, 1, 1), order="C"))
 
     def bwd(g):
         gf = g.reshape(n, f, p)
@@ -73,9 +89,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
         gb = g.sum(axis=(0, 2, 3))
         gx = None
         if need_gx:
+            _, pt, pb = _same_pad(h, kh, stride)
+            _, pl, pr = _same_pad(wd, kw, stride)
             gq = gf.transpose(1, 0, 2).reshape(f, n * p)
             gcols = np.einsum("fk,fq->kq", wf, gq).reshape(c, kh, kw, n, oh, ow)
-            gxp = np.zeros_like(xp).transpose(1, 0, 2, 3)     # (C, N, ., .) view
+            gxp = np.zeros((n, c, pt + h + pb, pl + wd + pr),
+                           dtype=x.data.dtype).transpose(1, 0, 2, 3)   # (C, N, ., .) view
             for i in range(kh):
                 for j in range(kw):
                     gxp[:, :, i:i + stride * oh:stride,
@@ -104,6 +123,36 @@ def _coord_grids(h: int, w: int) -> tuple:
     return grid_x, grid_y
 
 
+def softmax_probs(a: np.ndarray, temperature: float) -> np.ndarray:
+    """Float64 softmax over the pixels of each (N, C, H, W) feature map:
+    (N, C, H*W), every reduction row by row, so a channel's row keeps its
+    bits whichever other channels are computed beside it."""
+    n, c, h, w = a.shape
+    flat = (a.reshape(n, c, h * w) / temperature).astype(np.float64)
+    flat -= np.maximum.reduce(flat, axis=2, keepdims=True)
+    p = np.exp(flat, out=flat)
+    p /= np.add.reduce(p, axis=2, keepdims=True)
+    return p
+
+
+def expected_coords(p: np.ndarray, h: int, w: int, dtype) -> tuple:
+    """Readout of ``softmax_probs`` rows over an H x W grid: the (N, 2C)
+    interleaved coordinates (x_0, y_0, x_1, y_1, ...) as ``dtype``, with the
+    float64 (N, C) expectations ex and ey.
+
+    The float64 products' bits depend on the number of rows C, so a caller
+    that reads a channel subset still passes all C rows, with zeros in the
+    rows it does not read.
+    """
+    grid_x, grid_y = _coord_grids(h, w)
+    ex = p @ grid_x
+    ey = p @ grid_y
+    coords = np.empty((p.shape[0], 2 * p.shape[1]), dtype=dtype)
+    coords[:, 0::2] = ex
+    coords[:, 1::2] = ey
+    return coords, ex, ey
+
+
 def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     """Per-channel softmax over pixels, then expected (x, y) coordinates.
 
@@ -117,22 +166,15 @@ def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     if data.ndim != 4:
         raise ShapeError(f"spatial_softmax: need (C,H,W) or (N,C,H,W), got {x.shape}")
     n, c, h, w = data.shape
-    flat = (data.reshape(n, c, h * w) / temperature).astype(np.float64)
-    flat -= np.maximum.reduce(flat, axis=2, keepdims=True)
-    p = np.exp(flat, out=flat)
-    p /= np.add.reduce(p, axis=2, keepdims=True)          # (N,C,HW) float64
-    grid_x, grid_y = _coord_grids(h, w)
-    ex = p @ grid_x                                       # (N,C)
-    ey = p @ grid_y
-    out_data = np.empty((n, 2 * c), dtype=x.data.dtype)
-    out_data[:, 0::2] = ex
-    out_data[:, 1::2] = ey
+    p = softmax_probs(data, temperature)                  # (N,C,HW) float64
+    out_data, ex, ey = expected_coords(p, h, w, x.data.dtype)
     out = Tensor(out_data[0] if squeeze else out_data)
 
     def bwd(g):
         gm = g[None] if squeeze else g                    # (N,2C)
         gx = gm[:, 0::2].astype(np.float64)
         gy = gm[:, 1::2].astype(np.float64)
+        grid_x, grid_y = _coord_grids(h, w)
         # d ex / d a = p * (grid_x - ex) / T  (softmax expectation rule)
         dev_x = grid_x[None, None, :] - ex[:, :, None]
         dev_y = grid_y[None, None, :] - ey[:, :, None]

@@ -1,8 +1,8 @@
 """Position -> time-varying-factor sensors, shared by control and analysis.
 
 A sensor maps an (N, 2) stack of workspace positions to (N, k) float64
-factor rows. The model sensor closes over render + encode + factor
-projection; the oracle variant reads the ground-truth position instead,
+factor rows. The model sensor closes over render + an encode of the factor
+dims alone; the oracle variant reads the ground-truth position instead,
 bounding what the control harness itself can achieve. ``run_episodes``
 senses every moving episode of a step in one stack, and a UVS controller
 its 2 * dof exploration probes in one stack.
@@ -14,7 +14,7 @@ from typing import Callable
 
 import numpy as np
 
-from ..analysis import FactorSet, project
+from ..analysis import FactorSet
 from ..representations import ModelWeights, encode_batch
 from ..toyenv import TaskSpec, as_positions, render
 
@@ -22,9 +22,15 @@ Sensor = Callable[[np.ndarray], np.ndarray]
 
 
 def model_sensor(model: ModelWeights, factors: FactorSet, spec: TaskSpec) -> Sensor:
+    """Render, then encode only the factor dims: the bits of projecting the
+    full latent, without computing the dims the factors leave out."""
+    if factors.spreads.size != model.spec.latent:
+        raise ValueError(f"a factor set over {factors.spreads.size} dims cannot read "
+                         f"a {model.spec.latent}-dim latent")
+
     def sense(positions: np.ndarray) -> np.ndarray:
-        latents = encode_batch(model, render(positions, spec))[0]
-        return project(latents, factors).astype(np.float64)
+        frames = render(positions, spec)
+        return encode_batch(model, frames, dims=factors.indices)[0].astype(np.float64)
 
     return sense
 

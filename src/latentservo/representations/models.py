@@ -9,7 +9,7 @@ reports the posterior mean with its predicted standard deviation attached.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -139,17 +139,54 @@ def _decoder_forward(params: Dict[str, Tensor], spec: EncoderSpec, z: Tensor) ->
     return ad.sigmoid(ad.linear(h, params["out_w"], params["out_b"]))
 
 
-def encode_batch(model: ModelWeights, images: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Deterministic forward encode of (N, H, W) frames -> (values, sigma)."""
-    spec = model.spec
+def _sae_encode(params: Dict[str, Tensor], spec: EncoderSpec, batch: np.ndarray,
+                dims: Optional[List[int]]) -> np.ndarray:
+    """The SAE trunk on arrays. Dims 2c and 2c + 1 come from conv1 channel
+    c, so with ``dims`` only the block of channels from the first to the
+    last one they read runs through conv1 and the softmax."""
+    lo, hi = (0, spec.sae_channels) if dims is None else (min(dims) // 2, max(dims) // 2 + 1)
+    w0, b0 = params["conv0_w"].data, params["conv0_b"].data
+    w1, b1 = params["conv1_w"].data[lo:hi], params["conv1_b"].data[lo:hi]
+    h = np.maximum(ad.conv2d_forward(batch[:, None], w0, b0, 2)[0], 0)
+    h = np.maximum(ad.conv2d_forward(h, w1, b1, 2)[0], 0)
+    n, _, hh, ww = h.shape
+    # the readout keeps its bits only over all channel rows: unread ones are zero
+    probs = np.zeros((n, spec.sae_channels, hh * ww))
+    probs[:, lo:hi] = ad.softmax_probs(h, spec.temperature)
+    coords = ad.expected_coords(probs, hh, ww, h.dtype)[0]
+    return coords if dims is None else coords[:, dims]
+
+
+def encode_batch(model: ModelWeights, images: np.ndarray, dims: Optional[Sequence[int]] = None
+                 ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """Deterministic forward encode of (N, H, W) frames -> (values, sigma).
+
+    ``_encoder_forward``'s float32 ops run on arrays, without Tensors or a
+    tape: the same bits at less cost per call. ``dims`` names the latent
+    dims a caller reads: values then hold only those columns, in that
+    order, and sigma is None. The SAE then runs conv1 and the softmax only
+    on the channels from the first to the last one those dims come from,
+    and the VAE family skips its sigma branch.
+    """
+    spec, p = model.spec, model.params
     batch = _as_batch(images, spec)
-    n = batch.shape[0]
+    if dims is not None:
+        dims = [int(d) for d in dims]
+        if any(d < 0 or d >= spec.latent for d in dims):
+            raise ValueError(f"latent dims {dims} outside [0, {spec.latent})")
+        if not dims:
+            return np.empty((batch.shape[0], 0), dtype=np.float32), None
     if spec.method is Method.SAE:
-        x = Tensor(batch[:, None, :, :])
-    else:
-        x = Tensor(batch.reshape(n, -1))
-    values, sigma = _encoder_forward(model.params, spec, x)
-    return values.data.copy(), None if sigma is None else sigma.data.copy()
+        return _sae_encode(p, spec, batch, dims), None
+    h = np.maximum(batch.reshape(batch.shape[0], -1) @ p["enc0_w"].data + p["enc0_b"].data, 0)
+    h = np.maximum(h @ p["enc1_w"].data + p["enc1_b"].data, 0)
+    head = "lat" if spec.method is Method.AE else "mu"
+    values = h @ p[f"{head}_w"].data + p[f"{head}_b"].data
+    if dims is not None:
+        return values[:, dims], None
+    if spec.method is Method.AE:
+        return values, None
+    return values, np.exp((h @ p["logvar_w"].data + p["logvar_b"].data) * 0.5)
 
 
 def encode(model: ModelWeights, image: np.ndarray) -> LatentVector:

@@ -75,7 +75,7 @@ def generate_demo(spec: TaskSpec, pattern: Pattern, start, steps: int,
     start = np.asarray(start, dtype=np.float64)
     if start.shape != (2,):
         raise ValueError(f"start must be a 2-D point, got shape {start.shape}")
-    if np.any(start < 0.0) or np.any(start > 1.0):
+    if not np.all((start >= 0.0) & (start <= 1.0)):     # NaN fails both
         raise ValueError(f"start {start} outside workspace")
     target = np.asarray(spec.target, dtype=np.float64)
     if spec.dof == 1:

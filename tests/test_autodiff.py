@@ -77,6 +77,28 @@ class TestSpatialSoftmax:
         out = ad.spatial_softmax(t(fm), temperature=0.05)
         np.testing.assert_allclose(out.data, [1.0, 0.0, 0.0, -1.0], atol=1e-5)
 
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("hw", [(8, 8), (5, 7)])
+    def test_a_channel_subset_keeps_the_all_channel_bits(self, n, hw):
+        """A subset's softmax rows and float64 expectations equal the all-
+        channel ones byte for byte when the readout still runs over all C
+        rows, zeros in those not read: ``p @ grid``'s bits depend on the row
+        count, so a subset-shaped readout does not keep them."""
+        rng = np.random.default_rng(n * 100 + hw[1])
+        c, (h, w) = 8, hw
+        for _ in range(25):
+            a = (3.0 * rng.standard_normal((n, c, h, w))).astype(np.float32)
+            chans = sorted(rng.choice(c, size=rng.integers(1, c), replace=False))
+            p_all = ad.softmax_probs(a, 0.7)
+            _, ex, ey = ad.expected_coords(p_all, h, w, np.float32)
+            p_sub = ad.softmax_probs(a[:, chans], 0.7)
+            assert p_sub.tobytes() == p_all[:, chans].tobytes()
+            padded = np.zeros_like(p_all)
+            padded[:, chans] = p_sub
+            _, sub_ex, sub_ey = ad.expected_coords(padded, h, w, np.float32)
+            assert sub_ex[:, chans].tobytes() == ex[:, chans].tobytes()
+            assert sub_ey[:, chans].tobytes() == ey[:, chans].tobytes()
+
     @given(hnp.arrays(np.float32, hnp.array_shapes(min_dims=3, max_dims=3, min_side=1, max_side=6),
                       elements=st.floats(-30, 30, width=32)),
            st.floats(0.05, 10.0))

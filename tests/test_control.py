@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from latentservo.analysis import FactorSet
+from latentservo.analysis import FactorSet, project
 from latentservo.control import (
     GuidedReinforceController,
     JacobianEstimate,
@@ -31,8 +31,14 @@ from latentservo.control import (
     uvs_init_jacobian,
     uvs_step,
 )
-from latentservo.representations import EncoderSpec, Method, ModelWeights, init_params
-from latentservo.toyenv import TaskSpec, WorldState, random_start, step
+from latentservo.representations import (
+    EncoderSpec,
+    Method,
+    ModelWeights,
+    encode_batch,
+    init_params,
+)
+from latentservo.toyenv import TaskSpec, WorldState, random_start, render, step
 
 
 @pytest.fixture
@@ -40,14 +46,25 @@ def spec():
     return TaskSpec()
 
 
+SENSOR_TASK = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
+
+# SAE factor sets over 2 channels: dims 2c and 2c + 1 read channel c
+SAE_FACTORS = {"sae": (0, 3), "sae-ch0": (0, 1), "sae-ch1": (2, 3),
+               "sae-all": (0, 1, 2, 3), "sae-none": ()}
+
+
+def tiny_model(method=Method.SAE):
+    """A 16-pixel model of any method with a 4-dim latent."""
+    spec = EncoderSpec(method=method, image_size=16, latent_dim=4, hidden=(12, 8),
+                       alpha=2.0 if method is Method.BVAE else None, sae_channels=2,
+                       sae_conv1_channels=3, sae_decoder_hidden=8, seed=4)
+    return ModelWeights(spec=spec, params=init_params(spec))
+
+
 class TestSensors:
-    def _model_sensor(self):
-        spec = EncoderSpec(method=Method.SAE, image_size=16, sae_channels=2,
-                           sae_conv1_channels=3, sae_decoder_hidden=8, seed=4)
-        model = ModelWeights(spec=spec, params=init_params(spec))
-        task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
-        return model_sensor(model, FactorSet(indices=(0, 3), tau=0.2,
-                                             spreads=np.ones(4)), task)
+    def _model_sensor(self, indices=(0, 3)):
+        return model_sensor(tiny_model(), FactorSet(indices=indices, tau=0.2,
+                                                    spreads=np.ones(4)), SENSOR_TASK)
 
     def test_oracle_reads_positions_row_wise(self):
         positions = np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]])
@@ -59,13 +76,35 @@ class TestSensors:
         z = self._model_sensor()(np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]]))
         assert z.shape == (3, 2) and z.dtype == np.float64
 
+    @pytest.mark.parametrize("indices", list(SAE_FACTORS.values()))
+    @pytest.mark.parametrize("method", list(Method))
+    def test_model_sensor_reads_the_projected_full_latent(self, method, indices):
+        """The sensor encodes only its factors' dims, with the bits of
+        projecting the full latent onto them."""
+        model = tiny_model(method)
+        factors = FactorSet(indices=indices, tau=0.2, spreads=np.ones(4))
+        sensor = model_sensor(model, factors, SENSOR_TASK)
+        rng = np.random.default_rng(len(indices))
+        for n in (1, 2, 3, 10, 33):
+            positions = rng.uniform(0.0, 1.0, (n, 2))
+            latents = encode_batch(model, render(positions, SENSOR_TASK))[0]
+            want = project(latents, factors).astype(np.float64)
+            got = sensor(positions)
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+    def test_model_sensor_rejects_another_latent_size(self):
+        with pytest.raises(ValueError, match="6 dims"):
+            model_sensor(tiny_model(), FactorSet(indices=(0, 1), tau=0.2,
+                                                 spreads=np.ones(6)), SENSOR_TASK)
+
     @pytest.mark.parametrize("n", [2, 3, 10, 16, 33])
-    @pytest.mark.parametrize("kind", ["oracle", "sae"])
+    @pytest.mark.parametrize("kind", ["oracle", *SAE_FACTORS])
     def test_a_row_is_sensed_as_if_alone(self, spec, kind, n):
         """Row i of a stacked call equals the one-row call on its position,
         byte for byte, whatever the stack's size or order. The dense encoders
         (AE, VAE, BVAE) do not meet this yet: a stacked sgemm row differs."""
-        sensor = oracle_sensor(spec) if kind == "oracle" else self._model_sensor()
+        sensor = oracle_sensor(spec) if kind == "oracle" else self._model_sensor(SAE_FACTORS[kind])
         rng = np.random.default_rng(n)
         positions = rng.uniform(0.0, 1.0, (n, 2))
         alone = np.stack([sensor(positions[i:i + 1])[0] for i in range(n)])

@@ -19,6 +19,7 @@ from latentservo.representations import (
     compute_beta,
     downsample_half,
     encode,
+    encode_batch,
     expected_shapes,
     init_params,
     load,
@@ -26,6 +27,7 @@ from latentservo.representations import (
     save,
     train,
 )
+from latentservo.representations.models import _encoder_forward
 from latentservo.toyenv import Pattern, TaskSpec, generate_demo
 from test_autodiff import _reference_adam_step
 
@@ -112,6 +114,61 @@ class TestEncode:
         model = ModelWeights(spec=spec, params=init_params(spec))
         with pytest.raises(ValueError, match="shape"):
             encode(model, np.zeros((20, 20), dtype=np.float32))
+
+
+def nudged_model(method, seed=0):
+    """A tiny model with every weight and bias moved off its init, so each
+    relu, softmax and sigma carries varied values; every latent has 16 dims."""
+    spec = tiny_spec(method, alpha=2.0 if method is Method.BVAE else None, latent_dim=16,
+                     sae_channels=8)
+    params = init_params(spec)
+    rng = np.random.default_rng(seed)
+    for p in params.values():
+        p.data += (0.1 * rng.standard_normal(p.shape)).astype(np.float32)
+    return ModelWeights(spec=spec, params=params)
+
+
+class TestEncodeBatch:
+    """``encode_batch`` runs ``_encoder_forward``'s float32 ops on arrays."""
+
+    @pytest.mark.parametrize("n", [1, 2, 16])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_equals_the_tape_forward(self, method, n):
+        """Values and sigma, and the columns ``dims`` names, byte for byte.
+        Over these models a channel subset read out without the zero rows
+        differs in a few float32 values."""
+        for seed in range(6):
+            model = nudged_model(method, seed=seed)
+            images = rand_images(n, seed=seed)
+            x = ad.Tensor(images[:, None] if method is Method.SAE else images.reshape(n, -1))
+            ref, ref_sigma = _encoder_forward(model.params, model.spec, x)
+            values, sigma = encode_batch(model, images)
+            assert values.dtype == ref.data.dtype and values.shape == ref.shape
+            assert values.tobytes() == ref.data.tobytes()
+            if ref_sigma is None:
+                assert sigma is None
+            else:
+                assert sigma.dtype == ref_sigma.data.dtype
+                assert sigma.tobytes() == ref_sigma.data.tobytes()
+            for dims in ([0, 1], [2, 3], [0, 3], [5, 4, 0], [3, 4], [6, 13], [15],
+                         list(range(16)), []):
+                got, no_sigma = encode_batch(model, images, dims=dims)
+                assert no_sigma is None and got.shape == (n, len(dims))
+                assert got.tobytes() == ref.data[:, dims].tobytes()
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_records_nothing_on_an_active_tape(self, method):
+        model = nudged_model(method)
+        with ad.Tape() as tape:
+            encode_batch(model, rand_images(2))
+            encode_batch(model, rand_images(2), dims=(1,))
+        assert tape.nodes == []
+
+    @pytest.mark.parametrize("dims", [(-1,), (16,)])
+    def test_dims_outside_the_latent(self, dims):
+        model = nudged_model(Method.SAE)
+        with pytest.raises(ValueError, match="outside"):
+            encode_batch(model, rand_images(1), dims=dims)
 
 
 class TestLoss:

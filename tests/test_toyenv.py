@@ -299,8 +299,10 @@ class TestDemos:
             generate_demo(TaskSpec(dof=1), Pattern.ARC, (0.1, 0.7), 8)
 
     def test_start_outside_workspace(self, spec):
-        with pytest.raises(ValueError, match="outside"):
-            generate_demo(spec, Pattern.STRAIGHT, (1.4, 0.0), 8)
+        for start in [(1.4, 0.0), (np.nan, 0.5), (0.5, np.nan), (np.inf, 0.5),
+                      (0.5, -np.inf)]:
+            with pytest.raises(ValueError, match="outside workspace"):
+                generate_demo(spec, Pattern.STRAIGHT, start, 8)
 
 
 def rewrite_record(path, edit):
