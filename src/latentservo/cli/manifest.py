@@ -7,6 +7,19 @@ and output digests) and the content digest of every file it wrote, by path
 relative to the run directory. A stage is current iff it is done, its
 recorded key equals the key it would run under now and every recorded
 output still has its recorded digest; otherwise it runs again.
+
+Beside each digest the entry keeps the output's stat signature, ``[size,
+mtime_ns, ctime_ns, inode]``, as the file was when it was opened for
+hashing, and only when both timestamps lie strictly before a kernel
+timestamp taken after the hashing: the creation time of the manifest's own
+temp file. An output whose stat still equals its signature has kept its
+digest and is not read again; any other output is hashed. User space
+cannot set ctime, and kernel timestamps only move forward unless the
+system clock is stepped back, so any write, ``utime``, rename or chmod
+after that timestamp leaves a stamp at or above it, which no signature
+holds. An output stamped in the same tick as the timestamp gets no
+signature (the "racy git" case), and neither does one stamped in the
+future.
 """
 
 from __future__ import annotations
@@ -18,7 +31,7 @@ import shutil
 import time
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Callable, Iterable, List, Optional, Sequence
+from typing import Callable, Iterable, List, Optional, Sequence, Tuple
 
 from .. import __version__
 
@@ -27,12 +40,40 @@ class ManifestError(RuntimeError):
     """Unreadable or structurally invalid manifest."""
 
 
+_CHUNK = 1 << 20  # bytes read at a time, so a model never sits in memory whole
+
+
+def _hash(path) -> Tuple[Optional[str], Optional[os.stat_result]]:
+    """sha256 of a regular file's bytes and the file's stat as it was
+    opened; ``(None, None)`` for anything else."""
+    if not os.path.isfile(path):
+        return None, None
+    digest = hashlib.sha256()
+    with open(path, "rb", buffering=0) as f:
+        st = os.fstat(f.fileno())
+        buf = memoryview(bytearray(max(1, min(st.st_size, _CHUNK))))
+        while n := f.readinto(buf):
+            digest.update(buf[:n])
+    return digest.hexdigest(), st
+
+
 def content_digest(path) -> Optional[str]:
     """sha256 of a regular file's bytes; None for anything else."""
-    if not os.path.isfile(path):
-        return None
-    with open(path, "rb") as f:
-        return hashlib.sha256(f.read()).hexdigest()
+    return _hash(path)[0]
+
+
+def _signature(st: os.stat_result) -> list:
+    return [st.st_size, st.st_mtime_ns, st.st_ctime_ns, st.st_ino]
+
+
+def _unchanged(path: str, signature) -> bool:
+    """Whether ``path`` still has the stat ``signature`` a record stored."""
+    if signature is None:
+        return False
+    try:
+        return _signature(os.stat(path)) == signature
+    except OSError:
+        return False
 
 
 def _beneath(rel: str) -> bool:
@@ -95,14 +136,25 @@ class RunManifest:
         return hashlib.sha256(blob.encode()).hexdigest()
 
     def is_current(self, stage: str, key: str) -> bool:
-        """Done under ``key``, and every recorded output still has its digest."""
+        """Done under ``key``, and every recorded output still has its digest.
+
+        An output whose stat equals the signature recorded with its digest
+        is not read; every other output (no signature, a malformed one, a
+        copied or edited file) is hashed and compared with its digest."""
         entry = self.stages.get(stage) or {}
         outputs = entry.get("outputs")
+        if entry.get("status") != "done" or entry.get("key") != key \
+                or not isinstance(outputs, dict):
+            return False
+        signatures = entry.get("stat")
+        if not isinstance(signatures, dict):
+            signatures = {}
         run_dir = str(self.run_dir)
-        return entry.get("status") == "done" and entry.get("key") == key \
-            and isinstance(outputs, dict) \
-            and all(content_digest(os.path.join(run_dir, rel)) == digest
-                    for rel, digest in outputs.items())
+        for rel, digest in outputs.items():
+            path = os.path.join(run_dir, rel)
+            if not _unchanged(path, signatures.get(rel)) and content_digest(path) != digest:
+                return False
+        return True
 
     def outputs(self, stage: str) -> List[str]:
         """The stage's recorded output paths, under the run directory."""
@@ -116,27 +168,34 @@ class RunManifest:
                wall_clock_s: float, error: Optional[str] = None) -> None:
         """One attempt at ``stage``: done, or failed with ``error``. Either
         way every file it wrote is recorded, so the next attempt removes it."""
-        digests = {Path(o).relative_to(self.run_dir).as_posix(): content_digest(o)
-                   for o in outputs}
-        entry = self.stages[stage] = {
-            "status": "done",
-            "key": key,
-            "outputs": dict(sorted(digests.items())),
-            "wall_clock_s": round(wall_clock_s, 3),
-        }
-        if error is not None:
-            entry.update(status="failed", error=error)
-        self._write()
-
-    def _write(self) -> None:
+        digests, opened = {}, {}
+        for o in outputs:
+            rel = Path(o).relative_to(self.run_dir).as_posix()
+            digests[rel], opened[rel] = _hash(o)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        payload = json.dumps({
-            "tool_version": self.tool_version,
-            "config_digest": self.config_digest,
-            "stages": self.stages,
-        }, indent=1, sort_keys=True)
         tmp = self.path.with_suffix(".json.tmp")
-        tmp.write_text(payload)
+        tmp.unlink(missing_ok=True)  # left by a call that died mid-write
+        fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
+        with open(fd, "w") as f:
+            # A file created now: anything written after it is stamped at or
+            # after its ctime, so an output stamped before it is signed.
+            stamp = os.fstat(fd).st_ctime_ns
+            signatures = {rel: _signature(st) for rel, st in opened.items() if st is not None
+                          and max(st.st_mtime_ns, st.st_ctime_ns) < stamp}
+            entry = self.stages[stage] = {
+                "status": "done",
+                "key": key,
+                "outputs": dict(sorted(digests.items())),
+                "stat": dict(sorted(signatures.items())),
+                "wall_clock_s": round(wall_clock_s, 3),
+            }
+            if error is not None:
+                entry.update(status="failed", error=error)
+            f.write(json.dumps({
+                "tool_version": self.tool_version,
+                "config_digest": self.config_digest,
+                "stages": self.stages,
+            }, indent=1, sort_keys=True))
         os.replace(tmp, self.path)
 
 

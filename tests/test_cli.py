@@ -5,14 +5,18 @@ import hashlib
 import io
 import json
 import os
+import random
 import shutil
 import subprocess
 import sys
+import time
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 from latentservo.cli import config
+from latentservo.cli import manifest as cli_manifest
 from latentservo.cli.commands import STAGE_TABLE, _lookup, stage_key
 from latentservo.cli.config import _SCHEMA, _parse_bool, load_config
 from latentservo.cli.main import EXIT_CONFIG, EXIT_IO, EXIT_OK, EXIT_STAGE, main
@@ -88,6 +92,40 @@ def unrecorded(run_dir):
     files = [p.relative_to(run_dir).as_posix() for p in run_dir.rglob("*")
              if p.is_file() and p != run_dir / "manifest.json"]
     return [f for f in files if f not in recorded]
+
+
+def hashed_paths(monkeypatch):
+    """The paths the manifest hashes from now on, in order: its module
+    binding of ``content_digest`` is counted."""
+    calls = []
+
+    def counting(path, digest=cli_manifest.content_digest):
+        calls.append(str(path))
+        return digest(path)
+
+    monkeypatch.setattr(cli_manifest, "content_digest", counting)
+    return calls
+
+
+def settle(path):
+    """Wait until a file made now is stamped after ``path``'s ctime, so a
+    record made next signs ``path`` (a stamp in the record's own tick gets
+    no signature)."""
+    ctime = os.stat(path).st_ctime_ns
+    probe = Path(path).with_name(".settle")
+    deadline = time.monotonic() + 5.0
+    while time.monotonic() < deadline:
+        probe.write_bytes(b"")
+        stamp = os.stat(probe).st_ctime_ns
+        probe.unlink()
+        if stamp > ctime:
+            return
+        time.sleep(0.001)
+
+
+def signatures(run_dir, stage):
+    """The stat signatures ``stage`` recorded, by output."""
+    return json.loads((run_dir / "manifest.json").read_text())["stages"][stage]["stat"]
 
 
 def artifact_bytes(run_dir):
@@ -472,6 +510,88 @@ class TestManifest:
         model.write_bytes(b"weightz")
         assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
 
+    def test_rewrite_with_restored_mtime_is_not_current(self, tmp_path):
+        model = tmp_path / "model.lsrv"
+        model.write_bytes(b"weights")
+        hour_ago = time.time_ns() - 3600 * 10**9
+        os.utime(model, ns=(hour_ago, hour_ago))
+        settle(model)
+        RunManifest.open(tmp_path, "d").record("s", "k", [str(model)], 1.0)
+        assert "model.lsrv" in signatures(tmp_path, "s")
+        with open(model, "r+b") as f:
+            f.write(b"weightz")
+        os.utime(model, ns=(hour_ago, hour_ago))
+        assert model.stat().st_size == len(b"weights")
+        assert not RunManifest.open(tmp_path, "d").is_current("s", "k")
+
+    def test_same_bytes_as_a_new_file_are_current_by_hashing(self, tmp_path, monkeypatch):
+        model = tmp_path / "model.lsrv"
+        model.write_bytes(b"weights")
+        settle(model)
+        RunManifest.open(tmp_path, "d").record("s", "k", [str(model)], 1.0)
+        assert "model.lsrv" in signatures(tmp_path, "s")
+        hashed = hashed_paths(monkeypatch)
+        assert RunManifest.open(tmp_path, "d").is_current("s", "k")
+        assert hashed == []  # its stat still equals its signature
+        (tmp_path / "model.new").write_bytes(b"weights")
+        os.replace(tmp_path / "model.new", model)
+        assert RunManifest.open(tmp_path, "d").is_current("s", "k")
+        assert hashed == [str(model)]
+
+    @pytest.mark.parametrize("edit", [
+        lambda stat: None,
+        lambda stat: list(stat.values()),
+        lambda stat: {rel: [str(v) for v in sig] for rel, sig in stat.items()},
+        lambda stat: {rel: sig[:3] for rel, sig in stat.items()},
+    ], ids=["absent", "list", "strings", "three-items"])
+    def test_a_missing_or_malformed_signature_is_checked_by_hashing(self, tmp_path, monkeypatch,
+                                                                    edit):
+        demo = tmp_path / "demos" / "teacher" / "demo_000.pgm"
+        demo.parent.mkdir(parents=True)
+        demo.write_bytes(b"P5\n1 1\n255\n\0")
+        settle(demo)
+        manifest, tree = RunManifest.open(tmp_path, "d"), plain(load_config(TINY))
+        key = stage_key(tree, manifest, "demo-gen")
+        manifest.record("demo-gen", key, [str(demo)], 1.0)
+        train_key = stage_key(tree, manifest, "train")
+        data = json.loads((tmp_path / "manifest.json").read_text())
+        entry = data["stages"]["demo-gen"]
+        assert list(entry["stat"]) == ["demos/teacher/demo_000.pgm"]
+        stat = edit(entry.pop("stat"))
+        if stat is not None:  # None: the entry has no "stat", as the parent format
+            entry["stat"] = stat
+        (tmp_path / "manifest.json").write_text(json.dumps(data))
+        hashed = hashed_paths(monkeypatch)
+        again = RunManifest.open(tmp_path, "d")
+        assert again.is_current("demo-gen", key)
+        assert hashed == [str(demo)]
+        # A signature is no part of any stage key.
+        assert stage_key(tree, again, "train") == train_key
+
+    def test_an_output_stamped_after_the_record_is_not_signed(self, tmp_path, monkeypatch):
+        model = tmp_path / "model.lsrv"
+        model.write_bytes(b"weights")
+        hour_ahead = time.time_ns() + 3600 * 10**9
+        os.utime(model, ns=(hour_ahead, hour_ahead))
+        RunManifest.open(tmp_path, "d").record("s", "k", [str(model)], 1.0)
+        assert signatures(tmp_path, "s") == {}
+        hashed = hashed_paths(monkeypatch)
+        assert RunManifest.open(tmp_path, "d").is_current("s", "k")
+        assert hashed == [str(model)]
+
+    @pytest.mark.parametrize("size", [0, 100, (1 << 20) + 1, 3 << 20])
+    def test_content_digest_reads_in_bounded_chunks(self, tmp_path, size):
+        path = tmp_path / "blob"
+        path.write_bytes(random.Random(size).randbytes(size))
+        tracemalloc.start()
+        try:
+            digest = content_digest(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+        assert peak < (1 << 20) + (1 << 16)  # one 1 MiB chunk, never the whole file
+
     def test_key_covers_reads_and_inputs(self, tmp_path):
         m = RunManifest.open(tmp_path, "d")
         key = m.key({"seed": 1}, ["up"])
@@ -593,6 +713,15 @@ def cold_copy(cold_run, tmp_path):
     return out
 
 
+@pytest.fixture
+def fresh_run(tmp_path):
+    """A cold tiny run made in place, not copied, so each output still has
+    the stat its record signed."""
+    out = tmp_path / "fresh"
+    run_stages(TINY, out, *PIPELINE)
+    return out
+
+
 @pytest.fixture(scope="module")
 def pipeline_run(cold_run, tmp_path_factory):
     """One tiny end-to-end run shared by the CLI assertions."""
@@ -644,6 +773,59 @@ class TestPipeline:
         assert capsys.readouterr().out.splitlines() == [
             f"[{stage}] up to date, skipping" for stage in
             ("demo-gen", "train", "factors", "servo", "reinforce", "evaluate")]
+
+    def test_warm_call_reads_only_unsigned_outputs(self, fresh_run, monkeypatch, capsys):
+        stages = json.loads((fresh_run / "manifest.json").read_text())["stages"]
+        checked = ("demo-gen", "train", "factors", "servo", "reinforce", "evaluate")
+        unsigned = [str(fresh_run / rel) for stage in checked
+                    for rel in stages[stage]["outputs"] if rel not in stages[stage]["stat"]]
+        assert "models/bvae.lsrv" in stages["train"]["stat"]
+        hashed = hashed_paths(monkeypatch)
+        capsys.readouterr()
+        run_stages(TINY, fresh_run, "evaluate")
+        assert ran(capsys.readouterr().out) == []
+        assert hashed == unsigned  # each at most once
+
+    @pytest.mark.parametrize("form", ["copied", "unsigned"])
+    def test_a_run_without_valid_signatures_is_hashed_and_reruns_nothing(
+            self, fresh_run, tmp_path, monkeypatch, capsys, form):
+        # A copy has new inodes and ctimes; a manifest written before stat
+        # signatures has none.
+        if form == "copied":
+            run = tmp_path / "copy"
+            shutil.copytree(fresh_run, run)
+        else:
+            run = fresh_run
+            data = json.loads((run / "manifest.json").read_text())
+            for entry in data["stages"].values():
+                del entry["stat"]
+            (run / "manifest.json").write_text(json.dumps(data))
+        stages = json.loads((run / "manifest.json").read_text())["stages"]
+        hashed = hashed_paths(monkeypatch)
+        capsys.readouterr()
+        run_stages(TINY, run, "evaluate")
+        assert ran(capsys.readouterr().out) == []
+        assert hashed == [str(run / rel) for stage in ("demo-gen", "train", "factors", "servo",
+                                                      "reinforce", "evaluate")
+                          for rel in stages[stage]["outputs"]]
+
+    def test_report_marks_an_edit_keeping_size_and_mtime_stale(self, fresh_run):
+        model = fresh_run / "models" / "sae.lsrv"
+        assert "models/sae.lsrv" in signatures(fresh_run, "train")
+        before = model.stat()
+        with open(model, "r+b") as f:
+            f.seek(-1, os.SEEK_END)
+            last = f.read(1)
+            f.seek(-1, os.SEEK_END)
+            f.write(bytes([last[0] ^ 1]))
+        os.utime(model, ns=(before.st_atime_ns, before.st_mtime_ns))
+        assert (model.stat().st_size, model.stat().st_mtime_ns) == \
+            (before.st_size, before.st_mtime_ns)
+        run_stages(TINY, fresh_run, "report")
+        stale = {"train", "taskmap", "factors", "fieldmap", "embodiment", "servo", "reinforce",
+                 "evaluate"}
+        assert report_statuses((fresh_run / "report.md").read_text()) == {
+            stage: "STALE" if stage in stale else "DONE" for stage in STAGE_TABLE}
 
     def test_embodiment_covers_trained_methods(self, pipeline_run):
         report = json.loads((pipeline_run / "analysis" / "embodiment.json").read_text())
