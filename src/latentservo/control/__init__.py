@@ -10,8 +10,10 @@ from .uvs import (
     UVSConfig,
     UVSController,
     broyden_update,
+    broyden_updates,
     uvs_init_jacobian,
     uvs_step,
+    uvs_steps,
 )
 from .reinforce import (
     GuidedReinforceController,
@@ -31,9 +33,10 @@ from .loop import (EpisodeResult, SuccessStats, control_loop, evaluate_success,
 __all__ = [
     "EpisodeResult", "GuidedReinforceController", "JacobianEstimate", "Policy",
     "ReinforceConfig", "Sensor", "SuccessStats", "TrainEpisode", "UVSConfig",
-    "UVSController", "broyden_update", "calibrate_goal_tolerance", "control_loop",
+    "UVSController", "broyden_update", "broyden_updates", "calibrate_goal_tolerance",
+    "control_loop",
     "discounted_returns", "evaluate_success",
     "guidance_action", "model_sensor", "oracle_sensor", "reinforce_update",
     "reward", "rollout", "run_episodes", "sample_action", "target_factors",
-    "train_policy", "uvs_init_jacobian", "uvs_step",
+    "train_policy", "uvs_init_jacobian", "uvs_step", "uvs_steps",
 ]

@@ -72,15 +72,19 @@ class Policy:
         return ad.linear(h, self.params["mu_w2"], self.params["mu_b2"])
 
     def mean_action(self, z: np.ndarray, a_hat: np.ndarray) -> np.ndarray:
-        """Guidance plus the learned correction at one factor reading, float64.
+        """Guidance plus the learned correction, float64, at one factor reading
+        (k,) or at each row of a stack (n, k).
 
-        ``mean_correction``'s float32 ops on a one-row stack, run without
-        Tensors or a tape: the same bits at less cost per call.
+        ``mean_correction``'s float32 ops on one-row products, run without
+        Tensors or a tape: the same bits at less cost per call. A stack runs
+        as ``Z[:, None, :] @ W``, which gives every row the bits of its
+        one-row product.
         """
         p = self.params
-        h = np.tanh(z[None].astype(np.float32) @ p["mu_w1"].data + p["mu_b1"].data)
+        h = np.tanh(z[..., None, :].astype(np.float32) @ p["mu_w1"].data
+                    + p["mu_b1"].data)
         mu = h @ p["mu_w2"].data + p["mu_b2"].data
-        return a_hat + mu[0].astype(np.float64)
+        return a_hat + mu[..., 0, :].astype(np.float64)
 
     def std(self) -> np.ndarray:
         return np.exp(self.params["log_std"].data.astype(np.float64))
@@ -88,10 +92,13 @@ class Policy:
 
 def guidance_action(z_star: np.ndarray, z_v: np.ndarray, a_max: float,
                     k_gain: float) -> np.ndarray:
-    """Pull toward the target: error scaled by the gain, clipped to the limit."""
+    """Pull toward the target: error scaled by the gain, clipped to the limit.
+
+    ``z_v`` is one reading (k,) or a stack (n, k), clipped row by row.
+    """
     z_star = np.asarray(z_star, dtype=np.float64)
     z_v = np.asarray(z_v, dtype=np.float64)
-    if z_star.shape != z_v.shape:
+    if z_star.shape != z_v.shape[-1:] or z_v.ndim > 2:
         raise ValueError(f"factor lengths differ: {z_star.shape} vs {z_v.shape}")
     return clip_action(k_gain * (z_star - z_v), a_max)
 
@@ -235,4 +242,30 @@ class GuidedReinforceController:
         return action
 
     def observe(self, z_before, action, z_after) -> None:
+        pass
+
+    def lockstep(self):
+        """The key of the stacked group this controller steps in (``run_episodes``);
+        a sampling controller draws its noise in step order, so it acts alone."""
+        if self.rng is not None:
+            return None
+        return (GuidedGroup, id(self.policy), self.k_gain, self.spec.a_max)
+
+
+class GuidedGroup:
+    """Mean-action ``GuidedReinforceController``s of one policy, gain and limit,
+    acting as one stack. They keep no state between steps."""
+
+    def __init__(self, controllers: List[GuidedReinforceController]):
+        first = controllers[0]
+        self.policy, self.k_gain, self.a_max = first.policy, first.k_gain, first.spec.a_max
+
+    def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
+        a_hat = guidance_action(z_star, z, self.a_max, self.k_gain)
+        return clip_action(self.policy.mean_action(z, a_hat), self.a_max)
+
+    def observe(self, z_before, actions, z_after) -> None:
+        pass
+
+    def keep(self, rows) -> None:
         pass

@@ -8,6 +8,7 @@ from .task import (
     random_start,
     render,
     step,
+    step_positions,
     to_pixels,
 )
 from .demos import DemoSequence, Pattern, generate_demo, load_demo, save_demo
@@ -16,5 +17,6 @@ from .sampling import grid_positions
 __all__ = [
     "DemoSequence", "Pattern", "SpriteKind", "TaskSpec", "WorldState",
     "as_positions", "clip_action", "generate_demo", "grid_positions", "load_demo",
-    "norm64", "random_start", "render", "save_demo", "step", "to_pixels",
+    "norm64", "random_start", "render", "save_demo", "step", "step_positions",
+    "to_pixels",
 ]

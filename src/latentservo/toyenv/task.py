@@ -69,7 +69,6 @@ class TaskSpec:
 @dataclass
 class WorldState:
     position: np.ndarray = field(default_factory=lambda: np.array([0.5, 0.5]))
-    step_count: int = 0
 
     def __post_init__(self):
         pos = np.asarray(self.position, dtype=np.float64)
@@ -209,12 +208,43 @@ def norm64(d: np.ndarray) -> float:
 
 
 def clip_action(a: np.ndarray, a_max: float) -> np.ndarray:
-    """``a`` scaled down to Euclidean norm ``a_max`` if longer; else ``a`` itself."""
-    if a.dtype == np.float64 and a.ndim == 1:
+    """``a`` scaled down to Euclidean norm ``a_max`` if longer; else ``a`` itself.
+
+    A 2-D float64 ``a`` is a stack of actions, clipped row by row with the
+    bits each row gets alone (``np.vecdot`` runs ``dot``'s kernel, and a
+    row within the limit is scaled by exactly 1); a stack of several rows
+    is returned itself when no row is longer.
+    """
+    if a.ndim == 2 and a.dtype == np.float64:
+        if len(a) == 1:  # the row itself, at one-row cost
+            return clip_action(a[0], a_max)[None]
+        # a stack holds a few rows: Python floats cost less than ufunc calls
+        norms = [math.sqrt(x) for x in np.vecdot(a, a).tolist()]
+        if max(norms, default=0.0) <= a_max:  # a NaN row is left as it is either way
+            return a
+        return a * np.array([a_max / norm if norm > a_max else 1.0
+                             for norm in norms])[:, None]
+    if a.ndim == 1 and a.dtype == np.float64:
         norm = norm64(a)
     else:
         norm = float(np.linalg.norm(a))
     return a * (a_max / norm) if norm > a_max else a
+
+
+def step_positions(positions: np.ndarray, actions: np.ndarray,
+                   spec: TaskSpec) -> np.ndarray:
+    """``step`` on a stack: (N, 2) positions moved by (N, dof) float64 actions.
+
+    Each action is clipped to ``a_max`` and each new position clamped to the
+    workspace, row by row with the bits of ``step``.
+    """
+    if actions.shape != (len(positions), spec.dof):
+        raise ValueError(f"actions must have shape ({len(positions)}, {spec.dof}), "
+                         f"got {actions.shape}")
+    a = clip_action(actions, spec.a_max)
+    if spec.dof == 1:
+        a = np.hstack([a, np.zeros_like(a)])
+    return _clamp(positions + a)
 
 
 def step(state: WorldState, action, spec: TaskSpec) -> WorldState:
@@ -222,10 +252,7 @@ def step(state: WorldState, action, spec: TaskSpec) -> WorldState:
     a = np.asarray(action, dtype=np.float64).reshape(-1)
     if a.shape != (spec.dof,):
         raise ValueError(f"action must have dim {spec.dof}, got shape {a.shape}")
-    a = clip_action(a, spec.a_max)
-    delta = np.array([a[0], 0.0]) if spec.dof == 1 else a
-    # WorldState clamps the new position to the workspace
-    return WorldState(position=state.position + delta, step_count=state.step_count + 1)
+    return WorldState(position=step_positions(state.position[None], a[None], spec)[0])
 
 
 def random_start(spec: TaskSpec, rng: np.random.Generator,

@@ -4,6 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latentservo.analysis import FactorSet, project
 from latentservo.control import (
@@ -15,6 +18,7 @@ from latentservo.control import (
     UVSConfig,
     UVSController,
     broyden_update,
+    broyden_updates,
     calibrate_goal_tolerance,
     control_loop,
     discounted_returns,
@@ -30,7 +34,9 @@ from latentservo.control import (
     target_factors,
     uvs_init_jacobian,
     uvs_step,
+    uvs_steps,
 )
+from latentservo.control.uvs import MIN_UPDATE_NORM
 from latentservo.representations import (
     EncoderSpec,
     Method,
@@ -220,6 +226,141 @@ class TestBroyden:
         jac = JacobianEstimate(matrix=np.eye(2), damping=1e-3)
         out = broyden_update(jac, np.zeros(2), np.array([1.0, 1.0]))
         assert out is jac
+
+
+def _one_row_uvs_step(J, e, damping, gain, a_max):
+    """The damped step on 2-D arrays through ``np.linalg.solve`` and
+    ``np.linalg.norm``: the reference each row of ``uvs_steps`` must match.
+    Returns the action and whether the solve failed."""
+    m = J.shape[1]
+    try:
+        dq = -gain * np.linalg.solve(J.T @ J + damping * np.eye(m), J.T @ e)
+    except np.linalg.LinAlgError:
+        return np.zeros(m), True
+    if not np.isfinite(dq).all():
+        return np.zeros(m), True
+    norm = float(np.linalg.norm(dq))
+    return (dq * (a_max / norm) if norm > a_max else dq), False
+
+
+def _one_row_broyden(J, dq, dz):
+    """The secant update on 2-D arrays: the reference for ``broyden_updates``."""
+    denom = float(dq @ dq)
+    if denom < MIN_UPDATE_NORM:
+        return J
+    J = J + np.outer(dz - J @ dq, dq) / denom
+    if not np.isfinite(J).all():
+        raise ValueError("Jacobian entries must be finite")
+    return J
+
+
+@st.composite
+def _servo_stacks(draw):
+    """(J, errors, damping): n Jacobians of k factors by m dof, each row at its
+    own scale, and one damping per row."""
+    n, k, m = draw(st.integers(1, 6)), draw(st.integers(1, 4)), draw(st.integers(1, 2))
+    J = draw(hnp.arrays(np.float64, (n, k, m), elements=st.floats(-10.0, 10.0)))
+    scale = draw(hnp.arrays(np.float64, (n, 1, 1),
+                            elements=st.sampled_from([1e-3, 1.0, 1e3])))
+    errors = draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-1.0, 1.0)))
+    damping = draw(hnp.arrays(np.float64, (n, 1, 1),
+                              elements=st.sampled_from([1e-3, 0.1])))
+    return J * scale, errors, damping
+
+
+class TestStackedServo:
+    """``uvs_steps`` and ``broyden_updates`` give each row the bits of the
+    one-row form on 2-D arrays, and flag or raise on the same rows."""
+
+    @given(_servo_stacks(), st.floats(0.1, 2.0), st.sampled_from([0.05, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_uvs_rows_match_the_one_row_step(self, stacks, gain, a_max):
+        J, errors, damping = stacks
+        actions, failed = uvs_steps(J, errors, damping * np.eye(J.shape[2]), gain, a_max)
+        for i in range(len(J)):
+            want, want_failed = _one_row_uvs_step(J[i], errors[i], damping[i, 0, 0],
+                                                  gain, a_max)
+            assert actions[i].tobytes() == want.tobytes() and failed[i] == want_failed
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    def test_a_singular_or_non_finite_row_fails_alone(self, dof):
+        rng = np.random.default_rng(31)
+        J = rng.standard_normal((5, 2, dof))
+        errors = rng.standard_normal((5, 2)) * 0.1
+        if dof == 2:
+            J[1] = 1e10        # J^T J + 1e-3 I rounds to a singular matrix
+            with pytest.raises(np.linalg.LinAlgError):
+                np.linalg.solve(J[1].T @ J[1] + 1e-3 * np.eye(2), J[1].T @ errors[1])
+        else:
+            errors[1, 1] = np.nan  # a 1x1 system is never singular
+        errors[3, 0] = np.inf  # a non-finite right-hand side: no finite step
+        damping = np.full((5, 1, 1), 1e-3)
+        with np.errstate(invalid="ignore"):
+            actions, failed = uvs_steps(J, errors, damping * np.eye(dof), 0.5, 0.05)
+            wants = [_one_row_uvs_step(J[i], errors[i], 1e-3, 0.5, 0.05)
+                     for i in range(5)]
+        assert failed.tolist() == [False, True, False, True, False]
+        for row, (want, want_failed) in zip(actions, wants):
+            assert row.tobytes() == want.tobytes()
+        assert not actions[[1, 3]].any()
+        jac = JacobianEstimate(matrix=J[1], damping=1e-3)
+        assert not uvs_step(jac, errors[1], 0.5, 0.05).any() and jac.degenerate
+
+    @given(data=st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_broyden_rows_match_the_one_row_update(self, data):
+        J, _, _ = data.draw(_servo_stacks())
+        n, k, m = J.shape
+        dq = data.draw(hnp.arrays(np.float64, (n, m), elements=st.floats(-0.05, 0.05)))
+        dz = data.draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-0.1, 0.1)))
+        got, updated = broyden_updates(J, dq, dz)
+        for i in range(n):
+            assert got[i].tobytes() == _one_row_broyden(J[i], dq[i], dz[i]).tobytes()
+            assert updated[i] == (float(dq[i] @ dq[i]) >= MIN_UPDATE_NORM)
+
+    def test_a_short_step_keeps_its_row(self):
+        J = np.stack([np.eye(2), 2.0 * np.eye(2), np.eye(2)])
+        dq = np.array([[0.01, 0.02], [1e-7, 0.0], [0.0, 0.0]])
+        dz = np.array([[0.03, 0.01], [1.0, 1.0], [1.0, 1.0]])
+        got, updated = broyden_updates(J, dq, dz)
+        assert updated.tolist() == [True, False, False]
+        assert got[1].tobytes() == J[1].tobytes() and got[2].tobytes() == J[2].tobytes()
+        assert got[0].tobytes() == _one_row_broyden(J[0], dq[0], dz[0]).tobytes()
+
+    def test_a_non_finite_update_raises_as_alone(self):
+        J = np.stack([np.eye(2), np.eye(2)])
+        dq = np.array([[0.01, 0.02], [1e-3, 0.0]])
+        dz = np.array([[0.03, 0.01], [1e308, 0.0]])  # the update overflows
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="Jacobian entries must be finite"):
+                _one_row_broyden(J[1], dq[1], dz[1])
+            with pytest.raises(ValueError, match="Jacobian entries must be finite"):
+                broyden_updates(J, dq, dz)
+            with pytest.raises(ValueError, match="Jacobian entries must be finite"):
+                broyden_update(JacobianEstimate(matrix=J[1], damping=1e-3), dq[1], dz[1])
+
+
+class TestStackedPolicy:
+    """The guidance and the policy mean on a stack give each row its one-row bits."""
+
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_rows_match_one_row_calls(self, data):
+        k = data.draw(st.integers(1, 3))
+        policy = Policy.create(k=k, dof=k, hidden=16, seed=data.draw(st.integers(0, 9)))
+        rng = np.random.default_rng(data.draw(st.integers(0, 9)))
+        for p in policy.params.values():       # non-zero heads
+            p.data[...] = (rng.standard_normal(p.data.shape) * 0.5).astype(np.float32)
+        n = data.draw(st.integers(1, 10))
+        z = data.draw(hnp.arrays(np.float64, (n, k), elements=st.floats(-3.0, 3.0)))
+        z_star = data.draw(hnp.arrays(np.float64, (k,), elements=st.floats(-3.0, 3.0)))
+        a_max, k_gain = data.draw(st.sampled_from([0.05, 1.0])), 0.5
+        a_hat = guidance_action(z_star, z, a_max, k_gain)
+        mean = policy.mean_action(z, a_hat)
+        for i in range(n):
+            one_hat = guidance_action(z_star, z[i], a_max, k_gain)
+            assert a_hat[i].tobytes() == one_hat.tobytes()
+            assert mean[i].tobytes() == policy.mean_action(z[i], one_hat).tobytes()
 
 
 class TestReward:
@@ -661,6 +802,54 @@ class TestRunEpisodes:
         for lockstep, single, ref in zip(got, singles, reference):
             _assert_same_episode(_as_fields(lockstep), ref)
             _assert_same_episode(_as_fields(single), ref)
+
+    @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
+    def test_a_mixed_group_equals_one_episode_at_a_time(self, spec, sensor_kind):
+        # Two UVS gains, two guided policies, a sampling controller and
+        # wrapped controllers: several stacked groups and one group of lone
+        # controllers, whose rows leave at different steps.
+        sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
+        z_star = target_factors(sensor, spec)
+        eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
+        policy, other = Policy.create(k=2, dof=2, seed=1), Policy.create(k=2, dof=2, seed=2)
+        other.params["mu_w2"].data[...] = 0.05
+        starts = np.vstack([self.STARTS, [[0.2, 0.6], [0.9, 0.9], [0.15, 0.4]]])
+
+        def controllers():
+            return [UVSController(UVSConfig(), spec),
+                    GuidedReinforceController(policy, spec, k_gain=0.5),
+                    NaNAtStep(UVSController(UVSConfig(), spec), k=3),
+                    GuidedReinforceController(policy, spec, k_gain=0.5,
+                                              rng=np.random.default_rng(4)),
+                    UVSController(UVSConfig(gain=0.3), spec),
+                    GuidedReinforceController(other, spec, k_gain=0.8),
+                    NaNAtStep(GuidedReinforceController(policy, spec, k_gain=0.5), k=50),
+                    UVSController(UVSConfig(), spec)]
+
+        lockstep, alone = controllers(), controllers()
+        got = run_episodes(lockstep, starts, spec, sensor, z_star, eps_goal,
+                           max_steps=40)
+        reference = [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
+                                  eps_goal, max_steps=40)
+                     for c, p in zip(alone, starts)]
+        assert reference[1]["success"] and reference[1]["steps"] == 0
+        assert reference[2]["aborted"] and len({r["steps"] for r in reference}) > 3
+        for result, ref in zip(got, reference):
+            _assert_same_episode(_as_fields(result), ref)
+        for c, ref in zip(lockstep, alone):   # a UVS group hands back its Jacobians
+            c, ref = getattr(c, "inner", c), getattr(ref, "inner", ref)
+            if isinstance(c, UVSController) and ref.jacobian is not None:
+                assert c.jacobian.matrix.tobytes() == ref.jacobian.matrix.tobytes()
+                assert c.jacobian.degenerate == ref.jacobian.degenerate
+        assert len(lockstep[3].samples) == len(alone[3].samples) > 0
+        for got_rows, want_rows in zip(lockstep[3].samples, alone[3].samples):
+            assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+
+    def test_an_empty_group_has_no_episodes(self, spec):
+        sensor = oracle_sensor(spec)
+        assert run_episodes([], np.empty((0, 2)), spec, sensor,
+                            target_factors(sensor, spec), eps_goal=0.02,
+                            max_steps=5) == []
 
     def test_one_stacked_sensor_call_per_step(self, spec):
         sensor = CountingSensor(oracle_sensor(spec))

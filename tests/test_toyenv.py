@@ -7,6 +7,9 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from latentservo.toyenv import (
     Pattern,
@@ -21,6 +24,7 @@ from latentservo.toyenv import (
     render,
     save_demo,
     step,
+    step_positions,
     to_pixels,
 )
 from latentservo.plain import plain
@@ -168,7 +172,6 @@ class TestStep:
     def test_plain_move(self, spec):
         s = step(WorldState(position=np.array([0.5, 0.5])), [0.02, 0.0], spec)
         np.testing.assert_allclose(s.position, [0.52, 0.5])
-        assert s.step_count == 1
 
     def test_boundary_clamp(self, spec):
         s = step(WorldState(position=np.array([0.99, 0.5])), [0.05, 0.0], spec)
@@ -237,6 +240,68 @@ class TestClipAction:
         a = np.asarray(a, dtype=np.float64)
         assert float(np.linalg.norm(a)) == a_max
         assert clip_action(a, a_max) is a
+
+
+def _one_row_step(position, action, spec):
+    """``step`` on one row, through ``np.clip`` and ``np.linalg.norm``: the
+    reference each row of a stacked step must match."""
+    a = _norm_clip(np.asarray(action, dtype=np.float64), spec.a_max)
+    delta = np.array([a[0], 0.0]) if spec.dof == 1 else a
+    return np.clip(position + delta, 0.0, 1.0)
+
+
+# Rows of one to three components whose norms span the clip limits below.
+_ACTION_STACKS = st.integers(1, 3).flatmap(lambda d: hnp.arrays(
+    np.float64, st.tuples(st.integers(1, 12), st.just(d)),
+    elements=st.floats(-2.0, 2.0, allow_subnormal=True)))
+
+
+class TestStackedClipAndStep:
+    """A stacked ``clip_action`` or ``step_positions`` gives each row the bits
+    of the one-row form."""
+
+    @given(_ACTION_STACKS, st.sampled_from([0.05, 0.5, 1.0]))
+    @settings(max_examples=200, deadline=None)
+    def test_clip_rows_match_the_one_row_clip(self, actions, a_max):
+        got = clip_action(actions, a_max)
+        for row, a in zip(got, actions):
+            assert row.tobytes() == _norm_clip(a, a_max).tobytes()
+
+    def test_edge_rows_in_one_stack(self):
+        # norms 0, exactly a_max, above it, and NaN, side by side
+        stack = np.array([[0.0, 0.0], [-0.0, 0.0], [0.05, 0.0], [0.0, -0.05],
+                          [0.03, 0.04], [3.0, 4.0], [np.nan, 0.0], [1e-320, 0.0],
+                          [0.0300001, 0.04]])
+        assert [float(np.linalg.norm(a)) == 0.05 for a in stack[2:5]] == [True] * 3
+        got = clip_action(stack, 0.05)
+        for row, a in zip(got, stack):
+            assert row.tobytes() == _norm_clip(a, 0.05).tobytes()
+
+    def test_a_stack_within_the_limit_is_returned_itself(self):
+        within = np.array([[0.05, 0.0], [0.0, 0.0], [0.01, 0.02]])
+        assert clip_action(within, 0.05) is within
+        assert clip_action(np.empty((0, 2)), 0.05).shape == (0, 2)
+
+    @pytest.mark.parametrize("dof", [1, 2])
+    @given(data=st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_step_rows_match_the_one_row_step(self, dof, data):
+        spec = TaskSpec(dof=dof)
+        n = data.draw(st.integers(1, 10))
+        positions = data.draw(hnp.arrays(np.float64, (n, 2), elements=st.floats(0.0, 1.0)))
+        actions = data.draw(hnp.arrays(np.float64, (n, dof),
+                                       elements=st.floats(-0.2, 0.2)))
+        got = step_positions(positions, actions, spec)
+        for row, p, a in zip(got, positions, actions):
+            assert row.tobytes() == _one_row_step(p, a, spec).tobytes()
+            one = step(WorldState(position=p), a, spec).position
+            assert one.tobytes() == row.tobytes()
+
+    def test_step_rejects_actions_of_another_shape(self, spec):
+        with pytest.raises(ValueError, match="actions must have shape"):
+            step_positions(np.full((3, 2), 0.5), np.zeros((3, 1)), spec)
+        with pytest.raises(ValueError, match="actions must have shape"):
+            step_positions(np.full((3, 2), 0.5), np.zeros((2, 2)), spec)
 
 
 class TestWorkspaceClamp:
