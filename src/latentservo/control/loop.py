@@ -6,9 +6,9 @@ goal tolerance or the budget runs out. Jacobian-exploration probes happen
 in the controller's ``begin`` and are not counted against the budget.
 
 ``run_episodes`` steps a group of episodes in lockstep: each step senses
-every moving episode in one stacked sensor call and makes one stacked call
-per controller group (see ``_groups``), and every episode still gets the
-bits it gets alone.
+every moving episode in one stacked sensor call. A list whose controllers
+share one ``lockstep`` key acts as one stacked group, any other list acts
+alone (see ``_group``), and every episode still gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -102,27 +102,23 @@ class _Alone:
         self.controllers = [c for c, k in zip(self.controllers, rows) if k]
 
 
-def _groups(controllers: Sequence, dof: int) -> list:
-    """[(group, rows)]: the begun controllers split into stacked groups, and
-    one group of those that act alone.
+def _group(controllers: list, dof: int):
+    """The begun controllers as one group: a stacked group if they share a
+    ``lockstep`` key, else ``_Alone``.
 
     A controller class may define ``lockstep()``, returning None or a
-    hashable key whose first item is a group class. Controllers with equal
-    keys step as one instance of it, built from their list, whose ``act``
-    and ``observe`` take row stacks and whose ``keep(rows)`` drops rows.
-    Only a class's own ``lockstep`` counts, so a subclass or a wrapper that
-    changes ``act`` is never stacked by its base's arithmetic.
+    hashable key whose first item is a group class. Controllers that all
+    return one key step as one instance of it, built from their list, whose
+    ``act`` and ``observe`` take row stacks and whose ``keep(rows)`` drops
+    rows. Only a class's own ``lockstep`` counts, so a subclass or a wrapper
+    that changes ``act`` is never stacked by its base's arithmetic.
     """
-    keyed, alone = {}, []
-    for row, controller in enumerate(controllers):
+    keys = set()
+    for controller in controllers:
         lockstep = type(controller).__dict__.get("lockstep")
-        key = lockstep(controller) if lockstep is not None else None
-        (alone if key is None else keyed.setdefault(key, [])).append(row)
-    groups = [(key[0]([controllers[i] for i in rows]), rows)
-              for key, rows in keyed.items()]
-    if alone:
-        groups.append((_Alone([controllers[i] for i in alone], dof), alone))
-    return [(group, np.array(rows)) for group, rows in groups]
+        keys.add(lockstep(controller) if lockstep is not None else None)
+    key = keys.pop() if len(keys) == 1 else None
+    return _Alone(controllers, dof) if key is None else key[0](controllers)
 
 
 def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
@@ -132,9 +128,10 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
 
     Each step senses every moving episode in one stacked sensor call and
     runs the abort test and the environment step on the stack. Controllers
-    whose class defines ``lockstep`` act as one stacked group per key
-    (``UVSController``, and ``GuidedReinforceController`` without an rng);
-    any other controller keeps its one-episode ``begin``/``act``/``observe``.
+    that share one ``lockstep`` key act as one stacked group
+    (``UVSController``s of one gain and damping, or ``GuidedReinforceController``s
+    of one policy without an rng); any other list acts alone, each
+    controller through its one-episode ``begin``/``act``/``observe``.
     Every row gets the bits it gets alone, so on a row-stable sensor (the
     oracle or the SAE) every episode gives the result it would give on its
     own; a dense encoder's rows differ in their last bits with the stack
@@ -147,9 +144,11 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
     starts = as_positions(starts)
     if len(controllers) != len(starts):
         raise ValueError(f"{len(controllers)} controllers for {len(starts)} starts")
+    z_star = np.asarray(z_star, dtype=np.float64)
+    if not all(map(math.isfinite, z_star.ravel().tolist())):
+        raise ValueError(f"z* must be finite, got {z_star.tolist()}")
     if not len(starts):
         return []
-    z_star = np.asarray(z_star, dtype=np.float64)
     states = [WorldState(position=p) for p in starts]
     positions = np.array([s.position for s in states])
     z = sensor(positions)
@@ -163,33 +162,24 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
         controllers[i].begin(states[i], sensor)
     if len(live) < len(episodes):
         positions, z = positions[live], z[live]
-    groups = _groups([controllers[i] for i in live], spec.dof)
+    group = _group([controllers[i] for i in live], spec.dof)
 
     for _ in range(max_steps):
         if not live:
             break
-        if len(groups) == 1:
-            actions = groups[0][0].act(z, z_star)
-        else:
-            actions = np.empty((len(live), spec.dof))
-            for group, index in groups:
-                actions[index] = group.act(z[index], z_star)
+        actions = group.act(z, z_star)
         if not all(map(math.isfinite, actions.ravel().tolist())):  # cheaper than .all()
             moving = np.isfinite(actions).all(axis=1)
             for i, ok in zip(live, moving.tolist()):
-                if not ok:
-                    episodes[i].aborted = True
-            live, groups = _keep(live, groups, moving)
-            positions, z, actions = positions[moving], z[moving], actions[moving]
+                episodes[i].aborted = not ok
+            live = [i for i in live if not episodes[i].aborted]
+            group.keep(moving)
             if not live:
                 break
+            positions, z, actions = positions[moving], z[moving], actions[moving]
         positions = step_positions(positions, actions, spec)
         z_new = sensor(positions)
-        if len(groups) == 1:
-            groups[0][0].observe(z, actions, z_new)
-        else:
-            for group, index in groups:
-                group.observe(z[index], actions[index], z_new[index])
+        group.observe(z, actions, z_new)
         z = z_new
         errors = z - z_star
         arrived = False
@@ -205,26 +195,12 @@ def run_episodes(controllers: Sequence, starts: np.ndarray, spec: TaskSpec,
                 e.success = arrived = True
         if arrived:
             going = np.array([not episodes[i].success for i in live])
-            live, groups = _keep(live, groups, going)
-            if live:
-                positions, z = positions[going], z[going]
+            live = [i for i in live if not episodes[i].success]
+            group.keep(going)
+            positions, z = positions[going], z[going]
     if live:
-        _keep(live, groups, np.zeros(len(live), dtype=bool))
+        group.keep(np.zeros(len(live), dtype=bool))
     return [e.result(spec, len(z_star)) for e in episodes]
-
-
-def _keep(live: list, groups: list, rows: np.ndarray):
-    """The live episodes and their groups where ``rows`` is True, re-indexed;
-    each group hands the rows it drops their controllers' final state."""
-    live = [i for i, k in zip(live, rows.tolist()) if k]
-    slot = np.cumsum(rows) - 1 if live else None
-    kept = []
-    for group, index in groups:
-        mine = rows[index]
-        group.keep(mine)
-        if live and mine.any():
-            kept.append((group, slot[index][mine]))
-    return live, kept
 
 
 def control_loop(controller, start: WorldState, spec: TaskSpec, sensor: Sensor,

@@ -4,8 +4,9 @@ A sensor maps an (N, 2) stack of workspace positions to (N, k) float64
 factor rows. The model sensor closes over render + an encode of the factor
 dims alone; the oracle variant reads the ground-truth position instead,
 bounding what the control harness itself can achieve. ``run_episodes``
-senses every moving episode of a step in one stack, and a UVS controller
-its 2 * dof exploration probes in one stack.
+senses every moving episode of a step in one stack, whether its controllers
+share one ``lockstep`` key and step as one stacked group or act alone, and a
+UVS controller senses its 2 * dof exploration probes in one stack.
 """
 
 from __future__ import annotations
@@ -66,7 +67,7 @@ def calibrate_goal_tolerance(sensor: Sensor, spec: TaskSpec,
             probe[axis] = np.clip(probe[axis] + sign * workspace_tol, 0.0, 1.0)
             deltas.append(np.linalg.norm(sensor(probe[None])[0] - z0))
     tol = float(np.mean(deltas))
-    if tol <= 0.0:
+    if not tol > 0.0:
         raise ValueError("sensor is locally constant at the target; "
                          "cannot calibrate a goal tolerance")
     return tol

@@ -191,11 +191,11 @@ class UVSController:
 
     def lockstep(self):
         """The key of the stacked group this controller steps in (``run_episodes``)."""
-        return (UVSGroup, self.config.gain, self.spec.a_max)
+        return (UVSGroup, self.config.gain, self.config.damping, self.spec.a_max)
 
 
 class UVSGroup:
-    """Begun ``UVSController``s with one gain and limit, acting as one stack.
+    """Begun ``UVSController``s with one gain, damping and limit, acting as one stack.
 
     Their Jacobians are held as one (n, k, m) stack while the group runs;
     a controller's ``jacobian`` is written back when its row leaves.
@@ -204,11 +204,11 @@ class UVSGroup:
     def __init__(self, controllers: List[UVSController]):
         self.controllers = controllers
         jacs = [c.jacobian for c in controllers]
-        self.gain = controllers[0].config.gain
-        self.a_max = controllers[0].spec.a_max
+        first = controllers[0]
+        self.gain, self.damping, self.a_max = (first.config.gain, first.config.damping,
+                                               first.spec.a_max)
         self.J = np.stack([j.matrix for j in jacs])
-        self.damping = np.array([j.damping for j in jacs])
-        self.damping_eye = self.damping[:, None, None] * np.eye(self.J.shape[2])
+        self.damping_eye = self.damping * np.eye(self.J.shape[2])
         self.degenerate = np.array([j.degenerate for j in jacs])
 
     def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
@@ -225,8 +225,7 @@ class UVSGroup:
         """Keep the rows where ``rows`` is True; the others get their Jacobians."""
         for i in np.flatnonzero(~rows):
             self.controllers[i].jacobian = JacobianEstimate(
-                matrix=self.J[i].copy(), damping=float(self.damping[i]),
+                matrix=self.J[i].copy(), damping=self.damping,
                 degenerate=bool(self.degenerate[i]))
         self.controllers = [c for c, k in zip(self.controllers, rows) if k]
-        self.J, self.damping = self.J[rows], self.damping[rows]
-        self.damping_eye, self.degenerate = self.damping_eye[rows], self.degenerate[rows]
+        self.J, self.degenerate = self.J[rows], self.degenerate[rows]

@@ -36,7 +36,7 @@ from latentservo.control import (
     uvs_step,
     uvs_steps,
 )
-from latentservo.control.uvs import MIN_UPDATE_NORM
+from latentservo.control.uvs import MIN_UPDATE_NORM, UVSGroup
 from latentservo.representations import (
     EncoderSpec,
     Method,
@@ -738,6 +738,20 @@ class NaNAtStep:
         self.inner.observe(z_before, action, z_after)
 
 
+class ValueWhere:
+    """Wraps a sensor and reads ``value`` in each row where ``where(positions)`` holds."""
+
+    def __init__(self, base, where, value=np.nan):
+        self.base, self.where, self.value = base, where, value
+
+    def __call__(self, positions):
+        return np.where(self.where(positions)[:, None], self.value, self.base(positions))
+
+
+def _near_target(spec, radius=0.05):
+    return lambda p: np.linalg.norm(p - np.asarray(spec.target), axis=1) < radius
+
+
 class CountingSensor:
     def __init__(self, base):
         self.base, self.calls, self.rows = base, 0, 0
@@ -746,6 +760,10 @@ class CountingSensor:
         self.calls += 1
         self.rows += len(positions)
         return self.base(positions)
+
+
+def _refuse(*args):
+    raise AssertionError("refused: a stacked group makes no such call")
 
 
 def _as_fields(result):
@@ -757,8 +775,10 @@ def _as_fields(result):
 def _assert_same_episode(got: dict, want: dict):
     assert got.keys() == want.keys()
     for name, value in want.items():
-        if isinstance(value, np.ndarray):
-            assert got[name].shape == value.shape and got[name].tobytes() == value.tobytes()
+        if isinstance(value, (np.ndarray, list)):  # by bytes, so NaN readings compare
+            got_value, value = np.asarray(got[name]), np.asarray(value)
+            assert got_value.shape == value.shape, name
+            assert got_value.tobytes() == value.tobytes(), name
         else:
             assert got[name] == value, name
 
@@ -776,29 +796,29 @@ class TestRunEpisodes:
     @pytest.mark.parametrize("controller_kind", ["uvs", "guided"])
     def test_lockstep_equals_one_episode_at_a_time(self, spec, sensor_kind,
                                                    controller_kind):
+        # One controller kind, so one stacked group; one start is at the
+        # goal and the others arrive at different steps or not at all.
         sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
         z_star = target_factors(sensor, spec)
         eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
         policy = Policy.create(k=2, dof=2, seed=1)
+        starts = np.vstack([self.STARTS, [[0.7, 0.76], [0.62, 0.74]]])
 
         def controllers():
             make = ((lambda: UVSController(UVSConfig(), spec)) if controller_kind == "uvs"
                     else (lambda: GuidedReinforceController(policy, spec, k_gain=0.5)))
-            ctrls = [make() for _ in self.STARTS]
-            ctrls[2] = NaNAtStep(ctrls[2], k=3)
-            return ctrls
+            return [make() for _ in starts]
 
-        got = run_episodes(controllers(), self.STARTS, spec, sensor, z_star,
+        got = run_episodes(controllers(), starts, spec, sensor, z_star,
                            eps_goal, max_steps=40)
         singles = [control_loop(c, WorldState(position=p), spec, sensor, z_star,
                                 eps_goal, max_steps=40)
-                   for c, p in zip(controllers(), self.STARTS)]
+                   for c, p in zip(controllers(), starts)]
         reference = [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
                                   eps_goal, max_steps=40)
-                     for c, p in zip(controllers(), self.STARTS)]
-        assert [r["aborted"] for r in reference] == [False, False, True, False, False]
+                     for c, p in zip(controllers(), starts)]
         assert reference[1]["success"] and reference[1]["steps"] == 0
-        assert len({r["steps"] for r in reference}) > 2
+        assert len({r["steps"] for r in reference if r["success"] and r["steps"]}) > 1
         for lockstep, single, ref in zip(got, singles, reference):
             _assert_same_episode(_as_fields(lockstep), ref)
             _assert_same_episode(_as_fields(single), ref)
@@ -845,6 +865,66 @@ class TestRunEpisodes:
         for got_rows, want_rows in zip(lockstep[3].samples, alone[3].samples):
             assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
 
+    @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
+    def test_an_abort_inside_a_stacked_group(self, spec, sensor_kind, monkeypatch):
+        # The sensor reads NaN in a band that two paths enter after step 0,
+        # away from the target: their guided controllers emit NaN actions
+        # there and abort, and the other rows of the group go on.
+        base = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
+        sensor = ValueWhere(base, lambda p: (p[:, 0] > 0.35) & (p[:, 0] < 0.45))
+        z_star = target_factors(sensor, spec)
+        eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
+        policy = Policy.create(k=2, dof=2, seed=1)
+        reference = [_one_episode(GuidedReinforceController(policy, spec, k_gain=0.5),
+                                  WorldState(position=p), spec, sensor, z_star, eps_goal,
+                                  max_steps=40)
+                     for p in self.STARTS]
+        assert [r["aborted"] for r in reference] == [True, False, False, True, False]
+        assert min(r["steps"] for r in reference if r["aborted"]) > 0
+        monkeypatch.setattr(GuidedReinforceController, "act", _refuse)
+        got = run_episodes([GuidedReinforceController(policy, spec, k_gain=0.5)
+                            for _ in self.STARTS], self.STARTS, spec, sensor, z_star,
+                           eps_goal, max_steps=40)
+        for result, ref in zip(got, reference):
+            _assert_same_episode(_as_fields(result), ref)
+
+    @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
+    def test_a_shared_key_steps_as_one_group(self, spec, sensor_kind, monkeypatch):
+        # A list of one key never calls a controller's one-row act or
+        # observe; a list of two UVS gains never builds a stacked group.
+        sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
+        z_star = target_factors(sensor, spec)
+        eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
+        policy = Policy.create(k=2, dof=2, seed=1)
+        lists = {
+            "uvs": lambda: [UVSController(UVSConfig(), spec) for _ in self.STARTS],
+            "guided": lambda: [GuidedReinforceController(policy, spec, k_gain=0.5)
+                               for _ in self.STARTS],
+            "two gains": lambda: [UVSController(UVSConfig(gain=g), spec)
+                                  for g in (0.5, 0.3, 0.5, 0.3, 0.5)],
+        }
+        reference = {name: [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
+                                         eps_goal, max_steps=40)
+                            for c, p in zip(make(), self.STARTS)]
+                     for name, make in lists.items()}
+
+        def run(name):
+            got = run_episodes(lists[name](), self.STARTS, spec, sensor, z_star,
+                               eps_goal, max_steps=40)
+            for result, ref in zip(got, reference[name]):
+                _assert_same_episode(_as_fields(result), ref)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(UVSController, "act", _refuse)
+            patch.setattr(UVSController, "observe", _refuse)
+            patch.setattr(GuidedReinforceController, "act", _refuse)
+            run("uvs")
+            run("guided")
+        monkeypatch.setattr(UVSGroup, "__init__", _refuse)
+        with pytest.raises(AssertionError, match="refused"):
+            run("uvs")
+        run("two gains")
+
     def test_an_empty_group_has_no_episodes(self, spec):
         sensor = oracle_sensor(spec)
         assert run_episodes([], np.empty((0, 2)), spec, sensor,
@@ -863,6 +943,15 @@ class TestRunEpisodes:
                                   for b, r in zip(begun, results))
         assert sensor.calls == 1 + sum(begun) + max(r.steps for r in results)
         assert sensor.calls <= 60 + 1 + len(self.STARTS)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_a_non_finite_target_reading_is_refused(self, spec, value):
+        sensor = ValueWhere(oracle_sensor(spec), _near_target(spec), value)
+        z_star = target_factors(sensor, spec)
+        assert not np.isfinite(z_star).any()
+        with pytest.raises(ValueError, match=r"z\* must be finite"):
+            evaluate_success(lambda: UVSController(UVSConfig(), spec), spec, sensor,
+                             z_star, eps_goal=0.02, max_steps=20, trials=3, seed=5)
 
     def test_rejects_a_controller_count_that_differs_from_the_starts(self, spec):
         sensor = oracle_sensor(spec)
@@ -892,6 +981,11 @@ class TestEvaluateAndTrain:
     def test_goal_tolerance_calibration_oracle(self, spec):
         sensor = oracle_sensor(spec)
         assert calibrate_goal_tolerance(sensor, spec, 0.02) == pytest.approx(0.02)
+
+    def test_goal_tolerance_refuses_a_nan_reading(self, spec):
+        sensor = ValueWhere(oracle_sensor(spec), _near_target(spec))
+        with pytest.raises(ValueError, match="locally constant"):
+            calibrate_goal_tolerance(sensor, spec, 0.02)
 
     @pytest.mark.parametrize("start, steps", [((0.2, 0.2), 15), ((0.7, 0.7), 0)],
                              ids=["away", "at_target"])
