@@ -118,7 +118,7 @@ def injectivity_metric(field: LatentFieldMap, eps: float) -> float:
     pairs come from a sweep over the cells sorted on that factor, never an
     all-pairs scan.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError(f"eps must be > 0, got {eps}")
     order = np.argsort(field.values[:, 0], kind="stable")
     z = field.values.astype(np.float64)[order]

@@ -23,10 +23,12 @@ from .tensor import (
     tsum,
 )
 from .nn import (
+    ConvPlan,
     conv2d,
-    conv2d_forward,
+    coord_grids,
     expected_coords,
     glorot_uniform,
+    grid_readout,
     he_uniform,
     linear,
     softmax_probs,
@@ -36,10 +38,10 @@ from .optim import SGD, Adam
 from .gradcheck import finite_diff_check
 
 __all__ = [
-    "Adam", "GraphError", "SGD", "ShapeError", "Tape", "Tensor", "add",
-    "backward", "conv2d", "conv2d_forward", "exp", "expected_coords",
-    "finite_diff_check", "gaussian_kl", "glorot_uniform", "he_uniform",
-    "linear", "log", "matmul", "mse", "mul", "neg", "parameter", "relu",
-    "reshape", "scale", "sigmoid", "softmax_probs", "spatial_softmax", "sub",
-    "tanh", "tmean", "tsum",
+    "Adam", "ConvPlan", "GraphError", "SGD", "ShapeError", "Tape", "Tensor",
+    "add", "backward", "conv2d", "coord_grids", "exp", "expected_coords",
+    "finite_diff_check", "gaussian_kl", "glorot_uniform", "grid_readout",
+    "he_uniform", "linear", "log", "matmul", "mse", "mul", "neg", "parameter",
+    "relu", "reshape", "scale", "sigmoid", "softmax_probs", "spatial_softmax",
+    "sub", "tanh", "tmean", "tsum",
 ]

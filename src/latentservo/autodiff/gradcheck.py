@@ -22,7 +22,7 @@ def finite_diff_check(loss_fn: Callable[[], Tensor], params: Mapping[str, Tensor
     return the scalar loss; it is evaluated under a fresh tape for the
     reverse-mode gradient and tape-free for the finite differences.
     """
-    if epsilon <= 0:
+    if not epsilon > 0:
         raise ValueError(f"finite_diff_check: epsilon must be > 0, got {epsilon}")
     saved = {name: p.data for name, p in params.items()}
     try:

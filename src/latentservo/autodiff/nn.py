@@ -38,25 +38,38 @@ def _im2col(xp: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> 
     return view.copy()
 
 
-def conv2d_forward(x: np.ndarray, w: np.ndarray, b: np.ndarray,
-                   stride: int = 1) -> tuple:
-    """``conv2d``'s forward arithmetic on arrays: the output (N, F, OH, OW)
-    and the patch columns (K, N*OH*OW) its backward reuses.
+class ConvPlan:
+    """One zero-padded "same" convolution over (N, C, H, W) inputs, prepared
+    once: the kernel as its (F, K) contraction view, the bias as an
+    (F, 1, 1, 1) view and the padding geometry. It holds views, never
+    copies, so an in-place edit of the weights shows in the next call.
 
-    Each output channel is its own row of one einsum, so a kernel holding a
-    subset of the filters gives those channels' bits.
+    A call returns the output (N, F, OH, OW) and the patch columns
+    (K, N*OH*OW) that ``conv2d``'s backward reuses. Each output channel is
+    its own row of one einsum, so a kernel holding a subset of the filters
+    gives those channels' bits.
     """
-    n, c, h, wd = x.shape
-    f, _, kh, kw = w.shape
-    oh, pt, pb = _same_pad(h, kh, stride)
-    ow, pl, pr = _same_pad(wd, kw, stride)
-    # zero-bordered copy: cheaper than np.pad, which dominates one-frame encodes
-    xp = np.zeros((n, c, pt + h + pb, pl + wd + pr), dtype=x.dtype)
-    xp[:, :, pt:pt + h, pl:pl + wd] = x
-    cols = _im2col(xp, kh, kw, stride, oh, ow).reshape(c * kh * kw, n * oh * ow)
-    out_fq = np.einsum("fk,kq->fq", w.reshape(f, cols.shape[0]), cols).reshape(f, n, oh, ow)
-    out = np.add(out_fq.transpose(1, 0, 2, 3), b.reshape(1, f, 1, 1), order="C")
-    return out, cols
+
+    def __init__(self, w: np.ndarray, b: np.ndarray, h: int, wd: int, stride: int = 1):
+        f, c, kh, kw = w.shape
+        self.oh, pt, pb = _same_pad(h, kh, stride)
+        self.ow, pl, pr = _same_pad(wd, kw, stride)
+        self.wf = w.reshape(f, c * kh * kw)
+        self.b = b.reshape(f, 1, 1, 1)
+        self.kernel = (kh, kw, stride)
+        self.padded = (c, pt + h + pb, pl + wd + pr)
+        self.inner = (slice(None), slice(None), slice(pt, pt + h), slice(pl, pl + wd))
+
+    def __call__(self, x: np.ndarray) -> tuple:
+        n, oh, ow = x.shape[0], self.oh, self.ow
+        # zero-bordered copy: cheaper than np.pad, which dominates one-frame encodes
+        xp = np.zeros((n, *self.padded), dtype=x.dtype)
+        xp[self.inner] = x
+        cols = _im2col(xp, *self.kernel, oh, ow).reshape(self.wf.shape[1], n * oh * ow)
+        out = np.einsum("fk,kq->fq", self.wf, cols).reshape(-1, n, oh, ow)
+        out += self.b
+        # (F, N, ., .) -> (N, F, ., .): a copy only when N > 1
+        return np.ascontiguousarray(out.transpose(1, 0, 2, 3)), cols
 
 
 def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
@@ -75,12 +88,12 @@ def conv2d(x: Tensor, w: Tensor, b: Tensor, stride: int = 1) -> Tensor:
     f, ck, kh, kw = w.shape
     if ck != c:
         raise ShapeError(f"conv2d: input has {c} channels, kernel expects {ck}")
-    out_data, cols = conv2d_forward(x.data, w.data, b.data, stride)
+    plan = ConvPlan(w.data, b.data, h, wd, stride)
+    out_data, cols = plan(x.data)
     out = Tensor(out_data)
     need_gx = x.requires_grad
-    oh, ow = out_data.shape[2:]
+    oh, ow, wf = plan.oh, plan.ow, plan.wf
     k, p = c * kh * kw, oh * ow
-    wf = w.data.reshape(f, k)
 
     def bwd(g):
         gf = g.reshape(n, f, p)
@@ -114,7 +127,7 @@ def _axis_coords(n: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=32)
-def _coord_grids(h: int, w: int) -> tuple:
+def coord_grids(h: int, w: int) -> tuple:
     """Read-only float64 (x, y) pixel-coordinate grids, flattened row-major."""
     grid_x = np.broadcast_to(_axis_coords(w), (h, w)).reshape(h * w)
     grid_y = np.broadcast_to(_axis_coords(h)[:, None], (h, w)).reshape(h * w)
@@ -144,7 +157,11 @@ def expected_coords(p: np.ndarray, h: int, w: int, dtype) -> tuple:
     that reads a channel subset still passes all C rows, with zeros in the
     rows it does not read.
     """
-    grid_x, grid_y = _coord_grids(h, w)
+    return grid_readout(p, *coord_grids(h, w), dtype)
+
+
+def grid_readout(p: np.ndarray, grid_x: np.ndarray, grid_y: np.ndarray, dtype) -> tuple:
+    """``expected_coords`` over grids a caller looked up once."""
     ex = p @ grid_x
     ey = p @ grid_y
     coords = np.empty((p.shape[0], 2 * p.shape[1]), dtype=dtype)
@@ -159,7 +176,7 @@ def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
     Input (N, C, H, W) or (C, H, W); output (N, 2C) or (2C,), interleaved
     (x_0, y_0, x_1, y_1, ...) with both axes normalized to [-1, 1].
     """
-    if temperature <= 0:
+    if not temperature > 0:
         raise ValueError(f"spatial_softmax: temperature must be > 0, got {temperature}")
     squeeze = x.data.ndim == 3
     data = x.data[None] if squeeze else x.data
@@ -174,7 +191,7 @@ def spatial_softmax(x: Tensor, temperature: float = 1.0) -> Tensor:
         gm = g[None] if squeeze else g                    # (N,2C)
         gx = gm[:, 0::2].astype(np.float64)
         gy = gm[:, 1::2].astype(np.float64)
-        grid_x, grid_y = _coord_grids(h, w)
+        grid_x, grid_y = coord_grids(h, w)
         # d ex / d a = p * (grid_x - ex) / T  (softmax expectation rule)
         dev_x = grid_x[None, None, :] - ex[:, :, None]
         dev_y = grid_y[None, None, :] - ey[:, :, None]

@@ -48,7 +48,7 @@ class DemoConfig:
                 raise ValueError(f"demos.starts point {start} is outside [0, 1]^2")
         if self.steps < 1:
             raise ValueError("demos.steps must be >= 1")
-        if self.pattern is Pattern.ARC and self.arc_bulge <= 0:
+        if self.pattern is Pattern.ARC and not self.arc_bulge > 0:
             raise ValueError("demos.arc_bulge must be positive for the arc pattern")
 
 
@@ -72,11 +72,11 @@ class AnalysisConfig:
             raise ValueError("analysis.tau must be in (0, 1]")
         if self.grid_n < 4:
             raise ValueError("analysis.grid_n must be >= 4")
-        if self.collision_fraction <= 0:
+        if not self.collision_fraction > 0:
             raise ValueError("analysis.collision_fraction must be positive")
         if self.alpha_sweep_epochs < 1:
             raise ValueError("analysis.alpha_sweep_epochs must be >= 1")
-        if any(alpha <= 0 for alpha in self.alpha_sweep):
+        if not all(alpha > 0 for alpha in self.alpha_sweep):
             raise ValueError("analysis.alpha_sweep values must be positive")
 
 
@@ -93,7 +93,7 @@ class ControlConfig:
             raise ValueError("control.trials must be >= 1")
         if self.max_steps < 1:
             raise ValueError("control.max_steps must be >= 1")
-        if self.goal_workspace_tol <= 0:
+        if not self.goal_workspace_tol > 0:
             raise ValueError("control.goal_workspace_tol must be positive")
 
 

@@ -40,8 +40,8 @@ class ReinforceConfig:
     def __post_init__(self):
         if not 0.0 < self.gamma <= 1.0:
             raise ValueError(f"gamma must be in (0, 1], got {self.gamma}")
-        if min(self.learning_rate, self.episodes, self.horizon,
-               self.batch_episodes, self.k_gain, self.policy_hidden) <= 0:
+        if not all(x > 0 for x in (self.learning_rate, self.episodes, self.horizon,
+                                   self.batch_episodes, self.k_gain, self.policy_hidden)):
             raise ValueError("learning_rate, episodes, horizon, batch_episodes, "
                              "k_gain, policy_hidden must be positive")
 

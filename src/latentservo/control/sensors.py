@@ -16,7 +16,7 @@ from typing import Callable
 import numpy as np
 
 from ..analysis import FactorSet
-from ..representations import ModelWeights, encode_batch
+from ..representations import EncodePlan, ModelWeights
 from ..toyenv import TaskSpec, as_positions, render
 
 Sensor = Callable[[np.ndarray], np.ndarray]
@@ -24,14 +24,16 @@ Sensor = Callable[[np.ndarray], np.ndarray]
 
 def model_sensor(model: ModelWeights, factors: FactorSet, spec: TaskSpec) -> Sensor:
     """Render, then encode only the factor dims: the bits of projecting the
-    full latent, without computing the dims the factors leave out."""
+    full latent, without computing the dims the factors leave out. The
+    encoder's plan is built here, once, so a call runs render and the
+    encoder's arithmetic alone."""
     if factors.spreads.size != model.spec.latent:
         raise ValueError(f"a factor set over {factors.spreads.size} dims cannot read "
                          f"a {model.spec.latent}-dim latent")
+    encode = EncodePlan(model, factors.indices)
 
     def sense(positions: np.ndarray) -> np.ndarray:
-        frames = render(positions, spec)
-        return encode_batch(model, frames, dims=factors.indices)[0].astype(np.float64)
+        return encode(render(positions, spec))[0].astype(np.float64)
 
     return sense
 

@@ -27,7 +27,7 @@ class UVSConfig:
     damping: float = 1e-3         # damped least-squares regularizer
 
     def __post_init__(self):
-        if self.eps_explore <= 0 or self.gain <= 0 or self.damping <= 0:
+        if not (self.eps_explore > 0 and self.gain > 0 and self.damping > 0):
             raise ValueError("eps_explore, gain, damping must be positive")
 
 
@@ -41,7 +41,7 @@ class JacobianEstimate:
         self.matrix = np.asarray(self.matrix, dtype=np.float64)
         if not np.isfinite(self.matrix).all():
             raise ValueError("Jacobian entries must be finite")
-        if self.damping <= 0:
+        if not self.damping > 0:
             raise ValueError("damping must be positive")
 
     @property
@@ -63,7 +63,7 @@ def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
     and the effector ends back at the start state. All 2 * dof probes are
     sensed in one call.
     """
-    if eps_explore <= 0 or eps_explore > spec.a_max:
+    if not 0 < eps_explore <= spec.a_max:
         raise ValueError(
             f"eps_explore must be in (0, a_max={spec.a_max}], got {eps_explore}")
     m = spec.dof

@@ -139,54 +139,86 @@ def _decoder_forward(params: Dict[str, Tensor], spec: EncoderSpec, z: Tensor) ->
     return ad.sigmoid(ad.linear(h, params["out_w"], params["out_b"]))
 
 
-def _sae_encode(params: Dict[str, Tensor], spec: EncoderSpec, batch: np.ndarray,
-                dims: Optional[List[int]]) -> np.ndarray:
-    """The SAE trunk on arrays. Dims 2c and 2c + 1 come from conv1 channel
-    c, so with ``dims`` only the block of channels from the first to the
-    last one they read runs through conv1 and the softmax."""
-    lo, hi = (0, spec.sae_channels) if dims is None else (min(dims) // 2, max(dims) // 2 + 1)
-    w0, b0 = params["conv0_w"].data, params["conv0_b"].data
-    w1, b1 = params["conv1_w"].data[lo:hi], params["conv1_b"].data[lo:hi]
-    h = np.maximum(ad.conv2d_forward(batch[:, None], w0, b0, 2)[0], 0)
-    h = np.maximum(ad.conv2d_forward(h, w1, b1, 2)[0], 0)
-    n, _, hh, ww = h.shape
-    # the readout keeps its bits only over all channel rows: unread ones are zero
-    probs = np.zeros((n, spec.sae_channels, hh * ww))
-    probs[:, lo:hi] = ad.softmax_probs(h, spec.temperature)
-    coords = ad.expected_coords(probs, hh, ww, h.dtype)[0]
-    return coords if dims is None else coords[:, dims]
+class EncodePlan:
+    """``_encoder_forward``'s float32 ops on arrays, for one model and the
+    latent dims a caller reads, with everything that depends only on those
+    built once: the weights as views in their contraction shapes, the SAE's
+    conv1 channel block, its padding geometry and readout grids, and the
+    dims index. A call then runs the arithmetic alone, without Tensors or
+    a tape, and since the plan holds views an in-place edit of the weights
+    shows in the next call.
+
+    ``dims`` names the latent dims a caller reads: values then hold only
+    those columns, in that order, and sigma is None. The SAE then runs
+    conv1 and the softmax only on the channels from the first to the last
+    one those dims come from (dims 2c and 2c + 1 come from channel c), and
+    the VAE family skips its sigma branch.
+    """
+
+    def __init__(self, model: ModelWeights, dims: Optional[Sequence[int]] = None):
+        spec, p = model.spec, model.params
+        self.spec = spec
+        self.take = None
+        if dims is not None:
+            dims = [int(d) for d in dims]
+            if any(d < 0 or d >= spec.latent for d in dims):
+                raise ValueError(f"latent dims {dims} outside [0, {spec.latent})")
+            self.take = np.asarray(dims, dtype=np.intp)
+        if dims == []:
+            self.forward = self._nothing
+        elif spec.method is Method.SAE:
+            c = spec.sae_channels
+            lo, hi = (0, c) if dims is None else (min(dims) // 2, max(dims) // 2 + 1)
+            s = spec.image_size
+            self.conv0 = ad.ConvPlan(p["conv0_w"].data, p["conv0_b"].data, s, s, 2)
+            self.conv1 = ad.ConvPlan(p["conv1_w"].data[lo:hi], p["conv1_b"].data[lo:hi],
+                                     self.conv0.oh, self.conv0.ow, 2)
+            hh, ww = self.conv1.oh, self.conv1.ow
+            # the readout keeps its bits only over all channel rows: unread ones are zero
+            self.probs_shape = (c, hh * ww)
+            self.block = slice(lo, hi)
+            self.grids = ad.coord_grids(hh, ww)
+            self.forward = self._sae
+        else:
+            head = "lat" if spec.method is Method.AE else "mu"
+            self.trunk = [(p[f"{name}_w"].data, p[f"{name}_b"].data)
+                          for name in ("enc0", "enc1", head)]
+            sigma = dims is None and spec.method is not Method.AE
+            self.sigma = (p["logvar_w"].data, p["logvar_b"].data) if sigma else None
+            self.forward = self._dense
+
+    def __call__(self, images: np.ndarray) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+        """Deterministic forward encode of (N, H, W) frames -> (values, sigma)."""
+        values, sigma = self.forward(_as_batch(images, self.spec))
+        return (values if self.take is None else values.take(self.take, axis=1)), sigma
+
+    def _nothing(self, batch: np.ndarray) -> tuple:
+        return np.empty((batch.shape[0], 0), dtype=np.float32), None
+
+    def _sae(self, batch: np.ndarray) -> tuple:
+        h = self.conv0(batch[:, None])[0]
+        np.maximum(h, 0, out=h)
+        h = self.conv1(h)[0]
+        np.maximum(h, 0, out=h)
+        probs = np.zeros((h.shape[0], *self.probs_shape))
+        probs[:, self.block] = ad.softmax_probs(h, self.spec.temperature)
+        return ad.grid_readout(probs, *self.grids, h.dtype)[0], None
+
+    def _dense(self, batch: np.ndarray) -> tuple:
+        (w0, b0), (w1, b1), (wz, bz) = self.trunk
+        h = np.maximum(batch.reshape(batch.shape[0], -1) @ w0 + b0, 0)
+        h = np.maximum(h @ w1 + b1, 0)
+        if self.sigma is None:
+            return h @ wz + bz, None
+        ws, bs = self.sigma
+        return h @ wz + bz, np.exp((h @ ws + bs) * 0.5)
 
 
 def encode_batch(model: ModelWeights, images: np.ndarray, dims: Optional[Sequence[int]] = None
                  ) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """Deterministic forward encode of (N, H, W) frames -> (values, sigma).
-
-    ``_encoder_forward``'s float32 ops run on arrays, without Tensors or a
-    tape: the same bits at less cost per call. ``dims`` names the latent
-    dims a caller reads: values then hold only those columns, in that
-    order, and sigma is None. The SAE then runs conv1 and the softmax only
-    on the channels from the first to the last one those dims come from,
-    and the VAE family skips its sigma branch.
-    """
-    spec, p = model.spec, model.params
-    batch = _as_batch(images, spec)
-    if dims is not None:
-        dims = [int(d) for d in dims]
-        if any(d < 0 or d >= spec.latent for d in dims):
-            raise ValueError(f"latent dims {dims} outside [0, {spec.latent})")
-        if not dims:
-            return np.empty((batch.shape[0], 0), dtype=np.float32), None
-    if spec.method is Method.SAE:
-        return _sae_encode(p, spec, batch, dims), None
-    h = np.maximum(batch.reshape(batch.shape[0], -1) @ p["enc0_w"].data + p["enc0_b"].data, 0)
-    h = np.maximum(h @ p["enc1_w"].data + p["enc1_b"].data, 0)
-    head = "lat" if spec.method is Method.AE else "mu"
-    values = h @ p[f"{head}_w"].data + p[f"{head}_b"].data
-    if dims is not None:
-        return values[:, dims], None
-    if spec.method is Method.AE:
-        return values, None
-    return values, np.exp((h @ p["logvar_w"].data + p["logvar_b"].data) * 0.5)
+    """Deterministic forward encode of (N, H, W) frames -> (values, sigma):
+    an ``EncodePlan`` built and applied once."""
+    return EncodePlan(model, dims)(images)
 
 
 def encode(model: ModelWeights, image: np.ndarray) -> LatentVector:

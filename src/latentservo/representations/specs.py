@@ -24,7 +24,7 @@ class ConfigError(ValueError):
 
 def compute_beta(alpha: float, dim_input: int, dim_z: int) -> float:
     """KL weight from the normalized hyperparameter: beta = alpha * dim_input / dim_z."""
-    if alpha <= 0 or dim_input <= 0 or dim_z <= 0:
+    if not (alpha > 0 and dim_input > 0 and dim_z > 0):
         raise ConfigError(
             f"compute_beta needs positive inputs, got alpha={alpha}, "
             f"dim_input={dim_input}, dim_z={dim_z}")
@@ -55,7 +55,7 @@ class EncoderSpec:
                 f"latent dim {self.latent} must be in [1, {dim_in}) — the "
                 f"representation must be more compact than the image")
         if self.method is Method.BVAE:
-            if self.alpha is None or self.alpha <= 0:
+            if self.alpha is None or not self.alpha > 0:
                 raise ConfigError("BVAE requires alpha > 0")
         elif self.alpha is not None:
             raise ConfigError(f"alpha is a BVAE hyperparameter, not {self.method.value}")
@@ -68,7 +68,7 @@ class EncoderSpec:
             raise ConfigError(f"SAE needs an even image size, got {self.image_size}")
         if min(self.sae_conv1_channels, self.sae_decoder_hidden) < 1:
             raise ConfigError("SAE conv1_channels and decoder_hidden must be >= 1")
-        if self.temperature <= 0:
+        if not self.temperature > 0:
             raise ConfigError("spatial-softmax temperature must be > 0")
 
     @property
@@ -98,7 +98,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.epochs < 1 or self.batch_size < 1 or self.learning_rate <= 0:
+        if self.epochs < 1 or self.batch_size < 1 or not self.learning_rate > 0:
             raise ConfigError(
                 f"epochs, batch_size, learning_rate must be positive, got "
                 f"{self.epochs}, {self.batch_size}, {self.learning_rate}")

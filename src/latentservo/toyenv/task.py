@@ -50,7 +50,7 @@ class TaskSpec:
             raise ValueError(f"target {self.target} is not a 2-D point")
         if not all(WORKSPACE_LO <= c <= WORKSPACE_HI for c in self.target):
             raise ValueError(f"target {self.target} outside workspace")
-        if self.sprite_radius <= 0 or self.a_max <= 0:
+        if not (self.sprite_radius > 0 and self.a_max > 0):
             raise ValueError("sprite_radius and a_max must be positive")
         if 2 * self.pixel_margin >= self.image_size - 1:
             raise ValueError(

@@ -8,7 +8,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from latentservo.analysis import FactorSet, project
+from latentservo import autodiff as ad
+from latentservo.analysis import FactorSet, injectivity_metric, project
+from latentservo.cli.config import AnalysisConfig, ControlConfig, DemoConfig
 from latentservo.control import (
     GuidedReinforceController,
     JacobianEstimate,
@@ -38,13 +40,16 @@ from latentservo.control import (
 )
 from latentservo.control.uvs import MIN_UPDATE_NORM, UVSGroup
 from latentservo.representations import (
+    ConfigError,
     EncoderSpec,
     Method,
     ModelWeights,
+    TrainConfig,
+    compute_beta,
     encode_batch,
     init_params,
 )
-from latentservo.toyenv import TaskSpec, WorldState, random_start, render, step
+from latentservo.toyenv import Pattern, TaskSpec, WorldState, random_start, render, step
 
 
 @pytest.fixture
@@ -91,13 +96,29 @@ class TestSensors:
         factors = FactorSet(indices=indices, tau=0.2, spreads=np.ones(4))
         sensor = model_sensor(model, factors, SENSOR_TASK)
         rng = np.random.default_rng(len(indices))
-        for n in (1, 2, 3, 10, 33):
+        for n in (1, 2, 3, 10, 33, 144):
             positions = rng.uniform(0.0, 1.0, (n, 2))
             latents = encode_batch(model, render(positions, SENSOR_TASK))[0]
             want = project(latents, factors).astype(np.float64)
             got = sensor(positions)
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("method", list(Method))
+    def test_model_sensor_reads_weights_edited_in_place(self, method):
+        """The sensor's plan holds views of the weights, never copies: after
+        an in-place edit it reads what a freshly built sensor reads."""
+        model = tiny_model(method)
+        factors = FactorSet(indices=(0, 3), tau=0.2, spreads=np.ones(4))
+        sensor = model_sensor(model, factors, SENSOR_TASK)
+        positions = np.random.default_rng(5).uniform(0.0, 1.0, (10, 2))
+        before = sensor(positions)
+        rng = np.random.default_rng(6)
+        for p in model.params.values():
+            p.data += (0.05 * rng.standard_normal(p.shape)).astype(np.float32)
+        after = sensor(positions)
+        assert after.tobytes() != before.tobytes()
+        assert after.tobytes() == model_sensor(model, factors, SENSOR_TASK)(positions).tobytes()
 
     def test_model_sensor_rejects_another_latent_size(self):
         with pytest.raises(ValueError, match="6 dims"):
@@ -123,6 +144,51 @@ class TestSensors:
         for sensor in (oracle_sensor(spec), self._model_sensor()):
             with pytest.raises(ValueError, match=r"\(N, 2\)"):
                 sensor(np.full(shape, 0.5))
+
+
+NAN = float("nan")
+
+# Every scalar positivity check, with the error type it raises for 0
+POSITIVE = {
+    "UVSConfig.eps_explore": (lambda x: UVSConfig(eps_explore=x), ValueError),
+    "UVSConfig.gain": (lambda x: UVSConfig(gain=x), ValueError),
+    "UVSConfig.damping": (lambda x: UVSConfig(damping=x), ValueError),
+    "JacobianEstimate.damping": (lambda x: JacobianEstimate(np.eye(2), damping=x), ValueError),
+    "uvs_init_jacobian.eps_explore": (
+        lambda x: uvs_init_jacobian(WorldState(), TaskSpec(), oracle_sensor(TaskSpec()), x),
+        ValueError),
+    "TaskSpec.sprite_radius": (lambda x: TaskSpec(sprite_radius=x), ValueError),
+    "TaskSpec.a_max": (lambda x: TaskSpec(a_max=x), ValueError),
+    "ReinforceConfig.learning_rate": (lambda x: ReinforceConfig(learning_rate=x), ValueError),
+    "ReinforceConfig.k_gain": (lambda x: ReinforceConfig(k_gain=x), ValueError),
+    "TrainConfig.learning_rate": (lambda x: TrainConfig(learning_rate=x), ConfigError),
+    "EncoderSpec.alpha": (lambda x: EncoderSpec(method=Method.BVAE, alpha=x), ConfigError),
+    "EncoderSpec.temperature": (lambda x: EncoderSpec(method=Method.SAE, temperature=x),
+                                ConfigError),
+    "compute_beta.alpha": (lambda x: compute_beta(x, 1024, 50), ConfigError),
+    "spatial_softmax.temperature": (
+        lambda x: ad.spatial_softmax(ad.Tensor(np.zeros((1, 2, 2))), temperature=x),
+        ValueError),
+    "finite_diff_check.epsilon": (lambda x: ad.finite_diff_check(None, {}, epsilon=x),
+                                  ValueError),
+    "injectivity_metric.eps": (lambda x: injectivity_metric(None, x), ValueError),
+    "DemoConfig.arc_bulge": (lambda x: DemoConfig(pattern=Pattern.ARC, arc_bulge=x),
+                             ValueError),
+    "AnalysisConfig.collision_fraction": (lambda x: AnalysisConfig(collision_fraction=x),
+                                          ValueError),
+    "AnalysisConfig.alpha_sweep": (lambda x: AnalysisConfig(alpha_sweep=(1.0, x)), ValueError),
+    "ControlConfig.goal_workspace_tol": (lambda x: ControlConfig(goal_workspace_tol=x),
+                                         ValueError),
+}
+
+
+@pytest.mark.parametrize("build, error", list(POSITIVE.values()), ids=list(POSITIVE))
+def test_a_positivity_check_refuses_nan(build, error):
+    """NaN fails ``x > 0`` as 0 does, so it is refused with the same error."""
+    for bad in (0.0, NAN):
+        with pytest.raises(ValueError) as refused:
+            build(bad)
+        assert type(refused.value) is error
 
 
 class TestJacobian:

@@ -10,6 +10,7 @@ from latentservo import autodiff as ad
 from latentservo.plain import plain
 from latentservo.representations import (
     ConfigError,
+    EncodePlan,
     EncoderSpec,
     Method,
     ModelWeights,
@@ -169,6 +170,44 @@ class TestEncodeBatch:
         model = nudged_model(Method.SAE)
         with pytest.raises(ValueError, match="outside"):
             encode_batch(model, rand_images(1), dims=dims)
+
+
+class TestEncodePlan:
+    """A plan is ``encode_batch`` prepared once for a model and its dims."""
+
+    @pytest.mark.parametrize("dims", [None, [], [0, 1], [0, 3], list(range(16))])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_each_call_equals_encode_batch(self, method, dims):
+        model = nudged_model(method)
+        plan = EncodePlan(model, dims)
+        for n in (1, 2, 10, 144):
+            images = rand_images(n, seed=n)
+            values, sigma = plan(images)
+            want, want_sigma = encode_batch(model, images, dims=dims)
+            assert values.dtype == want.dtype and values.shape == want.shape
+            assert values.tobytes() == want.tobytes()
+            assert (sigma is None) == (want_sigma is None)
+            if sigma is not None:
+                assert sigma.tobytes() == want_sigma.tobytes()
+
+    @pytest.mark.parametrize("dims", [None, [0, 3]])
+    @pytest.mark.parametrize("method", list(Method))
+    def test_an_in_place_weight_edit_shows_in_the_next_call(self, method, dims):
+        """The plan holds views of the weights, never copies."""
+        model = nudged_model(method)
+        plan = EncodePlan(model, dims)
+        images = rand_images(3)
+        before = plan(images)[0]
+        rng = np.random.default_rng(11)
+        for p in model.params.values():
+            p.data += (0.05 * rng.standard_normal(p.shape)).astype(np.float32)
+        values, sigma = plan(images)
+        fresh, fresh_sigma = EncodePlan(model, dims)(images)
+        assert values.tobytes() != before.tobytes()
+        assert values.tobytes() == fresh.tobytes()
+        assert (sigma is None) == (fresh_sigma is None)
+        if sigma is not None:
+            assert sigma.tobytes() == fresh_sigma.tobytes()
 
 
 class TestLoss:
