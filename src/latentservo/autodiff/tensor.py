@@ -214,7 +214,7 @@ def exp(a: Tensor) -> Tensor:
 
 
 def log(a: Tensor) -> Tensor:
-    if np.any(a.data <= 0):
+    if not np.all(a.data > 0):
         raise ValueError("log: input must be strictly positive")
     out = Tensor(np.log(a.data))
     return _record(out, (a,), lambda g: (g / a.data,), "log")

@@ -12,7 +12,6 @@ from .uvs import (
     broyden_update,
     broyden_updates,
     uvs_init_jacobian,
-    uvs_step,
     uvs_steps,
 )
 from .reinforce import (
@@ -38,5 +37,5 @@ __all__ = [
     "discounted_returns", "evaluate_success",
     "guidance_action", "model_sensor", "oracle_sensor", "reinforce_update",
     "reward", "rollout", "run_episodes", "sample_action", "target_factors",
-    "train_policy", "uvs_init_jacobian", "uvs_step", "uvs_steps",
+    "train_policy", "uvs_init_jacobian", "uvs_steps",
 ]

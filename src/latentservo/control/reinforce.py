@@ -105,12 +105,15 @@ def guidance_action(z_star: np.ndarray, z_v: np.ndarray, a_max: float,
 
 def sample_action(policy: Policy, z_v: np.ndarray, a_hat: np.ndarray,
                   rng: np.random.Generator, a_max: float) -> Tuple[np.ndarray, np.ndarray]:
-    """One stochastic action: (executed clipped action, pre-clip raw sample).
+    """One stochastic action at a reading (k,), or one per row of a stack
+    (n, k): (executed clipped action, pre-clip raw sample).
 
-    The raw sample is what the gradient's log-probability refers to.
+    The raw sample is what the gradient's log-probability refers to. The
+    noise is drawn in the mean's shape, so one row draws what one reading
+    draws.
     """
     mean = policy.mean_action(z_v, a_hat)
-    raw = mean + policy.std() * rng.standard_normal(policy.dof)
+    raw = mean + policy.std() * rng.standard_normal(mean.shape)
     return clip_action(raw, a_max), raw
 
 
@@ -215,7 +218,13 @@ def train_policy(spec: TaskSpec, sensor: Sensor, z_star: np.ndarray,
 
 
 class GuidedReinforceController:
-    """Guidance plus learned correction; deterministic mean action by default."""
+    """Guidance plus learned correction for a stack of episodes; the
+    deterministic mean action by default.
+
+    With an ``rng`` it samples each action, drawing a step's noise for the
+    whole (n, dof) stack in row-major order, and ``samples`` records each
+    step's (z, a_hat, raw) stacks.
+    """
 
     def __init__(self, policy: Policy, spec: TaskSpec, k_gain: float,
                  rng: Optional[np.random.Generator] = None):
@@ -227,10 +236,10 @@ class GuidedReinforceController:
         self.spec = spec
         self.k_gain = k_gain
         self.rng = rng  # None -> deterministic mean action
-        # (z, a_hat, raw) of each sampled action: what a REINFORCE update needs
+        # (z, a_hat, raw) stacks of each sampled step: what a REINFORCE update needs
         self.samples: List[Tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
-    def begin(self, state: WorldState, sensor: Sensor) -> None:
+    def begin(self, positions: np.ndarray, sensor: Sensor) -> None:
         pass
 
     def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
@@ -240,29 +249,6 @@ class GuidedReinforceController:
         action, raw = sample_action(self.policy, z, a_hat, self.rng, self.spec.a_max)
         self.samples.append((z, a_hat, raw))
         return action
-
-    def observe(self, z_before, action, z_after) -> None:
-        pass
-
-    def lockstep(self):
-        """The key of the stacked group this controller steps in (``run_episodes``);
-        a sampling controller draws its noise in step order, so it acts alone."""
-        if self.rng is not None:
-            return None
-        return (GuidedGroup, id(self.policy), self.k_gain, self.spec.a_max)
-
-
-class GuidedGroup:
-    """Mean-action ``GuidedReinforceController``s of one policy, gain and limit,
-    acting as one stack. They keep no state between steps."""
-
-    def __init__(self, controllers: List[GuidedReinforceController]):
-        first = controllers[0]
-        self.policy, self.k_gain, self.a_max = first.policy, first.k_gain, first.spec.a_max
-
-    def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
-        a_hat = guidance_action(z_star, z, self.a_max, self.k_gain)
-        return clip_action(self.policy.mean_action(z, a_hat), self.a_max)
 
     def observe(self, z_before, actions, z_after) -> None:
         pass

@@ -4,9 +4,8 @@ A sensor maps an (N, 2) stack of workspace positions to (N, k) float64
 factor rows. The model sensor closes over render + an encode of the factor
 dims alone; the oracle variant reads the ground-truth position instead,
 bounding what the control harness itself can achieve. ``run_episodes``
-senses every moving episode of a step in one stack, whether its controllers
-share one ``lockstep`` key and step as one stacked group or act alone, and a
-UVS controller senses its 2 * dof exploration probes in one stack.
+senses every moving episode of a step in one stack, and a UVS controller
+senses each episode's 2 * dof exploration probes in one stack.
 """
 
 from __future__ import annotations

@@ -82,7 +82,10 @@ def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
 
 def uvs_steps(J: np.ndarray, errors: np.ndarray, damping_eye: np.ndarray, gain: float,
               a_max: float):
-    """``uvs_step`` on a stack: (n, k, m) Jacobians and (n, k) errors.
+    """Damped least-squares servo actions on a stack, magnitude-clipped to the limit.
+
+    dq = -gain * (J^T J + damping I)^{-1} J^T e, for (n, k, m) Jacobians
+    and (n, k) errors.
 
     ``damping_eye`` is each row's damping times the (m, m) identity, one
     per row or shared; ``gain`` and ``a_max`` are scalars. Returns the
@@ -112,25 +115,6 @@ def _solve_or_nan(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return np.linalg.solve(a, b)
     except np.linalg.LinAlgError:
         return np.full_like(b, np.nan)
-
-
-def uvs_step(jac: JacobianEstimate, error: np.ndarray, gain: float,
-             a_max: float) -> np.ndarray:
-    """Damped least-squares servo action, magnitude-clipped to the limit.
-
-    dq = -gain * (J^T J + damping I)^{-1} J^T e
-
-    A failed or non-finite solve flags ``jac`` degenerate and returns zeros.
-    """
-    e = np.asarray(error, dtype=np.float64)
-    J = jac.matrix
-    if e.shape != (J.shape[0],):
-        raise ValueError(f"error has length {e.shape}, Jacobian expects {J.shape[0]}")
-    dq, failed = uvs_steps(J[None], e[None], jac.damping * np.eye(J.shape[1]), gain,
-                           a_max)
-    if failed[0]:
-        jac.degenerate = True
-    return dq[0]
 
 
 def broyden_updates(J: np.ndarray, dq: np.ndarray, dz: np.ndarray):
@@ -167,53 +151,35 @@ def broyden_update(jac: JacobianEstimate, dq: np.ndarray,
 
 
 class UVSController:
-    """Per-episode servo controller; owns its Jacobian estimate."""
+    """Servo controller for a stack of episodes: one Jacobian estimate per row.
+
+    The estimates are held as one (n, k, m) stack while the episodes run;
+    ``jacobians[i]`` is the final estimate of the i-th row ``begin`` got,
+    written when that row leaves.
+    """
 
     def __init__(self, config: UVSConfig, spec: TaskSpec):
         self.config = config
         self.spec = spec
-        self.jacobian: Optional[JacobianEstimate] = None
+        self.jacobians: List[Optional[JacobianEstimate]] = []
+        self.J: Optional[np.ndarray] = None
 
-    def begin(self, state: WorldState, sensor: Sensor) -> None:
-        self.jacobian = uvs_init_jacobian(state, self.spec, sensor,
-                                          self.config.eps_explore,
-                                          self.config.damping)
-
-    def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
-        if self.jacobian is None:
-            raise RuntimeError("controller used before begin()")
-        return uvs_step(self.jacobian, z - z_star, self.config.gain,
-                        self.spec.a_max)
-
-    def observe(self, z_before: np.ndarray, action: np.ndarray,
-                z_after: np.ndarray) -> None:
-        self.jacobian = broyden_update(self.jacobian, action, z_after - z_before)
-
-    def lockstep(self):
-        """The key of the stacked group this controller steps in (``run_episodes``)."""
-        return (UVSGroup, self.config.gain, self.config.damping, self.spec.a_max)
-
-
-class UVSGroup:
-    """Begun ``UVSController``s with one gain, damping and limit, acting as one stack.
-
-    Their Jacobians are held as one (n, k, m) stack while the group runs;
-    a controller's ``jacobian`` is written back when its row leaves.
-    """
-
-    def __init__(self, controllers: List[UVSController]):
-        self.controllers = controllers
-        jacs = [c.jacobian for c in controllers]
-        first = controllers[0]
-        self.gain, self.damping, self.a_max = (first.config.gain, first.config.damping,
-                                               first.spec.a_max)
+    def begin(self, positions: np.ndarray, sensor: Sensor) -> None:
+        """Explore each row's Jacobian, one sensor call per row, in row order."""
+        jacs = [uvs_init_jacobian(WorldState(position=p), self.spec, sensor,
+                                  self.config.eps_explore, self.config.damping)
+                for p in positions]
         self.J = np.stack([j.matrix for j in jacs])
-        self.damping_eye = self.damping * np.eye(self.J.shape[2])
         self.degenerate = np.array([j.degenerate for j in jacs])
+        self.damping_eye = self.config.damping * np.eye(self.J.shape[2])
+        self.jacobians = [None] * len(jacs)
+        self.live = np.arange(len(jacs))    # each live row's index in ``jacobians``
 
     def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
-        actions, failed = uvs_steps(self.J, z - z_star, self.damping_eye, self.gain,
-                                    self.a_max)
+        if self.J is None:
+            raise RuntimeError("controller used before begin()")
+        actions, failed = uvs_steps(self.J, z - z_star, self.damping_eye,
+                                    self.config.gain, self.spec.a_max)
         self.degenerate |= failed
         return actions
 
@@ -222,10 +188,10 @@ class UVSGroup:
         self.J = broyden_updates(self.J, actions, z_after - z_before)[0]
 
     def keep(self, rows: np.ndarray) -> None:
-        """Keep the rows where ``rows`` is True; the others get their Jacobians."""
+        """Keep the rows where ``rows`` is True; the others write their estimates."""
         for i in np.flatnonzero(~rows):
-            self.controllers[i].jacobian = JacobianEstimate(
-                matrix=self.J[i].copy(), damping=self.damping,
+            self.jacobians[self.live[i]] = JacobianEstimate(
+                matrix=self.J[i].copy(), damping=self.config.damping,
                 degenerate=bool(self.degenerate[i]))
-        self.controllers = [c for c, k in zip(self.controllers, rows) if k]
         self.J, self.degenerate = self.J[rows], self.degenerate[rows]
+        self.live = self.live[rows]

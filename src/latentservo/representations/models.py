@@ -31,7 +31,7 @@ class LatentVector:
             self.sigma = np.asarray(self.sigma, dtype=np.float32).reshape(-1)
             if self.sigma.shape != self.values.shape:
                 raise ValueError("sigma length must match latent length")
-            if np.any(self.sigma <= 0):
+            if not np.all(self.sigma > 0):
                 raise ValueError("predicted sigma must be strictly positive")
 
 

@@ -35,13 +35,13 @@ from latentservo.control import (
     sample_action,
     target_factors,
     uvs_init_jacobian,
-    uvs_step,
     uvs_steps,
 )
-from latentservo.control.uvs import MIN_UPDATE_NORM, UVSGroup
+from latentservo.control.uvs import MIN_UPDATE_NORM
 from latentservo.representations import (
     ConfigError,
     EncoderSpec,
+    LatentVector,
     Method,
     ModelWeights,
     TrainConfig,
@@ -148,7 +148,7 @@ class TestSensors:
 
 NAN = float("nan")
 
-# Every scalar positivity check, with the error type it raises for 0
+# Every positivity check, scalar or array, with the error type it raises for 0
 POSITIVE = {
     "UVSConfig.eps_explore": (lambda x: UVSConfig(eps_explore=x), ValueError),
     "UVSConfig.gain": (lambda x: UVSConfig(gain=x), ValueError),
@@ -179,6 +179,9 @@ POSITIVE = {
     "AnalysisConfig.alpha_sweep": (lambda x: AnalysisConfig(alpha_sweep=(1.0, x)), ValueError),
     "ControlConfig.goal_workspace_tol": (lambda x: ControlConfig(goal_workspace_tol=x),
                                          ValueError),
+    "LatentVector.sigma": (lambda x: LatentVector(values=[1.0, 2.0], sigma=[1.0, x]),
+                           ValueError),
+    "log.input": (lambda x: ad.log(ad.Tensor(np.array([1.0, x]))), ValueError),
 }
 
 
@@ -224,45 +227,63 @@ class TestJacobian:
 
     def test_failed_solve_flag_survives_broyden_updates(self):
         # J^T J overflows, so the damped solve gives no finite step
-        jac = JacobianEstimate(matrix=np.array([[1e200, 1e200], [0.0, 1.0]]),
-                               damping=1e-3)
-        assert not jac.ill_conditioned
+        J = np.array([[1e200, 1e200], [0.0, 1.0]])
+        assert not JacobianEstimate(matrix=J, damping=1e-3).ill_conditioned
         with np.errstate(all="ignore"):
-            dq = uvs_step(jac, np.ones(2), 1.0, 0.05)
-        np.testing.assert_array_equal(dq, np.zeros(2))
-        assert jac.ill_conditioned
-        jac = broyden_update(jac, np.array([0.0, 0.1]), np.array([0.0, 0.3]))
-        assert jac.ill_conditioned
+            dq, failed = uvs_steps(J[None], np.ones((1, 2)), 1e-3 * np.eye(2), 1.0, 0.05)
+        np.testing.assert_array_equal(dq, np.zeros((1, 2)))
+        assert failed.tolist() == [True]
+        # A controller whose probes read J flags the row, keeps the flag
+        # through a Broyden update and writes it with the row's estimate.
+        spec = TaskSpec()
+        ctrl = UVSController(UVSConfig(), spec)
+        z = np.array([[0.0, 0.0]])
+        with np.errstate(all="ignore"):
+            ctrl.begin(np.array([[0.5, 0.5]]), lambda positions: positions @ J.T)
+            assert not ctrl.degenerate.any()
+            np.testing.assert_array_equal(ctrl.act(z, np.ones(2)), np.zeros((1, 2)))
+        assert ctrl.degenerate.tolist() == [True]
+        before = ctrl.J.copy()
+        ctrl.observe(z, np.array([[0.0, 0.1]]), np.array([[0.0, 0.3]]))
+        assert not np.array_equal(ctrl.J, before)
+        ctrl.keep(np.array([False]))
+        assert ctrl.jacobians[0].ill_conditioned
 
     def test_eps_bounded_by_action_limit(self, spec):
         with pytest.raises(ValueError, match="eps_explore"):
             uvs_init_jacobian(WorldState(), spec, oracle_sensor(spec), eps_explore=0.2)
 
 
+def _uvs_step(J, e, gain, a_max):
+    """``uvs_steps`` on a one-row stack, whose solve must not fail."""
+    dq, failed = uvs_steps(J[None], e[None], 1e-3 * np.eye(J.shape[1]), gain, a_max)
+    assert failed.tolist() == [False]
+    return dq[0]
+
+
 class TestUVSStep:
     def test_zero_error_zero_action(self):
-        jac = JacobianEstimate(matrix=np.eye(2), damping=1e-3)
-        np.testing.assert_array_equal(uvs_step(jac, np.zeros(2), 1.0, 0.05),
+        np.testing.assert_array_equal(_uvs_step(np.eye(2), np.zeros(2), 1.0, 0.05),
                                       np.zeros(2))
 
     def test_identity_closed_form(self):
-        jac = JacobianEstimate(matrix=np.eye(2), damping=1e-3)
         e = np.array([0.01, 0.0])
-        dq = uvs_step(jac, e, gain=1.0, a_max=1.0)
+        dq = _uvs_step(np.eye(2), e, gain=1.0, a_max=1.0)
         np.testing.assert_allclose(dq, -e / (1.0 + 1e-3), rtol=1e-9)
 
     def test_clipping_preserves_direction(self):
-        jac = JacobianEstimate(matrix=np.eye(2), damping=1e-3)
         e = np.array([0.3, 0.4])
-        dq = uvs_step(jac, e, gain=1.0, a_max=0.05)
+        dq = _uvs_step(np.eye(2), e, gain=1.0, a_max=0.05)
         assert np.linalg.norm(dq) == pytest.approx(0.05)
         cos = dq @ (-e) / (np.linalg.norm(dq) * np.linalg.norm(e))
         assert cos == pytest.approx(1.0)
 
-    def test_error_length_checked(self):
-        jac = JacobianEstimate(matrix=np.eye(2), damping=1e-3)
+    def test_error_length_checked(self, spec):
+        # a UVS controller's errors are its sensor's rows less z*
+        sensor = oracle_sensor(spec)
         with pytest.raises(ValueError, match="length"):
-            uvs_step(jac, np.zeros(3), 1.0, 0.05)
+            control_loop(UVSController(UVSConfig(), spec), WorldState(), spec, sensor,
+                         np.zeros(3), eps_goal=0.02, max_steps=5)
 
 
 class TestBroyden:
@@ -369,8 +390,10 @@ class TestStackedServo:
         for row, (want, want_failed) in zip(actions, wants):
             assert row.tobytes() == want.tobytes()
         assert not actions[[1, 3]].any()
-        jac = JacobianEstimate(matrix=J[1], damping=1e-3)
-        assert not uvs_step(jac, errors[1], 0.5, 0.05).any() and jac.degenerate
+        with np.errstate(invalid="ignore"):
+            alone, alone_failed = uvs_steps(J[1:2], errors[1:2], 1e-3 * np.eye(dof), 0.5,
+                                            0.05)
+        assert not alone.any() and alone_failed.tolist() == [True]
 
     @given(data=st.data())
     @settings(max_examples=200, deadline=None)
@@ -407,7 +430,8 @@ class TestStackedServo:
 
 
 class TestStackedPolicy:
-    """The guidance and the policy mean on a stack give each row its one-row bits."""
+    """The guidance, the policy mean and a sampled action on a stack give each
+    row its one-row bits."""
 
     @given(data=st.data())
     @settings(max_examples=100, deadline=None)
@@ -423,10 +447,16 @@ class TestStackedPolicy:
         a_max, k_gain = data.draw(st.sampled_from([0.05, 1.0])), 0.5
         a_hat = guidance_action(z_star, z, a_max, k_gain)
         mean = policy.mean_action(z, a_hat)
+        # a stack's noise is each row's one-reading draw, in row order
+        stack_rng, row_rng = np.random.default_rng(5), np.random.default_rng(5)
+        action, raw = sample_action(policy, z, a_hat, stack_rng, a_max)
         for i in range(n):
             one_hat = guidance_action(z_star, z[i], a_max, k_gain)
             assert a_hat[i].tobytes() == one_hat.tobytes()
             assert mean[i].tobytes() == policy.mean_action(z[i], one_hat).tobytes()
+            one_action, one_raw = sample_action(policy, z[i], one_hat, row_rng, a_max)
+            assert raw[i].tobytes() == one_raw.tobytes()
+            assert action[i].tobytes() == one_action.tobytes()
 
 
 class TestReward:
@@ -710,13 +740,16 @@ class TestControlLoop:
 
     def test_nonfinite_action_aborts(self, spec):
         class BadController:
-            def begin(self, state, sensor):
+            def begin(self, positions, sensor):
                 pass
 
             def act(self, z, z_star):
-                return np.array([np.nan, 0.0])
+                return np.tile([np.nan, 0.0], (len(z), 1))
 
             def observe(self, *a):
+                pass
+
+            def keep(self, rows):
                 pass
 
         sensor = oracle_sensor(spec)
@@ -752,7 +785,8 @@ class TestControlLoop:
 def _one_episode(controller, start, spec, sensor, z_star, eps_goal, max_steps,
                  r_goal=10.0):
     """The loop one episode at a time, one one-row sensor call per reading:
-    the reference that lockstepped episodes must match."""
+    the reference that episodes stepped together must match. A begun
+    controller's row leaves (``keep``) when the episode ends."""
     state = start
     z = sensor(state.position[None])[0]
     errors, rewards, zs, actions = [float(np.linalg.norm(z - z_star))], [], [], []
@@ -760,15 +794,15 @@ def _one_episode(controller, start, spec, sensor, z_star, eps_goal, max_steps,
     if errors[0] < eps_goal:
         success = True
     else:
-        controller.begin(state, sensor)
+        controller.begin(state.position[None], sensor)
         for _ in range(max_steps):
-            action = np.asarray(controller.act(z, z_star), dtype=np.float64)
+            action = np.asarray(controller.act(z[None], z_star)[0], dtype=np.float64)
             if not np.all(np.isfinite(action)):
                 aborted = True
                 break
             state = step(state, action, spec)
             z_new = sensor(state.position[None])[0]
-            controller.observe(z, action, z_new)
+            controller.observe(z[None], action[None], z_new[None])
             rewards.append(reward(z_new, z_star, eps_goal, r_goal))
             zs.append(z_new)
             actions.append(action)
@@ -777,6 +811,7 @@ def _one_episode(controller, start, spec, sensor, z_star, eps_goal, max_steps,
             if errors[-1] < eps_goal:
                 success = True
                 break
+        controller.keep(np.zeros(1, dtype=bool))
     return dict(success=success, steps=len(rewards), latent_errors=errors,
                 rewards=rewards,
                 final_task_error=float(np.linalg.norm(state.position
@@ -785,23 +820,30 @@ def _one_episode(controller, start, spec, sensor, z_star, eps_goal, max_steps,
                 actions=np.reshape(actions, (-1, spec.dof)), aborted=aborted)
 
 
-class NaNAtStep:
-    """Wraps a controller and emits a NaN action at step ``k`` (0-based)."""
+class NaNWhereAtStep:
+    """Wraps a row-stack controller; at step ``k`` (0-based) it emits NaN
+    actions in the rows whose start position satisfies ``where``."""
 
-    def __init__(self, inner, k):
-        self.inner, self.k, self.t = inner, k, 0
+    def __init__(self, inner, where, k):
+        self.inner, self.where, self.k, self.t = inner, where, k, 0
 
-    def begin(self, state, sensor):
-        self.inner.begin(state, sensor)
+    def begin(self, positions, sensor):
+        self.marked = self.where(positions)
+        self.inner.begin(positions, sensor)
 
     def act(self, z, z_star):
+        actions = self.inner.act(z, z_star)
         self.t += 1
         if self.t - 1 == self.k:
-            return np.array([np.nan, 0.0])
-        return self.inner.act(z, z_star)
+            actions = np.where(self.marked[:, None], np.nan, actions)
+        return actions
 
-    def observe(self, z_before, action, z_after):
-        self.inner.observe(z_before, action, z_after)
+    def observe(self, z_before, actions, z_after):
+        self.inner.observe(z_before, actions, z_after)
+
+    def keep(self, rows):
+        self.marked = self.marked[rows]
+        self.inner.keep(rows)
 
 
 class ValueWhere:
@@ -826,10 +868,6 @@ class CountingSensor:
         self.calls += 1
         self.rows += len(positions)
         return self.base(positions)
-
-
-def _refuse(*args):
-    raise AssertionError("refused: a stacked group makes no such call")
 
 
 def _as_fields(result):
@@ -862,27 +900,23 @@ class TestRunEpisodes:
     @pytest.mark.parametrize("controller_kind", ["uvs", "guided"])
     def test_lockstep_equals_one_episode_at_a_time(self, spec, sensor_kind,
                                                    controller_kind):
-        # One controller kind, so one stacked group; one start is at the
-        # goal and the others arrive at different steps or not at all.
+        # One controller for every start; one start is at the goal and the
+        # others arrive at different steps or not at all.
         sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
         z_star = target_factors(sensor, spec)
         eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
         policy = Policy.create(k=2, dof=2, seed=1)
         starts = np.vstack([self.STARTS, [[0.7, 0.76], [0.62, 0.74]]])
 
-        def controllers():
-            make = ((lambda: UVSController(UVSConfig(), spec)) if controller_kind == "uvs"
-                    else (lambda: GuidedReinforceController(policy, spec, k_gain=0.5)))
-            return [make() for _ in starts]
-
-        got = run_episodes(controllers(), starts, spec, sensor, z_star,
-                           eps_goal, max_steps=40)
-        singles = [control_loop(c, WorldState(position=p), spec, sensor, z_star,
+        make = ((lambda: UVSController(UVSConfig(), spec)) if controller_kind == "uvs"
+                else (lambda: GuidedReinforceController(policy, spec, k_gain=0.5)))
+        got = run_episodes(make(), starts, spec, sensor, z_star, eps_goal, max_steps=40)
+        singles = [control_loop(make(), WorldState(position=p), spec, sensor, z_star,
                                 eps_goal, max_steps=40)
-                   for c, p in zip(controllers(), starts)]
-        reference = [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
+                   for p in starts]
+        reference = [_one_episode(make(), WorldState(position=p), spec, sensor, z_star,
                                   eps_goal, max_steps=40)
-                     for c, p in zip(controllers(), starts)]
+                     for p in starts]
         assert reference[1]["success"] and reference[1]["steps"] == 0
         assert len({r["steps"] for r in reference if r["success"] and r["steps"]}) > 1
         for lockstep, single, ref in zip(got, singles, reference):
@@ -890,52 +924,85 @@ class TestRunEpisodes:
             _assert_same_episode(_as_fields(single), ref)
 
     @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
-    def test_a_mixed_group_equals_one_episode_at_a_time(self, spec, sensor_kind):
-        # Two UVS gains, two guided policies, a sampling controller and
-        # wrapped controllers: several stacked groups and one group of lone
-        # controllers, whose rows leave at different steps.
+    def test_every_controller_equals_one_episode_at_a_time(self, spec, sensor_kind):
+        # Two UVS gains, two guided policies and wrapped controllers that
+        # abort chosen rows mid-stack, one controller per run, whose rows
+        # leave at different steps.
         sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
         z_star = target_factors(sensor, spec)
         eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
         policy, other = Policy.create(k=2, dof=2, seed=1), Policy.create(k=2, dof=2, seed=2)
         other.params["mu_w2"].data[...] = 0.05
         starts = np.vstack([self.STARTS, [[0.2, 0.6], [0.9, 0.9], [0.15, 0.4]]])
-
-        def controllers():
-            return [UVSController(UVSConfig(), spec),
-                    GuidedReinforceController(policy, spec, k_gain=0.5),
-                    NaNAtStep(UVSController(UVSConfig(), spec), k=3),
-                    GuidedReinforceController(policy, spec, k_gain=0.5,
-                                              rng=np.random.default_rng(4)),
-                    UVSController(UVSConfig(gain=0.3), spec),
-                    GuidedReinforceController(other, spec, k_gain=0.8),
-                    NaNAtStep(GuidedReinforceController(policy, spec, k_gain=0.5), k=50),
-                    UVSController(UVSConfig(), spec)]
-
-        lockstep, alone = controllers(), controllers()
-        got = run_episodes(lockstep, starts, spec, sensor, z_star, eps_goal,
-                           max_steps=40)
-        reference = [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
-                                  eps_goal, max_steps=40)
-                     for c, p in zip(alone, starts)]
-        assert reference[1]["success"] and reference[1]["steps"] == 0
-        assert reference[2]["aborted"] and len({r["steps"] for r in reference}) > 3
-        for result, ref in zip(got, reference):
-            _assert_same_episode(_as_fields(result), ref)
-        for c, ref in zip(lockstep, alone):   # a UVS group hands back its Jacobians
-            c, ref = getattr(c, "inner", c), getattr(ref, "inner", ref)
-            if isinstance(c, UVSController) and ref.jacobian is not None:
-                assert c.jacobian.matrix.tobytes() == ref.jacobian.matrix.tobytes()
-                assert c.jacobian.degenerate == ref.jacobian.degenerate
-        assert len(lockstep[3].samples) == len(alone[3].samples) > 0
-        for got_rows, want_rows in zip(lockstep[3].samples, alone[3].samples):
-            assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+        left = lambda p: p[:, 0] < 0.2               # starts 0 and 7
+        runs = {
+            "uvs": lambda: NaNWhereAtStep(UVSController(UVSConfig(), spec), left, k=3),
+            "uvs gain 0.3": lambda: UVSController(UVSConfig(gain=0.3), spec),
+            "guided": lambda: NaNWhereAtStep(
+                GuidedReinforceController(policy, spec, k_gain=0.5), left, k=5),
+            "other guided": lambda: GuidedReinforceController(other, spec, k_gain=0.8),
+        }
+        steps = set()
+        for name, make in runs.items():
+            controller, alone = make(), [make() for _ in starts]
+            got = run_episodes(controller, starts, spec, sensor, z_star, eps_goal,
+                               max_steps=40)
+            reference = [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
+                                      eps_goal, max_steps=40)
+                         for c, p in zip(alone, starts)]
+            assert reference[1]["success"] and reference[1]["steps"] == 0, name
+            for result, ref in zip(got, reference):
+                _assert_same_episode(_as_fields(result), ref)
+            steps |= {r["steps"] for r in reference}
+            if isinstance(controller, NaNWhereAtStep):
+                assert [r["aborted"] for r in reference] == [
+                    i in (0, 7) for i in range(len(starts))], name
+            # each begun row hands back the Jacobian it would end with alone
+            inner = getattr(controller, "inner", controller)
+            if isinstance(inner, UVSController):
+                begun = [getattr(c, "inner", c) for c, ref in zip(alone, reference)
+                         if ref["steps"] or not ref["success"]]
+                assert len(inner.jacobians) == len(begun) == len(starts) - 1
+                for got_jac, ref in zip(inner.jacobians, begun):
+                    want = ref.jacobians[0]
+                    assert got_jac.matrix.tobytes() == want.matrix.tobytes()
+                    assert got_jac.degenerate == want.degenerate
+        assert len(steps) > 3
 
     @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
-    def test_an_abort_inside_a_stacked_group(self, spec, sensor_kind, monkeypatch):
+    def test_a_sampling_controller_draws_the_one_row_stream(self, spec, sensor_kind):
+        # A training rollout's controller: one row, whose samples are the
+        # one-reading draws of ``sample_action`` in step order.
+        sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
+        z_star = target_factors(sensor, spec)
+        eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
+        policy = Policy.create(k=2, dof=2, seed=1)
+        make = lambda: GuidedReinforceController(policy, spec, k_gain=0.5,
+                                                 rng=np.random.default_rng(4))
+        controller, alone = make(), make()
+        start = self.STARTS[3]
+        got = run_episodes(controller, start[None], spec, sensor, z_star, eps_goal,
+                           max_steps=40)
+        ref = _one_episode(alone, WorldState(position=start), spec, sensor, z_star,
+                           eps_goal, max_steps=40)
+        _assert_same_episode(_as_fields(got[0]), ref)
+        assert len(controller.samples) == len(alone.samples) == ref["steps"] > 0
+        for got_rows, want_rows in zip(controller.samples, alone.samples):
+            assert [r.tobytes() for r in got_rows] == [r.tobytes() for r in want_rows]
+        rng = np.random.default_rng(4)
+        for (z, a_hat, raw), action in zip(controller.samples, got[0].actions):
+            assert z.shape == a_hat.shape == raw.shape == (1, 2)
+            want_hat = guidance_action(z_star, z[0], spec.a_max, 0.5)
+            want_action, want_raw = sample_action(policy, z[0], want_hat, rng, spec.a_max)
+            assert a_hat[0].tobytes() == want_hat.tobytes()
+            assert raw[0].tobytes() == want_raw.tobytes()
+            assert action.tobytes() == want_action.tobytes()
+
+    @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
+    def test_an_abort_inside_a_stacked_group(self, spec, sensor_kind):
         # The sensor reads NaN in a band that two paths enter after step 0,
-        # away from the target: their guided controllers emit NaN actions
-        # there and abort, and the other rows of the group go on.
+        # away from the target: their guided controller emits NaN actions
+        # there and those rows abort, and the other rows go on.
         base = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
         sensor = ValueWhere(base, lambda p: (p[:, 0] > 0.35) & (p[:, 0] < 0.45))
         z_star = target_factors(sensor, spec)
@@ -947,62 +1014,59 @@ class TestRunEpisodes:
                      for p in self.STARTS]
         assert [r["aborted"] for r in reference] == [True, False, False, True, False]
         assert min(r["steps"] for r in reference if r["aborted"]) > 0
-        monkeypatch.setattr(GuidedReinforceController, "act", _refuse)
-        got = run_episodes([GuidedReinforceController(policy, spec, k_gain=0.5)
-                            for _ in self.STARTS], self.STARTS, spec, sensor, z_star,
-                           eps_goal, max_steps=40)
+        got = run_episodes(GuidedReinforceController(policy, spec, k_gain=0.5),
+                           self.STARTS, spec, sensor, z_star, eps_goal, max_steps=40)
         for result, ref in zip(got, reference):
             _assert_same_episode(_as_fields(result), ref)
 
     @pytest.mark.parametrize("sensor_kind", ["oracle", "sae"])
-    def test_a_shared_key_steps_as_one_group(self, spec, sensor_kind, monkeypatch):
-        # A list of one key never calls a controller's one-row act or
-        # observe; a list of two UVS gains never builds a stacked group.
+    @pytest.mark.parametrize("controller_kind", ["uvs", "guided"])
+    def test_one_act_and_one_observe_call_per_step(self, spec, sensor_kind,
+                                                   controller_kind, monkeypatch):
+        # Every step makes one act and one observe call on the stack of the
+        # episodes still moving.
         sensor = oracle_sensor(spec) if sensor_kind == "oracle" else self._sae_sensor()
         z_star = target_factors(sensor, spec)
         eps_goal = calibrate_goal_tolerance(sensor, spec, 0.02)
         policy = Policy.create(k=2, dof=2, seed=1)
-        lists = {
-            "uvs": lambda: [UVSController(UVSConfig(), spec) for _ in self.STARTS],
-            "guided": lambda: [GuidedReinforceController(policy, spec, k_gain=0.5)
-                               for _ in self.STARTS],
-            "two gains": lambda: [UVSController(UVSConfig(gain=g), spec)
-                                  for g in (0.5, 0.3, 0.5, 0.3, 0.5)],
-        }
-        reference = {name: [_one_episode(c, WorldState(position=p), spec, sensor, z_star,
-                                         eps_goal, max_steps=40)
-                            for c, p in zip(make(), self.STARTS)]
-                     for name, make in lists.items()}
+        make = ((lambda: UVSController(UVSConfig(), spec)) if controller_kind == "uvs"
+                else (lambda: GuidedReinforceController(policy, spec, k_gain=0.5)))
+        reference = [_one_episode(make(), WorldState(position=p), spec, sensor, z_star,
+                                  eps_goal, max_steps=40)
+                     for p in self.STARTS]
+        cls = type(make())
+        rows = {"act": [], "observe": []}
 
-        def run(name):
-            got = run_episodes(lists[name](), self.STARTS, spec, sensor, z_star,
-                               eps_goal, max_steps=40)
-            for result, ref in zip(got, reference[name]):
-                _assert_same_episode(_as_fields(result), ref)
+        def counted(name):
+            method = getattr(cls, name)
 
-        with monkeypatch.context() as patch:
-            patch.setattr(UVSController, "act", _refuse)
-            patch.setattr(UVSController, "observe", _refuse)
-            patch.setattr(GuidedReinforceController, "act", _refuse)
-            run("uvs")
-            run("guided")
-        monkeypatch.setattr(UVSGroup, "__init__", _refuse)
-        with pytest.raises(AssertionError, match="refused"):
-            run("uvs")
-        run("two gains")
+            def call(self, z, *args):
+                rows[name].append(len(z))
+                return method(self, z, *args)
+            return call
+
+        monkeypatch.setattr(cls, "act", counted("act"))
+        monkeypatch.setattr(cls, "observe", counted("observe"))
+        got = run_episodes(make(), self.STARTS, spec, sensor, z_star, eps_goal,
+                           max_steps=40)
+        for result, ref in zip(got, reference):
+            _assert_same_episode(_as_fields(result), ref)
+        steps = [r.steps for r in got]
+        assert len(rows["act"]) == len(rows["observe"]) == max(steps)
+        assert rows["act"] == rows["observe"]
+        assert rows["act"] == [sum(s > t for s in steps) for t in range(max(steps))]
 
     def test_an_empty_group_has_no_episodes(self, spec):
         sensor = oracle_sensor(spec)
-        assert run_episodes([], np.empty((0, 2)), spec, sensor,
-                            target_factors(sensor, spec), eps_goal=0.02,
+        assert run_episodes(UVSController(UVSConfig(), spec), np.empty((0, 2)), spec,
+                            sensor, target_factors(sensor, spec), eps_goal=0.02,
                             max_steps=5) == []
 
     def test_one_stacked_sensor_call_per_step(self, spec):
         sensor = CountingSensor(oracle_sensor(spec))
         z_star = target_factors(oracle_sensor(spec), spec)
-        results = run_episodes([UVSController(UVSConfig(), spec) for _ in self.STARTS],
-                               self.STARTS, spec, sensor, z_star, eps_goal=0.02,
-                               max_steps=60)
+        results = run_episodes(UVSController(UVSConfig(), spec), self.STARTS, spec,
+                               sensor, z_star, eps_goal=0.02, max_steps=60)
         begun = [not (r.success and r.steps == 0) for r in results]
         assert begun.count(False) == 1 and all(r.success for r in results)
         assert sensor.rows == sum(1 + 2 * spec.dof * b + r.steps
@@ -1018,12 +1082,6 @@ class TestRunEpisodes:
         with pytest.raises(ValueError, match=r"z\* must be finite"):
             evaluate_success(lambda: UVSController(UVSConfig(), spec), spec, sensor,
                              z_star, eps_goal=0.02, max_steps=20, trials=3, seed=5)
-
-    def test_rejects_a_controller_count_that_differs_from_the_starts(self, spec):
-        sensor = oracle_sensor(spec)
-        with pytest.raises(ValueError, match="controllers"):
-            run_episodes([UVSController(UVSConfig(), spec)], self.STARTS, spec, sensor,
-                         target_factors(sensor, spec), eps_goal=0.02, max_steps=5)
 
 
 class TestEvaluateAndTrain:
