@@ -13,7 +13,7 @@ from typing import Dict, Sequence
 
 import numpy as np
 
-from ..representations import ModelWeights, encode
+from ..representations import ModelWeights
 from ..toyenv import DemoSequence
 from .factors import DEFAULT_TAU, FactorSet, extract_time_varying
 from .taskmap import build_task_map
@@ -88,12 +88,10 @@ def embodiment_compare(model: ModelWeights, teacher_demos: Sequence[DemoSequence
             rs.append(_pearson(a, b))
         correlations[f] = float(np.mean(rs))
 
-    dists = []
-    for td, ed in zip(teacher_demos, executor_demos):
-        zt = encode(model, td.frames[-1]).values.astype(np.float64)
-        ze = encode(model, ed.frames[-1]).values.astype(np.float64)
-        dists.append(float(np.linalg.norm(zt - ze)))
-    final_distance = float(np.mean(dists))
+    # a map's last row is its final frame, read as if alone
+    final_distance = float(np.mean([
+        np.linalg.norm(tm.values[-1].astype(np.float64) - em.values[-1].astype(np.float64))
+        for tm, em in pairs]))
 
     if not t_factors.indices or not e_factors.indices:
         verdict = VERDICT_UNDETERMINED

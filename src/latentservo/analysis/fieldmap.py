@@ -46,9 +46,9 @@ class LatentFieldMap:
         return self.values.reshape(self.grid_n, self.grid_n, self.k)
 
 
-# The grid is read in this many chunks. A chunk bounds the frames held in
-# memory at once, and the split is part of the result: a BVAE frame encoded
-# in another batch can differ in its last bits (by up to about 2e-7).
+# The grid is read in this many chunks, which bounds the frames and encoder
+# buffers held at once; a sensor reads each row as if alone, so the split
+# leaves every value's bits as they are.
 FIELD_MAP_CHUNKS = 4
 
 

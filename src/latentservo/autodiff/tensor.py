@@ -298,7 +298,7 @@ def gaussian_kl(mu: Tensor, sigma: Tensor) -> Tensor:
     """KL( N(mu, diag sigma^2) || N(0, I) ) = 0.5 * sum(mu^2 + sigma^2 - ln sigma^2 - 1)."""
     if mu.shape != sigma.shape:
         raise ShapeError(f"gaussian_kl: shapes differ, {mu.shape} vs {sigma.shape}")
-    if np.any(sigma.data <= 0):
+    if not np.all(sigma.data > 0):
         raise ValueError("gaussian_kl: sigma must be strictly positive")
     m = mu.data.astype(np.float64)
     s = sigma.data.astype(np.float64)

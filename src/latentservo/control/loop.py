@@ -7,8 +7,8 @@ in the controller's ``begin`` and are not counted against the budget.
 
 ``run_episodes`` steps a stack of episodes together under one controller:
 each step senses every moving episode in one stacked sensor call and makes
-one ``act`` and one ``observe`` call on the stack, and every episode still
-gets the bits it gets alone.
+one ``act`` and one ``observe`` call on the stack. Every sensor reads a row
+as if alone, so every episode still gets the bits it gets alone.
 """
 
 from __future__ import annotations
@@ -83,11 +83,10 @@ def run_episodes(controller, starts: np.ndarray, spec: TaskSpec, sensor: Sensor,
     goal, ``act(z, z_star)`` returns an (n, dof) action stack for (n, k)
     readings, ``observe(z_before, actions, z_after)`` sees the step, and
     ``keep(rows)`` drops the rows where ``rows`` is False. Every row gets
-    the bits it gets alone, so on a row-stable sensor (the oracle or the
-    SAE) every episode gives the result it would give on its own; a dense
-    encoder's rows differ in their last bits with the stack size. An
-    episode leaves when it reaches the goal, when its action row is not
-    finite (it aborts; the others go on) or when the budget runs out.
+    the bits it gets alone, so every episode gives the result it would give
+    on its own. An episode leaves when it reaches the goal, when its action
+    row is not finite (it aborts; the others go on) or when the budget runs
+    out.
     """
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")

@@ -3,9 +3,9 @@
 A sensor maps an (N, 2) stack of workspace positions to (N, k) float64
 factor rows. The model sensor closes over render + an encode of the factor
 dims alone; the oracle variant reads the ground-truth position instead,
-bounding what the control harness itself can achieve. ``run_episodes``
-senses every moving episode of a step in one stack, and a UVS controller
-senses each episode's 2 * dof exploration probes in one stack.
+bounding what the control harness itself can achieve. Every sensor reads a
+row of a stack as if alone, byte for byte, so its callers stack their reads:
+a step's moving episodes, a UVS controller's probes, a calibration's probes.
 """
 
 from __future__ import annotations
@@ -55,19 +55,19 @@ def calibrate_goal_tolerance(sensor: Sensor, spec: TaskSpec,
                              workspace_tol: float = 0.02) -> float:
     """Latent-space image of a workspace tolerance near the target.
 
-    Probes the sensor at target +- workspace_tol along each axis and
-    averages the factor-space displacement; the oracle sensor calibrates
-    to exactly workspace_tol.
+    Reads the target and its probes at target +- workspace_tol along each
+    axis in one call and averages the factor-space displacement; the oracle
+    sensor calibrates to exactly workspace_tol.
     """
     target = np.asarray(spec.target, dtype=np.float64)
-    z0 = sensor(target[None])[0]
-    deltas = []
+    probes = [target]
     for axis in range(spec.dof):
         for sign in (1.0, -1.0):
             probe = target.copy()
             probe[axis] = np.clip(probe[axis] + sign * workspace_tol, 0.0, 1.0)
-            deltas.append(np.linalg.norm(sensor(probe[None])[0] - z0))
-    tol = float(np.mean(deltas))
+            probes.append(probe)
+    z = sensor(np.stack(probes))
+    tol = float(np.mean([np.linalg.norm(d) for d in z[1:] - z[0]]))
     if not tol > 0.0:
         raise ValueError("sensor is locally constant at the target; "
                          "cannot calibrate a goal tolerance")

@@ -13,7 +13,7 @@ from typing import List, Optional
 
 import numpy as np
 
-from ..toyenv import TaskSpec, WorldState, clip_action, step
+from ..toyenv import TaskSpec, WorldState, clip_action, step_positions
 from .sensors import Sensor
 
 DEGENERATE_COLUMN = 1e-9
@@ -55,29 +55,33 @@ class JacobianEstimate:
         return self.degenerate or self.condition_number == np.inf
 
 
-def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
-                      eps_explore: float, damping: float = 1e-3) -> JacobianEstimate:
-    """Central-difference exploration: one +- probe pair per action axis.
+def _explore(positions: np.ndarray, spec: TaskSpec, sensor: Sensor, eps_explore: float):
+    """Central-difference exploration of each row: one +- probe pair per action axis.
 
     Probes run through the environment step (so actuation limits apply)
-    and the effector ends back at the start state. All 2 * dof probes are
-    sensed in one call.
+    and the effector ends back at its start. Every row's 2 * dof probes are
+    sensed in one call. Returns the C-contiguous (n, k, m) Jacobian stack
+    and each row's degenerate flag (a probe column near zero).
     """
     if not 0 < eps_explore <= spec.a_max:
         raise ValueError(
             f"eps_explore must be in (0, a_max={spec.a_max}], got {eps_explore}")
-    m = spec.dof
-    probes = [sign * eps_explore * unit for unit in np.eye(m) for sign in (1.0, -1.0)]
-    z = sensor(np.stack([step(state, probe, spec).position for probe in probes]))
-    cols = []
-    ill = False
-    for axis in range(m):
-        col = (z[2 * axis] - z[2 * axis + 1]) / (2.0 * eps_explore)
-        if np.linalg.norm(col) < DEGENERATE_COLUMN:
-            ill = True
-        cols.append(col)
-    return JacobianEstimate(matrix=np.stack(cols, axis=1), damping=damping,
-                            degenerate=ill)
+    n, m = len(positions), spec.dof
+    probes = np.stack([sign * eps_explore * unit for unit in np.eye(m) for sign in (1.0, -1.0)])
+    z = sensor(step_positions(np.repeat(positions, 2 * m, axis=0), np.tile(probes, (n, 1)),
+                              spec)).reshape(n, m, 2, -1)
+    cols = (z[:, :, 0] - z[:, :, 1]) / (2.0 * eps_explore)  # (n, m, k)
+    J = np.ascontiguousarray(cols.transpose(0, 2, 1))
+    if not np.isfinite(J).all():
+        raise ValueError("Jacobian entries must be finite")
+    return J, (np.sqrt(np.vecdot(cols, cols)) < DEGENERATE_COLUMN).any(axis=1)
+
+
+def uvs_init_jacobian(state: WorldState, spec: TaskSpec, sensor: Sensor,
+                      eps_explore: float, damping: float = 1e-3) -> JacobianEstimate:
+    """The exploration ``UVSController.begin`` runs, on one state."""
+    J, degenerate = _explore(state.position[None], spec, sensor, eps_explore)
+    return JacobianEstimate(matrix=J[0], damping=damping, degenerate=bool(degenerate[0]))
 
 
 def uvs_steps(J: np.ndarray, errors: np.ndarray, damping_eye: np.ndarray, gain: float,
@@ -165,15 +169,12 @@ class UVSController:
         self.J: Optional[np.ndarray] = None
 
     def begin(self, positions: np.ndarray, sensor: Sensor) -> None:
-        """Explore each row's Jacobian, one sensor call per row, in row order."""
-        jacs = [uvs_init_jacobian(WorldState(position=p), self.spec, sensor,
-                                  self.config.eps_explore, self.config.damping)
-                for p in positions]
-        self.J = np.stack([j.matrix for j in jacs])
-        self.degenerate = np.array([j.degenerate for j in jacs])
+        """Explore every row's Jacobian, all probes in one sensor call."""
+        self.J, self.degenerate = _explore(positions, self.spec, sensor,
+                                           self.config.eps_explore)
         self.damping_eye = self.config.damping * np.eye(self.J.shape[2])
-        self.jacobians = [None] * len(jacs)
-        self.live = np.arange(len(jacs))    # each live row's index in ``jacobians``
+        self.jacobians = [None] * len(positions)
+        self.live = np.arange(len(positions))    # each live row's index in ``jacobians``
 
     def act(self, z: np.ndarray, z_star: np.ndarray) -> np.ndarray:
         if self.J is None:

@@ -145,8 +145,8 @@ class EncodePlan:
     built once: the weights as views in their contraction shapes, the SAE's
     conv1 channel block, its padding geometry and readout grids, and the
     dims index. A call then runs the arithmetic alone, without Tensors or
-    a tape, and since the plan holds views an in-place edit of the weights
-    shows in the next call.
+    a tape, and gives each row of a stack the bits it gets alone. Since the
+    plan holds views, an in-place edit of the weights shows in the next call.
 
     ``dims`` names the latent dims a caller reads: values then hold only
     those columns, in that order, and sigma is None. The SAE then runs
@@ -205,13 +205,15 @@ class EncodePlan:
         return ad.grid_readout(probs, *self.grids, h.dtype)[0], None
 
     def _dense(self, batch: np.ndarray) -> tuple:
+        # each row as a one-row matrix: a batched product gives it the bits it gets alone
         (w0, b0), (w1, b1), (wz, bz) = self.trunk
-        h = np.maximum(batch.reshape(batch.shape[0], -1) @ w0 + b0, 0)
+        h = np.maximum(batch.reshape(batch.shape[0], 1, -1) @ w0 + b0, 0)
         h = np.maximum(h @ w1 + b1, 0)
+        values = (h @ wz + bz)[:, 0]
         if self.sigma is None:
-            return h @ wz + bz, None
+            return values, None
         ws, bs = self.sigma
-        return h @ wz + bz, np.exp((h @ ws + bs) * 0.5)
+        return values, np.exp((h @ ws + bs)[:, 0] * 0.5)
 
 
 def encode_batch(model: ModelWeights, images: np.ndarray, dims: Optional[Sequence[int]] = None

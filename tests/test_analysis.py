@@ -30,6 +30,7 @@ from latentservo.representations import (
     EncoderSpec,
     Method,
     ModelWeights,
+    encode,
     init_params,
 )
 from latentservo.toyenv import (
@@ -265,6 +266,18 @@ class TestFieldMap:
         for p, row in zip(fm.positions, fm.values):
             assert row.tobytes() == sensor(p[None])[0].tobytes()
 
+    @pytest.mark.parametrize("grid_n", [2, 3, 9])  # chunks of 1 row, 2-3 rows, 20-21 rows
+    @pytest.mark.parametrize("method", [Method.AE, Method.VAE, Method.BVAE])
+    def test_a_chunked_dense_field_map_equals_one_read_of_the_grid(self, method, grid_n):
+        spec = EncoderSpec(method=method, image_size=16, latent_dim=4, hidden=(12, 8),
+                           alpha=2.0 if method is Method.BVAE else None, seed=4)
+        model = ModelWeights(spec=spec, params=init_params(spec))
+        task = TaskSpec(image_size=16, sprite_radius=2.0, cross_arm=1.5)
+        fs = FactorSet(indices=(0, 3), tau=0.2, spreads=np.ones(4))
+        sensor = model_sensor(model, fs, task)
+        fm = build_field_map(sensor, fs, grid_n)
+        assert fm.values.tobytes() == sensor(grid_positions(grid_n)).tobytes()
+
     def test_empty_factors_rejected(self):
         fs = FactorSet(indices=(), tau=0.2, spreads=np.zeros(2), all_constant=True)
         with pytest.raises(ValueError, match="non-empty"):
@@ -339,6 +352,15 @@ class TestEmbodiment:
             assert -1.0 <= c <= 1.0
         d = plain(rep)
         assert set(d) >= {"jaccard", "correlations", "final_latent_distance", "verdict"}
+
+    def test_final_distance_is_read_from_the_task_maps(self, embodiment_setup):
+        """Each demo's final-frame distance, as one-frame encodes give it."""
+        model, teacher, executor = embodiment_setup
+        rep = embodiment_compare(model, teacher, executor)
+        dists = [np.linalg.norm(encode(model, t.frames[-1]).values.astype(np.float64)
+                                - encode(model, e.frames[-1]).values.astype(np.float64))
+                 for t, e in zip(teacher, executor)]
+        assert rep.final_latent_distance == float(np.mean(dists))
 
     def test_resample_endpoints(self):
         out = resample_trajectory(np.array([1.0, 3.0]), points=5)

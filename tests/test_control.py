@@ -72,11 +72,13 @@ def tiny_model(method=Method.SAE):
     return ModelWeights(spec=spec, params=init_params(spec))
 
 
-class TestSensors:
-    def _model_sensor(self, indices=(0, 3)):
-        return model_sensor(tiny_model(), FactorSet(indices=indices, tau=0.2,
-                                                    spreads=np.ones(4)), SENSOR_TASK)
+def tiny_sensor(indices=(0, 3), method=Method.SAE):
+    """A ``tiny_model`` sensor on ``SENSOR_TASK`` frames."""
+    return model_sensor(tiny_model(method), FactorSet(indices=indices, tau=0.2,
+                                                      spreads=np.ones(4)), SENSOR_TASK)
 
+
+class TestSensors:
     def test_oracle_reads_positions_row_wise(self):
         positions = np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]])
         np.testing.assert_array_equal(oracle_sensor(TaskSpec())(positions), positions)
@@ -84,7 +86,7 @@ class TestSensors:
                                       positions[:, :1])
 
     def test_model_sensor_gives_float64_factor_rows(self):
-        z = self._model_sensor()(np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]]))
+        z = tiny_sensor()(np.array([[0.1, 0.9], [0.4, 0.2], [0.7, 0.7]]))
         assert z.shape == (3, 2) and z.dtype == np.float64
 
     @pytest.mark.parametrize("indices", list(SAE_FACTORS.values()))
@@ -126,12 +128,16 @@ class TestSensors:
                                                  spreads=np.ones(6)), SENSOR_TASK)
 
     @pytest.mark.parametrize("n", [2, 3, 10, 16, 33])
-    @pytest.mark.parametrize("kind", ["oracle", *SAE_FACTORS])
+    @pytest.mark.parametrize("kind", ["oracle", *SAE_FACTORS, "ae", "vae", "bvae"])
     def test_a_row_is_sensed_as_if_alone(self, spec, kind, n):
         """Row i of a stacked call equals the one-row call on its position,
-        byte for byte, whatever the stack's size or order. The dense encoders
-        (AE, VAE, BVAE) do not meet this yet: a stacked sgemm row differs."""
-        sensor = oracle_sensor(spec) if kind == "oracle" else self._model_sensor(SAE_FACTORS[kind])
+        byte for byte, whatever the stack's size or order."""
+        if kind == "oracle":
+            sensor = oracle_sensor(spec)
+        elif kind in SAE_FACTORS:
+            sensor = tiny_sensor(SAE_FACTORS[kind])
+        else:
+            sensor = tiny_sensor(method=Method(kind))
         rng = np.random.default_rng(n)
         positions = rng.uniform(0.0, 1.0, (n, 2))
         alone = np.stack([sensor(positions[i:i + 1])[0] for i in range(n)])
@@ -141,7 +147,7 @@ class TestSensors:
 
     @pytest.mark.parametrize("shape", [(2,), (4, 3)])
     def test_sensors_reject_anything_but_a_position_stack(self, spec, shape):
-        for sensor in (oracle_sensor(spec), self._model_sensor()):
+        for sensor in (oracle_sensor(spec), tiny_sensor()):
             with pytest.raises(ValueError, match=r"\(N, 2\)"):
                 sensor(np.full(shape, 0.5))
 
@@ -182,6 +188,8 @@ POSITIVE = {
     "LatentVector.sigma": (lambda x: LatentVector(values=[1.0, 2.0], sigma=[1.0, x]),
                            ValueError),
     "log.input": (lambda x: ad.log(ad.Tensor(np.array([1.0, x]))), ValueError),
+    "gaussian_kl.sigma": (lambda x: ad.gaussian_kl(ad.Tensor(np.zeros(2)),
+                                                   ad.Tensor(np.array([1.0, x]))), ValueError),
 }
 
 
@@ -248,6 +256,28 @@ class TestJacobian:
         assert not np.array_equal(ctrl.J, before)
         ctrl.keep(np.array([False]))
         assert ctrl.jacobians[0].ill_conditioned
+
+    @pytest.mark.parametrize("kind", ["oracle", "sae", "bvae"])
+    def test_a_stacked_exploration_row_equals_one_row(self, kind):
+        """``begin`` explores every row in one sensor call; row i's Jacobian
+        and degenerate flag are ``uvs_init_jacobian``'s on row i, byte for
+        byte. The sensor reads a constant near the second start, so that
+        row's columns are zero."""
+        spec = SENSOR_TASK
+        base = oracle_sensor(spec) if kind == "oracle" else tiny_sensor(method=Method(kind))
+        flat = ValueWhere(base, lambda p: np.linalg.norm(p - [0.3, 0.3], axis=1) < 0.1, 0.0)
+        sensor = CountingSensor(flat)
+        positions = np.array([[0.1, 0.8], [0.3, 0.3], [0.6, 0.45], [0.95, 0.05], [0.5, 0.5]])
+        ctrl = UVSController(UVSConfig(eps_explore=0.02), spec)
+        ctrl.begin(positions, sensor)
+        assert sensor.calls == 1 and sensor.rows == len(positions) * 2 * spec.dof
+        assert ctrl.J.shape == (len(positions), 2, 2) and ctrl.J.flags.c_contiguous
+        for i, p in enumerate(positions):
+            jac = uvs_init_jacobian(WorldState(position=p), spec, flat, eps_explore=0.02)
+            want, ill = _one_row_exploration(WorldState(position=p), spec, flat, 0.02)
+            assert ctrl.J[i].tobytes() == jac.matrix.tobytes() == want.tobytes()
+            assert ctrl.degenerate[i] == jac.degenerate == ill
+        assert ctrl.degenerate.tolist() == [False, True, False, False, False]
 
     def test_eps_bounded_by_action_limit(self, spec):
         with pytest.raises(ValueError, match="eps_explore"):
@@ -328,6 +358,16 @@ def _one_row_uvs_step(J, e, damping, gain, a_max):
         return np.zeros(m), True
     norm = float(np.linalg.norm(dq))
     return (dq * (a_max / norm) if norm > a_max else dq), False
+
+
+def _one_row_exploration(state, spec, sensor, eps_explore):
+    """Central differences one probe and one axis at a time: the reference
+    for the exploration in ``UVSController.begin``."""
+    probes = [sign * eps_explore * unit for unit in np.eye(spec.dof) for sign in (1.0, -1.0)]
+    z = [sensor(step(state, probe, spec).position[None])[0] for probe in probes]
+    cols = [(z[2 * axis] - z[2 * axis + 1]) / (2.0 * eps_explore) for axis in range(spec.dof)]
+    ill = any(np.linalg.norm(col) < 1e-9 for col in cols)
+    return np.stack(cols, axis=1), ill
 
 
 def _one_row_broyden(J, dq, dz):
@@ -1071,8 +1111,9 @@ class TestRunEpisodes:
         assert begun.count(False) == 1 and all(r.success for r in results)
         assert sensor.rows == sum(1 + 2 * spec.dof * b + r.steps
                                   for b, r in zip(begun, results))
-        assert sensor.calls == 1 + sum(begun) + max(r.steps for r in results)
-        assert sensor.calls <= 60 + 1 + len(self.STARTS)
+        # the start, every begun row's probes in one call, then one call per step
+        assert sensor.calls == 1 + any(begun) + max(r.steps for r in results)
+        assert sensor.calls <= 60 + 2
 
     @pytest.mark.parametrize("value", [np.nan, np.inf])
     def test_a_non_finite_target_reading_is_refused(self, spec, value):
@@ -1105,6 +1146,24 @@ class TestEvaluateAndTrain:
     def test_goal_tolerance_calibration_oracle(self, spec):
         sensor = oracle_sensor(spec)
         assert calibrate_goal_tolerance(sensor, spec, 0.02) == pytest.approx(0.02)
+
+    @pytest.mark.parametrize("kind", ["oracle", "sae", "bvae"])
+    def test_goal_tolerance_reads_the_target_and_its_probes_in_one_call(self, kind):
+        spec = SENSOR_TASK
+        base = oracle_sensor(spec) if kind == "oracle" else tiny_sensor(method=Method(kind))
+        sensor = CountingSensor(base)
+        tol = calibrate_goal_tolerance(sensor, spec, 0.02)
+        assert sensor.calls == 1 and sensor.rows == 1 + 2 * spec.dof
+        # the same bits as reading the target and each probe alone
+        target = np.asarray(spec.target, dtype=np.float64)
+        z0 = base(target[None])[0]
+        deltas = []
+        for axis in range(spec.dof):
+            for sign in (1.0, -1.0):
+                probe = target.copy()
+                probe[axis] = np.clip(probe[axis] + sign * 0.02, 0.0, 1.0)
+                deltas.append(np.linalg.norm(base(probe[None])[0] - z0))
+        assert tol == float(np.mean(deltas))
 
     def test_goal_tolerance_refuses_a_nan_reading(self, spec):
         sensor = ValueWhere(oracle_sensor(spec), _near_target(spec))
